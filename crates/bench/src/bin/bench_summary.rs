@@ -67,7 +67,9 @@
 //! size).
 //!
 //! The output file is JSON Lines: one self-contained record per invocation,
-//! so successive PRs build up a comparable history.
+//! so successive PRs build up a comparable history. Every record carries its
+//! `label` and the host's core count (`nproc`, from
+//! `std::thread::available_parallelism`) beside the workload's own field.
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -190,9 +192,10 @@ fn run_f64_interval(n: usize, reps: usize) -> RunResult {
     }
 }
 
-fn json_record(label: &str, results: &[RunResult]) -> String {
+/// The per-size ladder's `"results"` field.
+fn results_field(results: &[RunResult]) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{{\"label\": \"{label}\", \"results\": ["));
+    out.push_str("\"results\": [");
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -215,14 +218,14 @@ fn json_record(label: &str, results: &[RunResult]) -> String {
             r.stats.fallback_activations,
         ));
     }
-    out.push_str("]}");
+    out.push(']');
     out
 }
 
 /// The α-sweep acceptance benchmark: `sweep_points` exact levels
 /// `α_k = k / (points + 1)` over the full-S absolute-error consumer at
 /// `sweep_n`.
-fn run_sweep(label: &str, n: usize, points: usize, threads: usize) -> String {
+fn run_sweep(n: usize, points: usize, threads: usize) -> String {
     if points == 0 {
         eprintln!("--sweep-points must be at least 1");
         std::process::exit(2);
@@ -294,13 +297,13 @@ fn run_sweep(label: &str, n: usize, points: usize, threads: usize) -> String {
     );
 
     format!(
-        "{{\"label\": \"{label}\", \"sweep\": {{\"n\": {n}, \"points\": {points}, \
+        "\"sweep\": {{\"n\": {n}, \"points\": {points}, \
          \"threads\": {threads}, \"scalar\": \"rational\", \
          \"cold_sequential_ns\": {cold_ns}, \"warm_direct_sweep_ns\": {direct_ns}, \
          \"warm_factorized_sweep_ns\": {factor_ns}, \
          \"speedup_direct\": {speedup_direct:.4}, \"speedup_factorized\": {speedup_factor:.4}, \
          \"direct_bit_identical\": {direct_identical}, \
-         \"factorized_losses_bit_identical\": {losses_identical}}}}}"
+         \"factorized_losses_bit_identical\": {losses_identical}}}"
     )
 }
 
@@ -317,7 +320,7 @@ fn run_sweep(label: &str, n: usize, points: usize, threads: usize) -> String {
 /// a small dual-simplex warm-started α-sweep (every warm reoptimization is
 /// certificate-checked the same way), both asserted to land on the default
 /// path's optimal loss.
-fn run_compare_forms(label: &str, n: usize) -> String {
+fn run_compare_forms(n: usize) -> String {
     use privmech_lp::{PricingRule, SolverForm, SolverOptions, WarmStartMode};
     let engine = PrivacyEngine::with_threads(1);
     let level: PrivacyLevel<Rational> = PrivacyLevel::new(rat(1, 4)).expect("valid alpha");
@@ -413,12 +416,12 @@ fn run_compare_forms(label: &str, n: usize) -> String {
     );
 
     format!(
-        "{{\"label\": \"{label}\", \"compare_forms\": {{\"n\": {n}, \"scalar\": \"rational\", \
+        "\"compare_forms\": {{\"n\": {n}, \"scalar\": \"rational\", \
          \"dense_ns\": {dense_ns}, \"revised_ns\": {revised_ns}, \
          \"speedup_revised\": {speedup:.4}, \"pivots\": {}, \"bit_identical\": true, \
          \"devex_ns\": {devex_ns}, \"devex_loss_identical\": true, \
          \"warm_sweep_points\": {warm_points}, \"warm_losses_identical\": true, \
-         \"certified\": true}}}}",
+         \"certified\": true}}",
         dense.stats.total_pivots()
     )
 }
@@ -434,7 +437,7 @@ fn run_compare_forms(label: &str, n: usize) -> String {
 /// pivot counts go into the record so it shows *where* the warm path
 /// reoptimized instead of re-solving. `PRIVMECH_SWEEP_QUICK=1` shrinks the
 /// workload to CI smoke size.
-fn run_warm_sweep(label: &str, n: usize, points: usize, reps: usize) -> String {
+fn run_warm_sweep(n: usize, points: usize, reps: usize) -> String {
     use privmech_lp::{SolverOptions, WarmStartMode};
     let quick = std::env::var("PRIVMECH_SWEEP_QUICK").is_ok_and(|v| v == "1");
     let (n, points, reps) = if quick {
@@ -542,11 +545,11 @@ fn run_warm_sweep(label: &str, n: usize, points: usize, reps: usize) -> String {
     );
 
     format!(
-        "{{\"label\": \"{label}\", \"warm_sweep\": {{\"n\": {n}, \"points\": {points}, \
+        "\"warm_sweep\": {{\"n\": {n}, \"points\": {points}, \
          \"reps\": {reps}, \"scalar\": \"rational\", \
          \"cold_sequential_ns\": {cold_ns}, \"warm_sweep_ns\": {warm_ns}, \
          \"speedup_warm\": {speedup:.4}, \"warm_started_levels\": {warm_hits}, \
-         \"losses_identical\": true, \"per_alpha\": [{per_alpha}]}}}}"
+         \"losses_identical\": true, \"per_alpha\": [{per_alpha}]}}"
     )
 }
 
@@ -574,7 +577,7 @@ fn reset_peak_rss() -> bool {
 /// factorization — this record makes that difference a tracked number.
 /// Losses are asserted bit-identical between the passes (they follow the
 /// identical pivot sequence, so anything else is a solver bug).
-fn run_sweep_mem(label: &str, n: usize, points: usize) -> String {
+fn run_sweep_mem(n: usize, points: usize) -> String {
     use privmech_lp::{SolverForm, SolverOptions};
     let quick = std::env::var("PRIVMECH_SWEEP_QUICK").is_ok_and(|v| v == "1");
     let (n, points) = if quick { (5, 3) } else { (n, points) };
@@ -634,10 +637,10 @@ fn run_sweep_mem(label: &str, n: usize, points: usize) -> String {
     );
 
     format!(
-        "{{\"label\": \"{label}\", \"sweep_mem\": {{\"n\": {n}, \"points\": {points}, \
+        "\"sweep_mem\": {{\"n\": {n}, \"points\": {points}, \
          \"scalar\": \"rational\", \"peak_rss_revised_bytes\": {revised_peak}, \
          \"peak_rss_dense_bytes\": {dense_peak}, \"dense_over_revised\": {ratio:.4}, \
-         \"peak_reset_supported\": {reset_supported}, \"losses_identical\": true}}}}"
+         \"peak_reset_supported\": {reset_supported}, \"losses_identical\": true}}"
     )
 }
 
@@ -645,7 +648,7 @@ fn run_sweep_mem(label: &str, n: usize, points: usize) -> String {
 /// size `n` driven through a real `privmech-serve` TCP round trip, cold
 /// (every request misses) vs cached (`repeat` hot passes, every request
 /// hits), with the cached ≡ uncached byte identity asserted per request.
-fn run_serve(label: &str, n: usize, points: usize, repeat: usize) -> String {
+fn run_serve(n: usize, points: usize, repeat: usize) -> String {
     use privmech_serve::proto::{CacheDisposition, CacheMode, ConsumerSpec, LossSpec};
     use privmech_serve::{client::Client, server, server::ServerConfig};
 
@@ -725,12 +728,12 @@ fn run_serve(label: &str, n: usize, points: usize, repeat: usize) -> String {
     );
 
     format!(
-        "{{\"label\": \"{label}\", \"serve\": {{\"n\": {n}, \"points\": {points}, \
+        "\"serve\": {{\"n\": {n}, \"points\": {points}, \
          \"repeat\": {repeat}, \"scalar\": \"rational\", \"transport\": \"tcp-loopback\", \
          \"cold_ns\": {cold_ns}, \"cached_ns\": {cached_ns}, \
          \"cold_per_request_ns\": {cold_per:.0}, \"cached_per_request_ns\": {cached_per:.0}, \
          \"speedup_cached\": {speedup:.4}, \"bit_identical\": true, \
-         \"cache_hits\": {}, \"cache_misses\": {}}}}}",
+         \"cache_hits\": {}, \"cache_misses\": {}}}",
         stats.hits, stats.misses
     )
 }
@@ -790,7 +793,7 @@ fn print_metrics(client: &mut privmech_serve::client::Client) {
 /// transports is asserted per request, and a cache-bypassing streamed sweep
 /// first proves that streaming actually streams (first `sweep_item` arrives
 /// in the first half of the sweep's wall-clock).
-fn run_serve_pipelined(label: &str, n: usize, points: usize, solves: usize) -> String {
+fn run_serve_pipelined(n: usize, points: usize, solves: usize) -> String {
     use privmech_serve::client::{Client, Event};
     use privmech_serve::json;
     use privmech_serve::proto::{CacheMode, ConsumerSpec, LossSpec};
@@ -948,13 +951,13 @@ fn run_serve_pipelined(label: &str, n: usize, points: usize, solves: usize) -> S
     handle.join();
 
     format!(
-        "{{\"label\": \"{label}\", \"pipeline\": {{\"n\": {n}, \"scalar\": \"rational\", \
+        "\"pipeline\": {{\"n\": {n}, \"scalar\": \"rational\", \
          \"transport\": \"tcp-loopback\", \"sweep_points\": {points}, \"solves\": {solves}, \
          \"wire_requests\": {}, \"alpha_solves\": {}, \
          \"serial_v1_ns\": {serial_ns}, \"pipelined_v2_ns\": {pipelined_ns}, \
          \"speedup_pipelined\": {speedup:.4}, \"bit_identical\": true, \
          \"stream_first_item_ns\": {first_item_ns}, \"stream_total_ns\": {sweep_total_ns}, \
-         \"streams\": true}}}}",
+         \"streams\": true}}",
         1 + solves,
         points + solves,
     )
@@ -1125,18 +1128,18 @@ fn main() {
         }
     }
 
-    let record = if compare_forms {
-        run_compare_forms(&label, compare_n)
+    let body = if compare_forms {
+        run_compare_forms(compare_n)
     } else if warm_sweep {
-        run_warm_sweep(&label, warm_n, warm_points, reps.min(3))
+        run_warm_sweep(warm_n, warm_points, reps.min(3))
     } else if serve_pipelined {
-        run_serve_pipelined(&label, pipeline_n, pipeline_points, pipeline_solves)
+        run_serve_pipelined(pipeline_n, pipeline_points, pipeline_solves)
     } else if serve {
-        run_serve(&label, serve_n, serve_points, serve_repeat)
+        run_serve(serve_n, serve_points, serve_repeat)
     } else if sweep_mem {
-        run_sweep_mem(&label, sweep_mem_n, sweep_mem_points)
+        run_sweep_mem(sweep_mem_n, sweep_mem_points)
     } else if sweep {
-        run_sweep(&label, sweep_n, sweep_points, sweep_threads)
+        run_sweep(sweep_n, sweep_points, sweep_threads)
     } else {
         let mut results = Vec::new();
         for n in [3usize, 4, 6, 8, 10] {
@@ -1174,8 +1177,11 @@ fn main() {
                 r.stats.fallback_activations,
             );
         }
-        json_record(&label, &results)
+        results_field(&results)
     };
+    // A timing is only comparable between hosts of the same core count.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let record = format!("{{\"label\": \"{label}\", \"nproc\": {nproc}, {body}}}");
 
     let mut file = OpenOptions::new()
         .create(true)

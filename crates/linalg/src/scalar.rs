@@ -85,9 +85,10 @@ pub trait Scalar:
     //
     // The operator bounds above consume their operands, which forces generic
     // code into `a.clone() * b.clone()` pairs. For `f64` that is free; for
-    // `Rational` every clone is one or two heap allocations, and the simplex
-    // inner loop performs millions of these. Implementations backed by heap
-    // data should override these with genuinely by-reference versions.
+    // `Rational` a clone copies both parts (and allocates for any part wider
+    // than two limbs), and the simplex inner loop performs millions of these.
+    // Implementations backed by heap data should override these with
+    // genuinely by-reference versions.
     // ------------------------------------------------------------------
 
     /// `self + rhs` without consuming either operand.

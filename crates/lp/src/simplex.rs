@@ -1,6 +1,6 @@
 //! Two-phase simplex solver: Dantzig pricing with a Bland fallback, in two
-//! interchangeable forms — a dense tableau and a revised simplex with a
-//! product-form basis factorization.
+//! interchangeable forms — a dense tableau and a revised simplex over a
+//! sparse LU basis factorization with Forrest–Tomlin updates.
 //!
 //! The full solver design — standard-form construction, the zero-rhs `>=`
 //! rewrite, the pricing rules, the basis-factorization lifecycle and the
@@ -15,12 +15,12 @@
 //!   `rows × cols` tableau (support-masked). Simple, battle-tested, and the
 //!   only form the `f64` backend runs (see below).
 //! * **Revised simplex** ([`SolverForm::Revised`], the [`SolverForm::Auto`]
-//!   default for exact scalars): the basis inverse is kept as an eta file
-//!   (`crate::basis`), entering columns are FTRAN'd against the original
-//!   sparse constraint columns, and the reduced-cost row is maintained from
-//!   BTRAN'd pivot rows — each iteration prices from the factorization
-//!   instead of rewriting the tableau, which is the ROADMAP's
-//!   revised-simplex performance item.
+//!   default for exact scalars): the basis is kept as sparse LU factors with
+//!   Forrest–Tomlin updates (`crate::basis`, [`FactorizationKind`]; the
+//!   product-form eta file remains as a cross-check), entering columns are
+//!   FTRAN'd against the original sparse constraint columns, and the
+//!   reduced-cost row is maintained from BTRAN'd pivot rows — each iteration
+//!   prices from the factorization instead of rewriting the tableau.
 //!
 //! **Identity contract**: on exact scalars both forms follow the *identical*
 //! pivot sequence (same entering column and leaving position at every

@@ -1,21 +1,26 @@
 //! Arbitrary-precision signed integers.
 //!
-//! The representation is a sign flag plus a little-endian vector of 64-bit
-//! limbs. The magnitude is always normalized: no trailing zero limbs, and a
-//! zero value is represented by an empty limb vector with [`Sign::Zero`].
+//! The representation is a sign flag plus the little-endian 64-bit limbs of
+//! the magnitude. The magnitude is always normalized: no trailing zero limbs,
+//! and a zero value has no limbs and [`Sign::Zero`].
 //!
 //! The exact LP tableaus this crate feeds spend most of their life on values
-//! that fit in one machine word, so every ring operation (add/sub/mul/cmp,
-//! plus gcd and div_rem) takes an inline **single-limb fast path** before
-//! falling back to the general limb loops. The multi-limb substrate is
-//! schoolbook multiplication, Knuth Algorithm D long division (TAOCP 4.3.1),
-//! and an in-place binary GCD — quadratic algorithms are more than fast
-//! enough for the few hundred bits that arise when verifying privacy
-//! mechanisms exactly.
+//! that fit in one or two machine words, so magnitudes of up to two limbs are
+//! stored **inline** in the `BigInt` itself and only longer ones spill to a
+//! heap vector. Building, cloning or dropping a one- or two-limb value never
+//! touches the allocator. Every ring operation (add/sub/mul/cmp, plus gcd and
+//! div_rem) takes a machine-word fast path when its operands allow, and the
+//! multi-limb helpers write straight into a store sized for their result, so
+//! results that shrink back to two limbs allocate nothing either. The
+//! multi-limb substrate is schoolbook multiplication, Knuth Algorithm D long
+//! division (TAOCP 4.3.1), and an in-place binary GCD — quadratic algorithms
+//! are more than fast enough for the few hundred bits that arise when
+//! verifying privacy mechanisms exactly.
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
+use std::hash::{Hash, Hasher};
+use std::ops::{Add, AddAssign, Deref, DerefMut, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
 
 /// Sign of a [`BigInt`].
@@ -57,7 +62,7 @@ impl Sign {
 pub struct BigInt {
     sign: Sign,
     /// Little-endian 64-bit limbs of the magnitude; normalized (no trailing zeros).
-    limbs: Vec<u64>,
+    limbs: Limbs,
 }
 
 /// Error returned when parsing a [`BigInt`] or
@@ -77,14 +82,156 @@ impl fmt::Display for ParseNumError {
 impl std::error::Error for ParseNumError {}
 
 // ---------------------------------------------------------------------------
-// Limb-level helpers (magnitude arithmetic on &[u64])
+// Limb store: up to two limbs inline, longer magnitudes on the heap
 // ---------------------------------------------------------------------------
 
-fn trim(limbs: &mut Vec<u64>) {
-    while limbs.last() == Some(&0) {
-        limbs.pop();
+/// Number of limbs a [`Limbs`] store holds without allocating.
+const INLINE: usize = 2;
+
+/// A little-endian limb buffer that derefs to `&[u64]`.
+///
+/// After [`Limbs::trim`] the store is canonical: no trailing zero limbs, and
+/// a heap buffer only when more than [`INLINE`] limbs remain. Equality,
+/// hashing and `Debug` go through the limb slice, so they never depend on
+/// where the limbs live.
+#[derive(Clone)]
+enum Limbs {
+    Inline { len: u8, buf: [u64; INLINE] },
+    Heap(Vec<u64>),
+}
+
+impl Limbs {
+    /// The empty store (the magnitude of zero).
+    const EMPTY: Limbs = Limbs::Inline {
+        len: 0,
+        buf: [0; INLINE],
+    };
+
+    /// `len` zero limbs; a heap buffer reserves room for `cap` limbs.
+    fn zeroed(len: usize, cap: usize) -> Limbs {
+        if len <= INLINE {
+            Limbs::Inline {
+                len: len as u8,
+                buf: [0; INLINE],
+            }
+        } else {
+            let mut v = Vec::with_capacity(cap.max(len));
+            v.resize(len, 0);
+            Limbs::Heap(v)
+        }
+    }
+
+    /// The normalized magnitude `v`.
+    fn from_u128(v: u128) -> Limbs {
+        let buf = [v as u64, (v >> 64) as u64];
+        let len = if buf[1] != 0 {
+            2
+        } else {
+            u8::from(buf[0] != 0)
+        };
+        Limbs::Inline { len, buf }
+    }
+
+    fn from_slice(a: &[u64]) -> Limbs {
+        let mut out = if a.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..a.len()].copy_from_slice(a);
+            Limbs::Inline {
+                len: a.len() as u8,
+                buf,
+            }
+        } else {
+            Limbs::Heap(a.to_vec())
+        };
+        out.trim();
+        out
+    }
+
+    /// Take ownership of a work buffer's limbs (moved inline if short).
+    fn from_vec(v: Vec<u64>) -> Limbs {
+        let mut out = Limbs::Heap(v);
+        out.trim();
+        out
+    }
+
+    fn push(&mut self, limb: u64) {
+        match self {
+            Limbs::Inline { len, buf } if (*len as usize) < INLINE => {
+                buf[*len as usize] = limb;
+                *len += 1;
+            }
+            Limbs::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(INLINE + 2);
+                v.extend_from_slice(buf);
+                v.push(limb);
+                *self = Limbs::Heap(v);
+            }
+            Limbs::Heap(v) => v.push(limb),
+        }
+    }
+
+    /// Drop trailing zero limbs and move a short heap buffer back inline.
+    fn trim(&mut self) {
+        match self {
+            Limbs::Inline { len, buf } => {
+                while *len > 0 && buf[*len as usize - 1] == 0 {
+                    *len -= 1;
+                }
+            }
+            Limbs::Heap(v) => {
+                trim_vec(v);
+                if v.len() <= INLINE {
+                    *self = Limbs::from_slice(v);
+                }
+            }
+        }
     }
 }
+
+impl Deref for Limbs {
+    type Target = [u64];
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Limbs::Inline { len, buf } => &buf[..*len as usize],
+            Limbs::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Limbs {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Limbs::Inline { len, buf } => &mut buf[..*len as usize],
+            Limbs::Heap(v) => v,
+        }
+    }
+}
+
+impl PartialEq for Limbs {
+    fn eq(&self, other: &Limbs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Limbs {}
+
+impl Hash for Limbs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Limbs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Limb-level helpers (magnitude arithmetic on &[u64])
+// ---------------------------------------------------------------------------
 
 fn mag_cmp(a: &[u64], b: &[u64]) -> Ordering {
     if a.len() != b.len() {
@@ -99,15 +246,14 @@ fn mag_cmp(a: &[u64], b: &[u64]) -> Ordering {
     Ordering::Equal
 }
 
-fn mag_add(a: &[u64], b: &[u64]) -> Vec<u64> {
+fn mag_add(a: &[u64], b: &[u64]) -> Limbs {
     let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(long.len() + 1);
+    let mut out = Limbs::zeroed(long.len(), long.len() + 1);
     let mut carry = 0u64;
-    for i in 0..long.len() {
-        let x = long[i] as u128;
-        let y = if i < short.len() { short[i] as u128 } else { 0 };
-        let sum = x + y + carry as u128;
-        out.push(sum as u64);
+    for (i, o) in out.iter_mut().enumerate() {
+        let y = short.get(i).copied().unwrap_or(0);
+        let sum = long[i] as u128 + y as u128 + carry as u128;
+        *o = sum as u64;
         carry = (sum >> 64) as u64;
     }
     if carry != 0 {
@@ -117,31 +263,39 @@ fn mag_add(a: &[u64], b: &[u64]) -> Vec<u64> {
 }
 
 /// Requires `a >= b` (as magnitudes).
-fn mag_sub(a: &[u64], b: &[u64]) -> Vec<u64> {
+fn mag_sub(a: &[u64], b: &[u64]) -> Limbs {
     debug_assert!(mag_cmp(a, b) != Ordering::Less);
-    let mut out = Vec::with_capacity(a.len());
-    let mut borrow = 0u64;
-    for i in 0..a.len() {
-        let x = a[i] as u128;
-        let y = if i < b.len() { b[i] as u128 } else { 0 };
-        let rhs = y + borrow as u128;
-        if x >= rhs {
-            out.push((x - rhs) as u64);
-            borrow = 0;
-        } else {
-            out.push((x + (1u128 << 64) - rhs) as u64);
-            borrow = 1;
-        }
+    // Equal top limbs cancel (no borrow can reach them because `a >= b`), so
+    // the difference fits below the highest limb where the operands differ.
+    let mut len = a.len();
+    while len > 0 && len == b.len() && a[len - 1] == b[len - 1] {
+        len -= 1;
     }
-    trim(&mut out);
+    let (a, b) = (&a[..len], &b[..len.min(b.len())]);
+    let mut out = Limbs::zeroed(len, len);
+    let mut borrow = false;
+    for (i, o) in out.iter_mut().enumerate() {
+        let y = b.get(i).copied().unwrap_or(0);
+        let (d1, b1) = a[i].overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *o = d2;
+        borrow = b1 || b2;
+    }
+    out.trim();
     out
 }
 
-fn mag_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
+fn mag_mul(a: &[u64], b: &[u64]) -> Limbs {
     if a.is_empty() || b.is_empty() {
-        return Vec::new();
+        return Limbs::EMPTY;
     }
-    let mut out = vec![0u64; a.len() + b.len()];
+    // The product has `bits(a) + bits(b)` bits or one fewer, so this length
+    // is exact or one too long — and every partial sum fits in it.
+    let len = (mag_bits(a) + mag_bits(b)).div_ceil(64);
+    let mut store = Limbs::zeroed(len, len);
+    // Index a plain slice in the loops: indexing the store itself would
+    // re-match its variant on every access.
+    let out = &mut store[..];
     for (i, &ai) in a.iter().enumerate() {
         if ai == 0 {
             continue;
@@ -160,47 +314,82 @@ fn mag_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
             k += 1;
         }
     }
-    trim(&mut out);
-    out
+    store.trim();
+    store
 }
 
 /// Divide magnitude by a single limb, returning (quotient, remainder).
-fn mag_div_limb(a: &[u64], d: u64) -> (Vec<u64>, u64) {
+fn mag_div_limb(a: &[u64], d: u64) -> (Limbs, u64) {
     assert!(d != 0, "division by zero");
-    let mut out = vec![0u64; a.len()];
+    let len = match a.last() {
+        Some(&top) if top < d => a.len() - 1,
+        _ => a.len(),
+    };
+    let mut store = Limbs::zeroed(len, len);
+    let out = &mut store[..];
     let mut rem = 0u128;
     for i in (0..a.len()).rev() {
         let cur = (rem << 64) | a[i] as u128;
-        out[i] = (cur / d as u128) as u64;
+        if i < len {
+            out[i] = (cur / d as u128) as u64;
+        }
         rem = cur % d as u128;
     }
-    trim(&mut out);
-    (out, rem as u64)
+    store.trim();
+    (store, rem as u64)
 }
 
-fn mag_shl(a: &[u64], bits: usize) -> Vec<u64> {
-    if a.is_empty() {
-        return Vec::new();
-    }
+/// Write `a << bits` into `out`, which must be zeroed and long enough to
+/// hold the shifted value.
+fn shl_into(out: &mut [u64], a: &[u64], bits: usize) {
     let limb_shift = bits / 64;
     let bit_shift = bits % 64;
-    let mut out = vec![0u64; a.len() + limb_shift + 1];
     for (i, &x) in a.iter().enumerate() {
         if bit_shift == 0 {
-            out[i + limb_shift] |= x;
+            out[i + limb_shift] = x;
         } else {
             out[i + limb_shift] |= x << bit_shift;
-            out[i + limb_shift + 1] |= x >> (64 - bit_shift);
+            let high = x >> (64 - bit_shift);
+            match out.get_mut(i + limb_shift + 1) {
+                Some(o) => *o = high,
+                None => debug_assert_eq!(high, 0, "shl_into output too short"),
+            }
         }
     }
-    trim(&mut out);
+}
+
+fn mag_shl(a: &[u64], bits: usize) -> Limbs {
+    if a.is_empty() {
+        return Limbs::EMPTY;
+    }
+    let len = (mag_bits(a) + bits).div_ceil(64);
+    let mut out = Limbs::zeroed(len, len);
+    shl_into(&mut out, a, bits);
     out
+}
+
+/// The magnitude as a `u128`; only meaningful for at most two limbs.
+#[inline]
+fn mag_u128(a: &[u64]) -> u128 {
+    debug_assert!(a.len() <= INLINE);
+    match *a {
+        [] => 0,
+        [lo] => lo as u128,
+        [lo, hi, ..] => lo as u128 | (hi as u128) << 64,
+    }
 }
 
 fn mag_bits(a: &[u64]) -> usize {
     match a.last() {
         None => 0,
         Some(&top) => 64 * (a.len() - 1) + (64 - top.leading_zeros() as usize),
+    }
+}
+
+/// Drop trailing zero limbs of a work buffer.
+fn trim_vec(limbs: &mut Vec<u64>) {
+    while limbs.last() == Some(&0) {
+        limbs.pop();
     }
 }
 
@@ -223,7 +412,7 @@ fn mag_sub_in_place(a: &mut Vec<u64>, b: &[u64]) {
             break;
         }
     }
-    trim(a);
+    trim_vec(a);
 }
 
 /// Shift a magnitude right by `bits` in place (arbitrary shift counts).
@@ -247,7 +436,7 @@ fn mag_shr_in_place(a: &mut Vec<u64>, bits: usize) {
             a[i] = v;
         }
     }
-    trim(a);
+    trim_vec(a);
 }
 
 /// Number of trailing zero bits of a non-zero magnitude.
@@ -282,34 +471,64 @@ fn u64_gcd(mut a: u64, mut b: u64) -> u64 {
     }
 }
 
+/// Binary GCD on `u128` magnitudes (both nonzero).
+pub(crate) fn u128_gcd(mut a: u128, mut b: u128) -> u128 {
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// GCD of two nonzero magnitudes on machine words, when both fit in two limbs.
+fn word_gcd(a: &[u64], b: &[u64]) -> Option<BigInt> {
+    match (a, b) {
+        ([x], [y]) => Some(BigInt::from(u64_gcd(*x, *y))),
+        _ if a.len() <= INLINE && b.len() <= INLINE => {
+            Some(BigInt::from(u128_gcd(mag_u128(a), mag_u128(b))))
+        }
+        _ => None,
+    }
+}
+
 /// Long division on magnitudes via Knuth's Algorithm D (TAOCP 4.3.1) with
 /// 64-bit limbs. Returns (quotient, remainder). The previous implementation
 /// was a bit-by-bit shift/subtract loop — O(bits · limbs) with an allocation
 /// per bit — which dominated exact-LP profiles through `Rational`
 /// normalization; Algorithm D is O(limbs²) with no per-step allocation.
-fn mag_divrem(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
+fn mag_divrem(a: &[u64], b: &[u64]) -> (Limbs, Limbs) {
     assert!(!b.is_empty(), "division by zero");
     if mag_cmp(a, b) == Ordering::Less {
-        return (Vec::new(), a.to_vec());
+        return (Limbs::EMPTY, Limbs::from_slice(a));
     }
     if b.len() == 1 {
         let (q, r) = mag_div_limb(a, b[0]);
-        return (q, if r == 0 { Vec::new() } else { vec![r] });
+        return (q, Limbs::from_u128(r as u128));
     }
 
     // Normalize so the divisor's top limb has its high bit set; this keeps
     // the 2-limb quotient estimate within one of the true digit.
     let shift = b.last().expect("non-empty divisor").leading_zeros() as usize;
-    let bn = mag_shl(b, shift);
-    debug_assert_eq!(bn.len(), b.len());
-    let mut an = mag_shl(a, shift);
-    an.resize(a.len() + 1, 0);
+    let n = b.len();
+    let mut bn_store = Limbs::zeroed(n, n);
+    shl_into(&mut bn_store, b, shift);
+    // The digit loop indexes plain slices, not the stores.
+    let bn = &bn_store[..];
+    let mut an = vec![0u64; a.len() + 1];
+    shl_into(&mut an, a, shift);
 
-    let n = bn.len();
     let m = an.len() - n; // number of quotient digits
     let top = bn[n - 1] as u128;
     let next = bn[n - 2] as u128;
-    let mut q = vec![0u64; m];
+    let mut q = Limbs::zeroed(m, m);
+    let digits = &mut q[..];
 
     for j in (0..m).rev() {
         // Estimate the quotient digit from the top limbs.
@@ -350,14 +569,16 @@ fn mag_divrem(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
             }
             an[j + n] = an[j + n].wrapping_add(carry as u64);
         }
-        q[j] = qhat as u64;
+        digits[j] = qhat as u64;
     }
 
-    let mut rem = an[..n].to_vec();
-    trim(&mut rem);
-    mag_shr_in_place(&mut rem, shift);
-    trim(&mut q);
-    (q, rem)
+    // The remainder is the low `n` limbs of `an`, shifted back down; reuse
+    // the dividend's buffer for it.
+    an.truncate(n);
+    trim_vec(&mut an);
+    mag_shr_in_place(&mut an, shift);
+    q.trim();
+    (q, Limbs::from_vec(an))
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +591,7 @@ impl BigInt {
     pub fn zero() -> BigInt {
         BigInt {
             sign: Sign::Zero,
-            limbs: Vec::new(),
+            limbs: Limbs::EMPTY,
         }
     }
 
@@ -382,8 +603,13 @@ impl BigInt {
 
     /// Construct from a sign and raw little-endian limbs (normalizing).
     #[must_use]
-    pub fn from_sign_limbs(sign: Sign, mut limbs: Vec<u64>) -> BigInt {
-        trim(&mut limbs);
+    pub fn from_sign_limbs(sign: Sign, limbs: Vec<u64>) -> BigInt {
+        BigInt::from_parts(sign, Limbs::from_vec(limbs))
+    }
+
+    /// Construct from a sign and an already-trimmed limb store.
+    fn from_parts(sign: Sign, limbs: Limbs) -> BigInt {
+        debug_assert!(limbs.last() != Some(&0), "untrimmed limb store");
         if limbs.is_empty() {
             return BigInt::zero();
         }
@@ -410,7 +636,7 @@ impl BigInt {
     /// True iff the value is one.
     #[must_use]
     pub fn is_one(&self) -> bool {
-        self.sign == Sign::Positive && self.limbs == [1]
+        self.sign == Sign::Positive && *self.limbs == [1]
     }
 
     /// True iff the value is strictly negative.
@@ -453,26 +679,32 @@ impl BigInt {
     /// Shift the magnitude left by `bits` (sign preserved).
     #[must_use]
     pub fn shl_bits(&self, bits: usize) -> BigInt {
-        BigInt::from_sign_limbs(self.sign, mag_shl(&self.limbs, bits))
+        BigInt::from_parts(self.sign, mag_shl(&self.limbs, bits))
     }
 
     /// Shift the magnitude right by `bits` (truncating towards zero in magnitude).
     #[must_use]
     pub fn shr_bits(&self, bits: usize) -> BigInt {
-        let limb_shift = bits / 64;
-        let bit_shift = bits % 64;
-        if limb_shift >= self.limbs.len() {
+        let total = self.bit_length();
+        if bits >= total {
             return BigInt::zero();
         }
-        let mut out = Vec::with_capacity(self.limbs.len() - limb_shift);
-        for i in limb_shift..self.limbs.len() {
-            let mut v = self.limbs[i] >> bit_shift;
-            if bit_shift != 0 && i + 1 < self.limbs.len() {
-                v |= self.limbs[i + 1] << (64 - bit_shift);
+        let limb_shift = bits / 64;
+        let bit_shift = bits % 64;
+        let len = (total - bits).div_ceil(64);
+        let src = &self.limbs[..];
+        let mut out = Limbs::zeroed(len, len);
+        for (i, o) in out.iter_mut().enumerate() {
+            let j = i + limb_shift;
+            let mut v = src[j] >> bit_shift;
+            if bit_shift != 0 {
+                if let Some(&high) = src.get(j + 1) {
+                    v |= high << (64 - bit_shift);
+                }
             }
-            out.push(v);
+            *o = v;
         }
-        BigInt::from_sign_limbs(self.sign, out)
+        BigInt::from_parts(self.sign, out)
     }
 
     /// Euclidean division returning `(quotient, remainder)` with
@@ -487,28 +719,32 @@ impl BigInt {
         assert!(!divisor.is_zero(), "BigInt division by zero");
         let q_sign = self.sign.mul(divisor.sign);
         let r_sign = self.sign;
-        // Single-limb fast path: machine division.
-        if self.limbs.len() <= 1 && divisor.limbs.len() <= 1 {
+        // Inline fast paths: machine division on one or two limbs.
+        let (q_mag, r_mag) = if self.limbs.len() <= 1 && divisor.limbs.len() <= 1 {
             let a = self.limbs.first().copied().unwrap_or(0);
             let d = divisor.limbs[0];
-            return (
-                BigInt::from_sign_limbs(q_sign, vec![a / d]),
-                BigInt::from_sign_limbs(r_sign, vec![a % d]),
-            );
-        }
-        let (q_mag, r_mag) = mag_divrem(&self.limbs, &divisor.limbs);
+            (
+                Limbs::from_u128((a / d).into()),
+                Limbs::from_u128((a % d).into()),
+            )
+        } else if self.limbs.len() <= INLINE && divisor.limbs.len() <= INLINE {
+            let (a, d) = (mag_u128(&self.limbs), mag_u128(&divisor.limbs));
+            (Limbs::from_u128(a / d), Limbs::from_u128(a % d))
+        } else {
+            mag_divrem(&self.limbs, &divisor.limbs)
+        };
         (
-            BigInt::from_sign_limbs(q_sign, q_mag),
-            BigInt::from_sign_limbs(r_sign, r_mag),
+            BigInt::from_parts(q_sign, q_mag),
+            BigInt::from_parts(r_sign, r_mag),
         )
     }
 
     /// Greatest common divisor of the magnitudes (always non-negative).
     ///
-    /// Machine-word inputs take a branch-free `u64` binary-GCD fast path; the
-    /// multi-limb case runs binary GCD **in place** on two limb buffers
-    /// (shift/subtract, no allocation per round) and drops to the word path
-    /// as soon as both operands fit in one limb.
+    /// Inputs of one or two limbs take a machine-word binary-GCD fast path
+    /// (`u64` or `u128`); the multi-limb case runs binary GCD **in place** on
+    /// two limb buffers (shift/subtract, no allocation per round) and drops
+    /// to the word path as soon as both operands fit in two limbs.
     #[must_use]
     pub fn gcd(&self, other: &BigInt) -> BigInt {
         if self.is_zero() {
@@ -517,12 +753,14 @@ impl BigInt {
         if other.is_zero() {
             return self.abs();
         }
-        if self.limbs.len() == 1 && other.limbs.len() == 1 {
-            return BigInt::from(u64_gcd(self.limbs[0], other.limbs[0]));
+        if let Some(g) = word_gcd(&self.limbs, &other.limbs) {
+            return g;
         }
 
-        let mut a = self.limbs.clone();
-        let mut b = other.limbs.clone();
+        // At least one operand spans more than two limbs: run the loop on
+        // plain heap buffers.
+        let mut a = self.limbs.to_vec();
+        let mut b = other.limbs.to_vec();
         let a_tz = mag_trailing_zeros(&a);
         let b_tz = mag_trailing_zeros(&b);
         let shift = a_tz.min(b_tz);
@@ -530,13 +768,12 @@ impl BigInt {
         mag_shr_in_place(&mut b, b_tz);
         loop {
             // a and b are both odd here.
-            if a.len() == 1 && b.len() == 1 {
-                let g = BigInt::from(u64_gcd(a[0], b[0]));
+            if let Some(g) = word_gcd(&a, &b) {
                 return g.shl_bits(shift);
             }
             match mag_cmp(&a, &b) {
                 Ordering::Equal => {
-                    return BigInt::from_sign_limbs(Sign::Positive, a).shl_bits(shift);
+                    return BigInt::from_parts(Sign::Positive, Limbs::from_vec(a)).shl_bits(shift);
                 }
                 Ordering::Less => std::mem::swap(&mut a, &mut b),
                 Ordering::Greater => {}
@@ -645,14 +882,12 @@ macro_rules! impl_from_signed {
         impl From<$t> for BigInt {
             fn from(v: $t) -> BigInt {
                 let v = v as i128;
-                if v == 0 {
-                    return BigInt::zero();
-                }
-                let sign = if v < 0 { Sign::Negative } else { Sign::Positive };
-                let mag = v.unsigned_abs();
-                let mut limbs = vec![mag as u64, (mag >> 64) as u64];
-                trim(&mut limbs);
-                BigInt { sign, limbs }
+                let sign = match v.cmp(&0) {
+                    Ordering::Less => Sign::Negative,
+                    Ordering::Equal => Sign::Zero,
+                    Ordering::Greater => Sign::Positive,
+                };
+                BigInt { sign, limbs: Limbs::from_u128(v.unsigned_abs()) }
             }
         }
     )*};
@@ -662,13 +897,7 @@ macro_rules! impl_from_unsigned {
     ($($t:ty),*) => {$(
         impl From<$t> for BigInt {
             fn from(v: $t) -> BigInt {
-                let v = v as u128;
-                if v == 0 {
-                    return BigInt::zero();
-                }
-                let mut limbs = vec![v as u64, (v >> 64) as u64];
-                trim(&mut limbs);
-                BigInt { sign: Sign::Positive, limbs }
+                BigInt::from_parts(Sign::Positive, Limbs::from_u128(v as u128))
             }
         }
     )*};
@@ -728,16 +957,16 @@ impl Add for &BigInt {
         match (self.sign, rhs.sign) {
             (Sign::Zero, _) => rhs.clone(),
             (_, Sign::Zero) => self.clone(),
-            (a, b) if a == b => BigInt::from_sign_limbs(a, mag_add(&self.limbs, &rhs.limbs)),
+            (a, b) if a == b => BigInt::from_parts(a, mag_add(&self.limbs, &rhs.limbs)),
             _ => {
                 // Different signs: subtract smaller magnitude from larger.
                 match mag_cmp(&self.limbs, &rhs.limbs) {
                     Ordering::Equal => BigInt::zero(),
                     Ordering::Greater => {
-                        BigInt::from_sign_limbs(self.sign, mag_sub(&self.limbs, &rhs.limbs))
+                        BigInt::from_parts(self.sign, mag_sub(&self.limbs, &rhs.limbs))
                     }
                     Ordering::Less => {
-                        BigInt::from_sign_limbs(rhs.sign, mag_sub(&rhs.limbs, &self.limbs))
+                        BigInt::from_parts(rhs.sign, mag_sub(&rhs.limbs, &self.limbs))
                     }
                 }
             }
@@ -760,14 +989,14 @@ impl Sub for &BigInt {
                 out.sign = out.sign.negate();
                 out
             }
-            (a, b) if a != b => BigInt::from_sign_limbs(a, mag_add(&self.limbs, &rhs.limbs)),
+            (a, b) if a != b => BigInt::from_parts(a, mag_add(&self.limbs, &rhs.limbs)),
             _ => match mag_cmp(&self.limbs, &rhs.limbs) {
                 Ordering::Equal => BigInt::zero(),
                 Ordering::Greater => {
-                    BigInt::from_sign_limbs(self.sign, mag_sub(&self.limbs, &rhs.limbs))
+                    BigInt::from_parts(self.sign, mag_sub(&self.limbs, &rhs.limbs))
                 }
                 Ordering::Less => {
-                    BigInt::from_sign_limbs(self.sign.negate(), mag_sub(&rhs.limbs, &self.limbs))
+                    BigInt::from_parts(self.sign.negate(), mag_sub(&rhs.limbs, &self.limbs))
                 }
             },
         }
@@ -780,11 +1009,9 @@ impl Mul for &BigInt {
         if self.limbs.len() <= 1 && rhs.limbs.len() <= 1 {
             let mag = self.limbs.first().copied().unwrap_or(0) as u128
                 * rhs.limbs.first().copied().unwrap_or(0) as u128;
-            let mut limbs = vec![mag as u64, (mag >> 64) as u64];
-            trim(&mut limbs);
-            return BigInt::from_sign_limbs(self.sign.mul(rhs.sign), limbs);
+            return BigInt::from_parts(self.sign.mul(rhs.sign), Limbs::from_u128(mag));
         }
-        BigInt::from_sign_limbs(self.sign.mul(rhs.sign), mag_mul(&self.limbs, &rhs.limbs))
+        BigInt::from_parts(self.sign.mul(rhs.sign), mag_mul(&self.limbs, &rhs.limbs))
     }
 }
 
@@ -960,6 +1187,37 @@ mod tests {
 
     fn bi(v: i128) -> BigInt {
         BigInt::from(v)
+    }
+
+    #[test]
+    fn limb_store_spills_and_returns_inline() {
+        let hash = |l: &Limbs| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            l.hash(&mut h);
+            h.finish()
+        };
+        let mut l = Limbs::from_u128(u128::MAX);
+        l.push(7);
+        assert!(matches!(l, Limbs::Heap(_)));
+        assert_eq!(*l, [u64::MAX, u64::MAX, 7]);
+        l[2] = 0;
+        l.trim();
+        assert!(matches!(l, Limbs::Inline { len: 2, .. }));
+        // Trimming an inline store shortens it to its live limbs.
+        l[1] = 0;
+        l.trim();
+        assert!(matches!(l, Limbs::Inline { len: 1, .. }));
+        assert_eq!(mag_u128(&l), u64::MAX as u128);
+        l[0] = 0;
+        l.trim();
+        assert!(l.is_empty());
+        // Equality and hashing see the limbs, not where they live.
+        let heap = Limbs::Heap(vec![5, 6]);
+        let inline = Limbs::from_slice(&[5, 6, 0]);
+        assert!(matches!(inline, Limbs::Inline { len: 2, .. }));
+        assert_eq!(heap, inline);
+        assert_eq!(hash(&heap), hash(&inline));
+        assert_eq!(format!("{heap:?}"), format!("{inline:?}"));
     }
 
     #[test]

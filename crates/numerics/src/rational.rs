@@ -8,7 +8,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use crate::bigint::{BigInt, ParseNumError, Sign};
+use crate::bigint::{u128_gcd, BigInt, ParseNumError, Sign};
 
 /// An exact rational number `numerator / denominator` in lowest terms, with a
 /// strictly positive denominator.
@@ -430,33 +430,6 @@ impl Ord for Rational {
 /// `i128`.
 const FUSED_FAST_LIMIT: i64 = 1 << 31;
 
-/// Binary gcd on `u128` magnitudes (both nonzero).
-fn u128_gcd(mut a: u128, mut b: u128) -> u128 {
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
-    }
-}
-
-/// `BigInt` from a signed 128-bit value (two little-endian limbs).
-fn bigint_from_i128(v: i128) -> BigInt {
-    let sign = match v.cmp(&0) {
-        Ordering::Less => Sign::Negative,
-        Ordering::Equal => Sign::Zero,
-        Ordering::Greater => Sign::Positive,
-    };
-    let mag = v.unsigned_abs();
-    BigInt::from_sign_limbs(sign, vec![mag as u64, (mag >> 64) as u64])
-}
-
 /// The single-limb fast path behind [`Rational::sub_mul`] /
 /// [`Rational::add_mul`]: `lhs ∓ factor·x` with one machine-integer gcd.
 /// Returns `None` when any component exceeds the safe magnitude window.
@@ -485,8 +458,8 @@ fn fused_mul_add_fast(
     let den = b * (d * f); // > 0: denominators are positive
     let g = u128_gcd(num.unsigned_abs(), den as u128) as i128;
     Some(Rational::from_reduced(
-        bigint_from_i128(num / g),
-        bigint_from_i128(den / g),
+        BigInt::from(num / g),
+        BigInt::from(den / g),
     ))
 }
 

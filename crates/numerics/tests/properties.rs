@@ -1,17 +1,48 @@
 //! Property-based tests for the exact arithmetic substrate: ring/field axioms,
 //! ordering consistency, parse/display round-trips, and division invariants.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use privmech_numerics::{BigInt, Rational};
 use proptest::prelude::*;
 
+/// `±(2^k + offset)` for `k` at the limb boundaries: 2⁶⁴ is the first
+/// two-limb magnitude and 2¹²⁸ the first that no longer fits the inline limb
+/// store, so sums, products and shifts of these values cross between the
+/// inline and heap representations in both directions.
+fn arb_limb_boundary() -> impl Strategy<Value = BigInt> {
+    (
+        prop_oneof![Just(64usize), Just(128usize)],
+        -3i64..=3,
+        any::<bool>(),
+    )
+        .prop_map(|(k, offset, neg)| {
+            let v = BigInt::one().shl_bits(k) + BigInt::from(offset);
+            if neg {
+                -v
+            } else {
+                v
+            }
+        })
+}
+
 fn arb_bigint() -> impl Strategy<Value = BigInt> {
-    // Mix small values with products of large factors so multi-limb paths are hit.
+    // Mix small values with products of large factors so multi-limb paths are
+    // hit, and values at the inline/heap limb boundary.
     prop_oneof![
         any::<i64>().prop_map(BigInt::from),
         (any::<i128>(), any::<u64>()).prop_map(|(a, b)| BigInt::from(a) * BigInt::from(b)),
         (any::<i128>(), any::<i128>())
             .prop_map(|(a, b)| BigInt::from(a) * BigInt::from(b) + BigInt::from(1i64)),
+        arb_limb_boundary(),
     ]
+}
+
+fn hash_of<T: Hash>(v: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
 }
 
 fn arb_rational() -> impl Strategy<Value = Rational> {
@@ -80,6 +111,13 @@ proptest! {
     fn bigint_gcd_divides_both_and_is_nonnegative(a in arb_bigint(), b in arb_bigint()) {
         let g = a.gcd(&b);
         prop_assert!(!g.is_negative());
+        // Reference: Euclid's algorithm on remainders (the division path).
+        let (mut x, mut y) = (a.abs(), b.abs());
+        while !y.is_zero() {
+            let r = &x % &y;
+            x = std::mem::replace(&mut y, r);
+        }
+        prop_assert_eq!(g.clone(), x);
         if !g.is_zero() {
             prop_assert!((&a % &g).is_zero());
             prop_assert!((&b % &g).is_zero());
@@ -93,7 +131,33 @@ proptest! {
         let shifted = a.shl_bits(k);
         let pow2 = BigInt::from(2i64).pow(k as u32);
         prop_assert_eq!(shifted.clone(), &a * &pow2);
-        prop_assert_eq!(shifted.shr_bits(k), a);
+        prop_assert_eq!(shifted.shr_bits(k), a.clone());
+        // Shifting right truncates the magnitude: compare with division by
+        // 2^k, which rounds towards zero too.
+        prop_assert_eq!(a.shr_bits(k), &a / &pow2);
+    }
+
+    #[test]
+    fn value_reached_by_two_paths_is_identical(a in arb_bigint(), k in 0usize..200) {
+        // Growing past the inline limb store and shrinking back must land on
+        // the same value as never leaving it: equal, equally ordered against
+        // every other value, and equally hashed (so map lookups agree).
+        let big = BigInt::one().shl_bits(130);
+        let paths = [
+            &(&a + &big) - &big,
+            a.shl_bits(k).shr_bits(k),
+            &(&a * &big) / &big,
+            &a * &big.gcd(&(&big + &BigInt::one())),
+        ];
+        for b in &paths {
+            prop_assert_eq!(b, &a);
+            prop_assert_eq!(b.cmp(&a), std::cmp::Ordering::Equal);
+            prop_assert_eq!(b.cmp(&big), a.cmp(&big));
+            prop_assert_eq!(hash_of(b), hash_of(&a));
+        }
+        let r = Rational::new(&a * &big, big.clone());
+        prop_assert_eq!(hash_of(&r), hash_of(&Rational::from(a.clone())));
+        prop_assert_eq!(r, Rational::from(a));
     }
 
     #[test]
@@ -225,14 +289,27 @@ proptest! {
     }
 
     #[test]
-    fn fast_path_agrees_with_multi_limb_slow_path(a in arb_small_bigint(), b in arb_small_bigint()) {
-        // x -> x << 64 is an injective ring homomorphism onto two-limb values
-        // for + and -, and scales products by 2^128: every identity below
-        // forces the slow path on the left and the fast path on the right.
-        let (wa, wb) = (a.shl_bits(64), b.shl_bits(64));
-        prop_assert_eq!(&wa + &wb, (&a + &b).shl_bits(64));
-        prop_assert_eq!(&wa - &wb, (&a - &b).shl_bits(64));
-        prop_assert_eq!(&wa * &wb, (&a * &b).shl_bits(128));
+    fn fast_path_agrees_with_multi_limb_slow_path(
+        a in arb_small_bigint(), b in arb_small_bigint(),
+        s in prop_oneof![Just(64usize), Just(128usize), Just(129usize)],
+    ) {
+        // x -> x << s is an injective ring homomorphism onto wider values for
+        // + and -, and scales products by 2^(2s): every identity below forces
+        // the multi-limb path on the left (two limbs, still inline, at s = 64;
+        // three or more on the heap beyond) and the fast path on the right.
+        let (wa, wb) = (a.shl_bits(s), b.shl_bits(s));
+        prop_assert_eq!(&wa + &wb, (&a + &b).shl_bits(s));
+        prop_assert_eq!(&wa - &wb, (&a - &b).shl_bits(s));
+        prop_assert_eq!(&wa * &wb, (&a * &b).shl_bits(2 * s));
+        // Division and gcd shrink the wide operands back down.
+        if !b.is_zero() {
+            let (q, r) = wa.div_rem(&wb);
+            let (q_small, r_small) = a.div_rem(&b);
+            prop_assert_eq!(q, q_small);
+            prop_assert_eq!(r, r_small.shl_bits(s));
+        }
+        prop_assert_eq!(wa.gcd(&wb), a.gcd(&b).shl_bits(s));
+        prop_assert_eq!(wa.shr_bits(s), a);
     }
 
     #[test]
@@ -248,10 +325,11 @@ proptest! {
     }
 
     #[test]
-    fn gcd_fast_and_slow_paths_agree(a in arb_u64_boundary(), b in arb_u64_boundary(), k in 1usize..=70) {
+    fn gcd_fast_and_slow_paths_agree(a in arb_u64_boundary(), b in arb_u64_boundary(), k in 1usize..=140) {
         // gcd(a·2^k, b·2^k) = gcd(a, b)·2^k: with k >= 1 the left side runs
-        // the multi-limb in-place binary loop whenever a or b is large, while
-        // the right side runs the u64 fast path.
+        // the two-limb word path or, past 2^128, the multi-limb in-place
+        // binary loop whenever a or b is large, while the right side runs the
+        // u64 fast path.
         let g_shifted = BigInt::from(a).shl_bits(k).gcd(&BigInt::from(b).shl_bits(k));
         let g_small = BigInt::from(a).gcd(&BigInt::from(b)).shl_bits(k);
         prop_assert_eq!(g_shifted, g_small);
