@@ -11,10 +11,10 @@
 use std::sync::Arc;
 
 use privmech_core::{
-    AbsoluteError, PrivacyEngine, PrivacyLevel, SolveRequest, SolveStrategy, SquaredError,
-    ValidatedRequest,
+    AbsoluteError, LossFunction, PrivacyEngine, PrivacyLevel, SolveRequest, SolveStrategy,
+    SquaredError, ToleranceError, ValidatedRequest,
 };
-use privmech_lp::{SolverForm, SolverOptions};
+use privmech_lp::{FactorizationKind, SolverForm, SolverOptions};
 use privmech_numerics::{rat, Rational};
 
 fn request(
@@ -154,5 +154,103 @@ fn f64_backend_routes_every_form_to_the_dense_tableau() {
         assert_eq!(reference.mechanism, other.mechanism);
         assert_eq!(reference.loss, other.loss);
         assert_eq!(reference.stats, other.stats);
+    }
+}
+
+/// The form and factorization matrix at realistic sizes: the dense tableau
+/// as reference, then the revised simplex by default (LU), refactorized
+/// every pivot, and over the eta file. Never-refactor runs at n = 3 above
+/// only: at n = 11 its unbounded update growth costs seconds per solve in a
+/// debug build.
+fn forms_and_factorizations() -> Vec<SolverOptions> {
+    vec![
+        SolverOptions {
+            form: SolverForm::Dense,
+            ..SolverOptions::default()
+        },
+        SolverOptions::default(),
+        SolverOptions {
+            form: SolverForm::Revised,
+            refactor_interval: 1,
+            ..SolverOptions::default()
+        },
+        SolverOptions {
+            form: SolverForm::Revised,
+            factorization: FactorizationKind::EtaFile,
+            ..SolverOptions::default()
+        },
+    ]
+}
+
+/// Theorem-1 solves at realistic sizes. The interaction LP's epigraph rows
+/// carry `G_{n,α}` entries `∝ α^|i−z|` times the loss, so every column
+/// mixes denominators — the shape the revised simplex's fraction-free pivot
+/// row normalizes per column. Every form and factorization must return the
+/// identical mechanism, loss and pivot statistics.
+#[test]
+fn realistic_theorem1_solves_are_bit_identical_across_forms() {
+    let engine = PrivacyEngine::with_threads(1);
+    let losses: [Arc<dyn LossFunction<Rational> + Send + Sync>; 2] = [
+        Arc::new(SquaredError),
+        Arc::new(ToleranceError { width: 2 }),
+    ];
+    for n in [8, 11] {
+        for alpha in [rat(5, 9), rat(1, 4)] {
+            for loss in &losses {
+                let build = |options: SolverOptions| {
+                    SolveRequest::minimax()
+                        .loss(Arc::clone(loss))
+                        .support(n, 0..=n)
+                        .privacy_level(alpha.clone())
+                        .strategy(SolveStrategy::GeometricFactorization)
+                        .solver_options(options)
+                        .validate()
+                        .expect("valid request")
+                };
+                let configs = forms_and_factorizations();
+                let reference = engine.solve(&build(configs[0])).expect("solvable");
+                let case = format!("n={n} alpha={alpha} loss={}", loss.name());
+                for options in &configs[1..] {
+                    let other = engine.solve(&build(*options)).expect("solvable");
+                    assert_eq!(reference.mechanism, other.mechanism, "{case} {options:?}");
+                    assert_eq!(reference.loss, other.loss, "{case} {options:?}");
+                    assert_eq!(reference.stats, other.stats, "{case} {options:?}");
+                }
+            }
+        }
+    }
+}
+
+/// One `interact` with the deployed `G_{11,1/3}`: the post-processing LP
+/// alone, at the largest size of the realistic range.
+#[test]
+fn interaction_with_g11_is_bit_identical_across_forms() {
+    let engine = PrivacyEngine::with_threads(1);
+    let level = PrivacyLevel::new(rat(1, 3)).expect("alpha in (0,1)");
+    let deployed = engine.geometric(11, &level).expect("G_{11,1/3}");
+    let build = |options: SolverOptions| {
+        SolveRequest::<Rational>::minimax()
+            .loss(Arc::new(AbsoluteError))
+            .support(11, 0..=11)
+            .privacy_level(rat(1, 3))
+            .solver_options(options)
+            .validate()
+            .expect("valid request")
+    };
+    let configs = forms_and_factorizations();
+    let reference = engine
+        .interact(&deployed, &build(configs[0]))
+        .expect("interaction");
+    for options in &configs[1..] {
+        let other = engine
+            .interact(&deployed, &build(*options))
+            .expect("interaction");
+        assert_eq!(
+            reference.post_processing, other.post_processing,
+            "{options:?}"
+        );
+        assert_eq!(reference.induced, other.induced, "{options:?}");
+        assert_eq!(reference.loss, other.loss, "{options:?}");
+        assert_eq!(reference.lp_stats, other.lp_stats, "{options:?}");
     }
 }

@@ -55,6 +55,16 @@ pub trait Scalar:
     fn tolerance() -> Self;
     /// Whether this scalar type is exact (comparisons are decidable equalities).
     fn is_exact() -> bool;
+    /// The value as an exact [`Rational`], for kernels that work on integer
+    /// numerators and denominators directly (the revised simplex's
+    /// fraction-free pivot row). Exact types ([`Scalar::is_exact`]) must
+    /// return `Some`; `None` for inexact ones.
+    fn as_rational(&self) -> Option<&Rational> {
+        None
+    }
+    /// Embed a rational produced by such a kernel: the identity for
+    /// [`Rational`], [`Rational::to_f64`] for `f64`.
+    fn from_rational(r: Rational) -> Self;
 
     /// True iff the value is exactly the additive identity.
     ///
@@ -206,6 +216,9 @@ impl Scalar for f64 {
     fn is_exact() -> bool {
         false
     }
+    fn from_rational(r: Rational) -> Self {
+        r.to_f64()
+    }
 }
 
 impl Scalar for Rational {
@@ -236,6 +249,12 @@ impl Scalar for Rational {
     }
     fn is_exact() -> bool {
         true
+    }
+    fn as_rational(&self) -> Option<&Rational> {
+        Some(self)
+    }
+    fn from_rational(r: Rational) -> Self {
+        r
     }
 
     // Exact sign tests: no negated-tolerance temporaries, no cross-multiply.
@@ -302,6 +321,8 @@ mod tests {
         assert!((-0.5f64).is_negative_approx());
         assert!(0.1f64.approx_eq(&(0.1 + 1e-12)));
         assert_eq!(Scalar::powi(&2.0f64, 10), 1024.0);
+        assert!(0.5f64.as_rational().is_none());
+        assert_eq!(<f64 as Scalar>::from_rational(rat(1, 4)), 0.25);
     }
 
     #[test]
@@ -315,6 +336,8 @@ mod tests {
         assert_eq!(Scalar::powi(&rat(1, 2), 3), rat(1, 8));
         assert!(rat(1, 3).approx_ge(&rat(1, 3)));
         assert!(rat(1, 3).approx_le(&rat(1, 2)));
+        assert_eq!(rat(2, 6).as_rational(), Some(&rat(1, 3)));
+        assert_eq!(<Rational as Scalar>::from_rational(rat(-3, 9)), rat(-1, 3));
     }
 
     #[test]

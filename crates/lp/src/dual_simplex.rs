@@ -20,15 +20,16 @@
 //!
 //! 1. **Leaving row**: pick a position `r` with `x_B[r] < 0` (none → the
 //!    basis is primal feasible too, hence optimal).
-//! 2. **Pivot row**: recover `α_r = (B⁻¹A)_r` by a unit BTRAN plus a sparse
-//!    row sweep — the same kernel the primal revised iteration uses.
+//! 2. **Pivot row**: recover `α_r = (B⁻¹A)_r` by a unit BTRAN plus the row
+//!    product `ρᵀA` — the same kernel ([`crate::pivot_row`]) the primal
+//!    revised iteration uses.
 //! 3. **Entering column**: among `j` with `α_rj < 0`, minimize the ratio
 //!    `d_j / (−α_rj)` (none → the row proves `Ax = b, x ≥ 0` unsatisfiable:
 //!    the LP is infeasible). The min-ratio choice is exactly what keeps
 //!    `d ≥ 0` through the update.
 //! 4. **Pivot**: identical algebra to the primal pivot — FTRAN the entering
-//!    column, update `x_B` and `d` by the shared recurrences, append the
-//!    basis-change to the factorization.
+//!    column, update `x_B` and `d` by the shared recurrences (`d_j ← d_j −
+//!    (d_q/α_rq)·α_rj`), append the basis-change to the factorization.
 //!
 //! Anti-cycling mirrors the primal solver's policy: a streak of degenerate
 //! pivots (`d_q = 0`, objective unchanged) beyond
@@ -52,6 +53,7 @@ use privmech_linalg::Scalar;
 
 use crate::basis::Basis;
 use crate::model::LpError;
+use crate::pivot_row::RowProduct;
 use crate::simplex::{ColumnSolution, PivotStats, SolverOptions};
 use crate::standard::StandardForm;
 
@@ -85,7 +87,7 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
         return Ok(WarmOutcome::Fallback(sf));
     }
 
-    // Column view: an owned transpose of the CSR store (row sweeps below
+    // Column view: an owned transpose of the CSR store (row products below
     // read `sf.matrix` directly). Owned, not borrowed, because `sf` must
     // stay movable for the mid-loop fallback return.
     let cols = sf.matrix.transpose();
@@ -119,15 +121,16 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
     let cb: Vec<T> = basis.iter().map(|&b| sf.costs[b].clone()).collect();
     let mut rho = vec![T::zero(); m];
     file.btran_dense(&mut rho, &cb);
-    let mut d: Vec<T> = sf.costs.clone();
-    for (i, y_i) in rho.iter().enumerate() {
-        if y_i.is_exactly_zero() {
-            continue;
-        }
-        for (j, a) in sf.matrix.row(i).iter() {
-            d[j].sub_mul_assign(y_i, a);
-        }
-    }
+    let num_cols = sf.num_cols;
+    let mut row = vec![T::zero(); num_cols];
+    let mut product = RowProduct::new(&sf.matrix);
+    product.compute(&sf.matrix, &rho, &mut row);
+    let mut d: Vec<T> = sf
+        .costs
+        .iter()
+        .zip(&row)
+        .map(|(c, r)| c.sub_ref(r))
+        .collect();
     for &b in &basis {
         d[b] = T::zero();
     }
@@ -144,8 +147,6 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
     }
 
     // ----------------------- Dual simplex loop -----------------------
-    let num_cols = sf.num_cols;
-    let mut row = vec![T::zero(); num_cols];
     let max_iters = 50_000usize.max(100 * (num_cols + m));
     let mut bland_mode = false;
     let mut degenerate_streak = 0usize;
@@ -186,18 +187,10 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
             return Ok(WarmOutcome::Fallback(sf));
         }
 
-        // Pivot row α_r via unit BTRAN + sparse row sweep.
+        // Pivot row α_r via unit BTRAN + row product.
         sparse::clear(&mut rho);
         file.btran_unit(&mut rho, position);
-        sparse::clear(&mut row);
-        for (r, mult) in rho.iter().enumerate() {
-            if mult.is_exactly_zero() {
-                continue;
-            }
-            for (j, a) in sf.matrix.row(r).iter() {
-                row[j].add_mul_assign(mult, a);
-            }
-        }
+        product.compute(&sf.matrix, &rho, &mut row);
 
         // Entering column: min ratio d_j / (−α_rj) over α_rj < 0, ties to
         // the smallest index (Bland-compatible in both modes).
@@ -236,12 +229,12 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
         let d_q = d[entering].clone();
         let degenerate = d_q.is_exactly_zero();
         if !degenerate {
+            let step = d_q.div_ref(&pivot_value);
             for (j, r_j) in row.iter().enumerate() {
                 if j == entering || r_j.is_exactly_zero() {
                     continue;
                 }
-                let normalized = r_j.div_ref(&pivot_value);
-                d[j].sub_mul_assign(&d_q, &normalized);
+                d[j].sub_mul_assign(&step, r_j);
             }
         }
         d[entering] = T::zero();

@@ -55,6 +55,7 @@ pub mod certificate;
 mod dual_simplex;
 mod lu;
 pub mod model;
+mod pivot_row;
 mod pricing;
 mod ratio;
 mod revised;

@@ -16,9 +16,10 @@
 //!
 //! and performs per pivot: one sparse **FTRAN** of the entering column (the
 //! ratio-test / pivot-column stage), one **unit BTRAN** of the leaving
-//! position (recovering the pivot row of the tableau without storing any
-//! tableau), a sparse sweep turning that row into reduced-cost updates, and
-//! one appended eta. On the paper's LPs — thousands of rows touching 2–4
+//! position followed by the row product `ρᵀA` (recovering the pivot row of
+//! the tableau without storing any tableau; computed fraction-free, see
+//! [`crate::pivot_row`]), the reduced-cost update over that row, and one
+//! basis update. On the paper's LPs — thousands of rows touching 2–4
 //! structural columns each — this replaces the dense update's full-matrix
 //! pass with work proportional to the factorization's actual nonzeros.
 //!
@@ -27,11 +28,14 @@
 //! The three decisions a simplex iteration makes — entering column, leaving
 //! position, degeneracy of the step — are functions of the reduced costs
 //! `d`, the pivot column `B⁻¹a_q`, and the basic solution `x_B`. This module
-//! maintains `d` by the *same recurrence* the dense form applies to its
-//! objective row (`d_j ← d_j − d_q·(r_j/r_q)` over the BTRAN'd pivot row),
-//! obtains the pivot column exactly via FTRAN, and updates `x_B` by the
-//! dense form's right-hand-side recurrence. Over an exact field equal
-//! recurrences from equal starting points stay equal forever, and the
+//! maintains `d` by a recurrence *exactly equal* to the one the dense form
+//! applies to its objective row: the dense form computes
+//! `d_j ← d_j − d_q·(r_j/r_q)`, this form `d_j ← d_j − (d_q/r_q)·r_j` over
+//! the BTRAN'd pivot row — one division per pivot instead of one per column,
+//! and the same value in an exact field. It obtains the pivot column
+//! exactly via FTRAN and updates `x_B` by the dense form's right-hand-side
+//! recurrence. Over an exact field equal recurrences from equal starting
+//! points stay equal forever, and the
 //! decisions are made by the *shared* stage implementations
 //! ([`crate::pricing`], [`crate::ratio`]) — so every entering/leaving choice
 //! coincides with the dense form's, phases included. The contract is
@@ -46,6 +50,7 @@ use privmech_linalg::Scalar;
 
 use crate::basis::Basis;
 use crate::model::LpError;
+use crate::pivot_row::RowProduct;
 use crate::pricing::FallbackState;
 use crate::ratio::choose_leaving;
 use crate::simplex::{record, ColumnSolution, PivotStats, SolverOptions, TracePhase, TraceSink};
@@ -121,10 +126,24 @@ impl<'a, T: Scalar> Matrix<'a, T> {
     fn is_artificial(&self, col: usize) -> bool {
         col >= self.first_artificial
     }
+
+    /// `out ← ρᵀA` over every column, by `product` (built from this
+    /// matrix's row view). An artificial column is the unit vector of its
+    /// row, so its entry is that row's `ρ`.
+    fn row_product(&self, product: &mut RowProduct, rho: &[T], out: &mut [T]) {
+        let (real, artificial) = out.split_at_mut(self.first_artificial);
+        product.compute(self.rows, rho, real);
+        for (out, &r) in artificial.iter_mut().zip(&self.art_rows) {
+            *out = rho[r].clone();
+        }
+    }
 }
 
 /// Mutable iteration state of one revised solve.
 struct State<T: Scalar> {
+    /// The row product `ρᵀA` over the real columns: the constraint store's
+    /// integer view and the product's accumulators.
+    product: RowProduct,
     file: Basis<T>,
     /// Basic column per position.
     basis: Vec<usize>,
@@ -144,26 +163,38 @@ struct State<T: Scalar> {
 }
 
 impl<T: Scalar> State<T> {
-    /// Recover tableau row `position` into `self.row` (sparse sweep of
-    /// `ρᵀA`): a unit BTRAN followed by row-major accumulation over the
-    /// rows `ρ` actually touches.
+    /// Recover tableau row `position` into `self.row`: a unit BTRAN
+    /// followed by the row product.
     fn compute_pivot_row(&mut self, matrix: &Matrix<'_, T>, position: usize) {
         sparse::clear(&mut self.rho);
         self.file.btran_unit(&mut self.rho, position);
-        sparse::clear(&mut self.row);
-        for (r, mult) in self.rho.iter().enumerate() {
-            if mult.is_exactly_zero() {
-                continue;
-            }
-            for (j, a) in matrix.row_entries(r) {
-                self.row[j].add_mul_assign(mult, a);
-            }
+        matrix.row_product(&mut self.product, &self.rho, &mut self.row);
+    }
+
+    /// Price the real objective from scratch: `d = c − (c_Bᵀ B⁻¹) A` from
+    /// one dense BTRAN and one row product, basic columns at exactly zero,
+    /// and the objective value `c_Bᵀ x_B`. `costs` has one entry per column,
+    /// artificials included.
+    fn price(&mut self, matrix: &Matrix<'_, T>, costs: &[T]) {
+        let cb: Vec<T> = self.basis.iter().map(|&b| costs[b].clone()).collect();
+        sparse::clear(&mut self.rho);
+        self.file.btran_dense(&mut self.rho, &cb);
+        matrix.row_product(&mut self.product, &self.rho, &mut self.row);
+        for ((d_j, c_j), r_j) in self.d.iter_mut().zip(costs).zip(&self.row) {
+            *d_j = c_j.sub_ref(r_j);
+        }
+        for &b in &self.basis {
+            self.d[b] = T::zero();
+        }
+        self.obj_val = T::zero();
+        for (c, &b) in self.basis.iter().enumerate() {
+            self.obj_val.add_mul_assign(&costs[b], &self.x_b[c]);
         }
     }
 
     /// Execute the pivot at (`position`, `entering`): update `x_B`, the
-    /// reduced costs (the dense objective-row recurrence over the BTRAN'd
-    /// pivot row — skipped with `update_costs: false` for drive-out pivots,
+    /// reduced costs (a recurrence exactly equal to the dense objective-row
+    /// update, over the BTRAN'd pivot row — skipped with `update_costs: false` for drive-out pivots,
     /// whose stale phase-1 costs the phase-2 rebuild discards anyway), the
     /// eta file and the basis. `self.work` must hold the entering column's
     /// FTRAN result.
@@ -192,18 +223,19 @@ impl<T: Scalar> State<T> {
             }
         }
 
-        // Reduced costs: d_j ← d_j − d_q·(r_j / r_q) over the recovered
-        // pivot row — the recurrence the dense form applies to its objective
-        // row — plus the objective value's matching update.
+        // Reduced costs: d_j ← d_j − (d_q / r_q)·r_j over the recovered
+        // pivot row — exactly equal to the dense form's objective-row
+        // recurrence d_j − d_q·(r_j / r_q), with one division per pivot —
+        // plus the objective value's matching update.
         let d_q = self.d[entering].clone();
         if update_costs && !d_q.is_exactly_zero() {
             self.compute_pivot_row(matrix, position);
+            let step = d_q.div_ref(&pivot_value);
             for (j, r_j) in self.row.iter().enumerate() {
                 if j == entering || r_j.is_exactly_zero() {
                     continue;
                 }
-                let normalized = r_j.div_ref(&pivot_value);
-                self.d[j].sub_mul_assign(&d_q, &normalized);
+                self.d[j].sub_mul_assign(&step, r_j);
             }
             self.d[entering] = T::zero();
             self.obj_val.add_mul_assign(&d_q, &theta);
@@ -332,6 +364,7 @@ pub(crate) fn solve_revised<T: Scalar>(
     let matrix = Matrix::build(&sf, &artificial_rows);
 
     let mut state = State {
+        product: RowProduct::new(&sf.matrix),
         file: Basis::identity(options.factorization, m),
         basis,
         x_b: sf.rhs.clone(),
@@ -388,26 +421,11 @@ pub(crate) fn solve_revised<T: Scalar>(
     }
 
     // -------------------------- Phase 2 --------------------------
-    // Reduced costs of the real objective from one dense BTRAN:
-    // d = c − (c_Bᵀ B⁻¹) A, artificial columns banned from entering.
+    // Reduced costs of the real objective, artificial columns banned from
+    // entering.
     let mut costs_full = sf.costs.clone();
     costs_full.resize(matrix.total_cols, T::zero());
-    let cb: Vec<T> = state.basis.iter().map(|&b| costs_full[b].clone()).collect();
-    sparse::clear(&mut state.rho);
-    state.file.btran_dense(&mut state.rho, &cb);
-    for (j, d_j) in state.d.iter_mut().enumerate() {
-        *d_j = costs_full[j].clone();
-        let y_a = matrix.col(j).dot(&state.rho);
-        d_j.sub_assign_ref(&y_a);
-    }
-    // Basic columns price to exactly zero by construction.
-    for &b in &state.basis {
-        state.d[b] = T::zero();
-    }
-    state.obj_val = T::zero();
-    for (c, &b) in state.basis.iter().enumerate() {
-        state.obj_val.add_mul_assign(&costs_full[b], &state.x_b[c]);
-    }
+    state.price(&matrix, &costs_full);
 
     let banned: Vec<bool> = (0..matrix.total_cols)
         .map(|j| matrix.is_artificial(j))
@@ -449,6 +467,7 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
     let matrix = Matrix::build(&sf, &[]);
 
     let mut state = State {
+        product: RowProduct::new(&sf.matrix),
         file: Basis::identity(options.factorization, m),
         basis,
         x_b: vec![T::zero(); m],
@@ -481,20 +500,7 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
 
     // Reduced costs and objective — the phase-2 rebuild of `solve_revised`,
     // with no artificial columns to ban.
-    let cb: Vec<T> = state.basis.iter().map(|&b| sf.costs[b].clone()).collect();
-    sparse::clear(&mut state.rho);
-    state.file.btran_dense(&mut state.rho, &cb);
-    for (j, d_j) in state.d.iter_mut().enumerate() {
-        *d_j = sf.costs[j].clone();
-        let y_a = matrix.col(j).dot(&state.rho);
-        d_j.sub_assign_ref(&y_a);
-    }
-    for &b in &state.basis {
-        state.d[b] = T::zero();
-    }
-    for (c, &b) in state.basis.iter().enumerate() {
-        state.obj_val.add_mul_assign(&sf.costs[b], &state.x_b[c]);
-    }
+    state.price(&matrix, &sf.costs);
 
     let banned = vec![false; matrix.total_cols];
     state.optimize(&matrix, &banned, false, options, stats, &mut None)?;
@@ -510,4 +516,56 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
         total_cols,
         basis: state.basis,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use privmech_numerics::{rat, Rational};
+
+    use super::Matrix;
+    use crate::model::{LinExpr, Model, Relation, Sense, VarBound};
+    use crate::pivot_row::RowProduct;
+    use crate::standard::build_standard_form;
+
+    /// The row product over a matrix with artificial columns equals the
+    /// column-by-column dot product `a_jᵀρ` that synthesizes each
+    /// artificial as a unit vector.
+    #[test]
+    fn row_product_covers_artificial_columns() {
+        let mut m: Model<Rational> = Model::new();
+        let x = m.add_var("x", VarBound::NonNegative);
+        let y = m.add_var("y", VarBound::NonNegative);
+        let z = m.add_var("z", VarBound::NonNegative);
+        let rows = [
+            (rat(1, 2), rat(-2, 3), rat(5, 9), Relation::Eq, rat(1, 1)),
+            (rat(3, 4), rat(0, 1), rat(-1, 9), Relation::Ge, rat(1, 3)),
+            (rat(-7, 5), rat(1, 6), rat(2, 1), Relation::Le, rat(4, 1)),
+            (rat(1, 1), rat(1, 1), rat(1, 1), Relation::Eq, rat(2, 1)),
+        ];
+        for (a, b, c, rel, rhs) in rows {
+            let expr = LinExpr::term(x, a).plus(y, b).plus(z, c);
+            m.add_constraint(expr, rel, rhs).unwrap();
+        }
+        m.set_objective(Sense::Minimize, LinExpr::term(x, rat(1, 1)))
+            .unwrap();
+        let sf = build_standard_form(&m).unwrap();
+        let artificial_rows: Vec<usize> = (0..sf.num_rows())
+            .filter(|&i| sf.slack_basis[i].is_none())
+            .collect();
+        assert!(
+            !artificial_rows.is_empty(),
+            "the == and >= rows need artificials"
+        );
+        let matrix = Matrix::build(&sf, &artificial_rows);
+        let mut product = RowProduct::new(&sf.matrix);
+        let weights = [rat(-3, 7), rat(0, 1), rat(5, 2), rat(1, 14)];
+        for rho in [weights.to_vec(), vec![Rational::zero(); 4]] {
+            let mut out = vec![rat(9, 1); matrix.total_cols];
+            matrix.row_product(&mut product, &rho, &mut out);
+            let expected: Vec<Rational> = (0..matrix.total_cols)
+                .map(|j| matrix.col(j).dot(&rho))
+                .collect();
+            assert_eq!(out, expected);
+        }
+    }
 }

@@ -26,6 +26,12 @@
 //! model over [`Rational`], solves it exactly
 //! (exact Bland cannot cycle), and rounds the optimal mechanism to `f64`
 //! once at the end. Exact callers never take this path.
+//!
+//! Few float solves reach the cap. On `sum(rows=2, per_row=3)` the
+//! tolerance(2) consumer at α = 2/3 and 3/4 converges in float after 5,575
+//! and 5,109 Bland pivots (losses 0.6666676 and 0.7500972 against the exact
+//! 2/3 and 3/4) and is not rescued; at α = 1/2 the squared and
+//! tolerance(2) consumers are. See `ZOO.md`.
 
 use privmech_core::loss::tabulate_loss;
 use privmech_core::{
