@@ -12,10 +12,17 @@
 //! div_rem) takes a machine-word fast path when its operands allow, and the
 //! multi-limb helpers write straight into a store sized for their result, so
 //! results that shrink back to two limbs allocate nothing either. The
-//! multi-limb substrate is schoolbook multiplication, Knuth Algorithm D long
-//! division (TAOCP 4.3.1), and an in-place binary GCD — quadratic algorithms
-//! are more than fast enough for the few hundred bits that arise when
-//! verifying privacy mechanisms exactly.
+//! multi-limb substrate is schoolbook multiplication and Knuth Algorithm D
+//! long division (TAOCP 4.3.1) — quadratic algorithms are more than fast
+//! enough for the few hundred bits that arise when verifying privacy
+//! mechanisms exactly.
+//!
+//! GCD is the cost beneath every `Rational` normalization, so it has a
+//! family of its own: branch-free binary gcd on `u64`, a `u128` variant that
+//! hands over to `u64` as soon as it can, one remainder step when only the
+//! smaller operand fits the inline store, and Lehmer's algorithm (TAOCP
+//! 4.5.2) when both are wider. Nothing in it allocates for operands of up to
+//! two limbs.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -393,28 +400,6 @@ fn trim_vec(limbs: &mut Vec<u64>) {
     }
 }
 
-/// Subtract `b` from `a` in place. Requires `a >= b` (as magnitudes).
-fn mag_sub_in_place(a: &mut Vec<u64>, b: &[u64]) {
-    debug_assert!(mag_cmp(a, b) != Ordering::Less);
-    let mut borrow = 0u64;
-    for i in 0..a.len() {
-        let x = a[i] as u128;
-        let y = if i < b.len() { b[i] as u128 } else { 0 };
-        let rhs = y + borrow as u128;
-        if x >= rhs {
-            a[i] = (x - rhs) as u64;
-            borrow = 0;
-        } else {
-            a[i] = (x + (1u128 << 64) - rhs) as u64;
-            borrow = 1;
-        }
-        if borrow == 0 && i >= b.len() {
-            break;
-        }
-    }
-    trim_vec(a);
-}
-
 /// Shift a magnitude right by `bits` in place (arbitrary shift counts).
 fn mag_shr_in_place(a: &mut Vec<u64>, bits: usize) {
     let limb_shift = bits / 64;
@@ -450,52 +435,169 @@ fn mag_trailing_zeros(a: &[u64]) -> usize {
 }
 
 /// Binary GCD on machine words.
-fn u64_gcd(mut a: u64, mut b: u64) -> u64 {
-    if a == 0 {
-        return b;
-    }
-    if b == 0 {
-        return a;
+///
+/// Both operands' twos are stripped up front; each round then replaces the
+/// pair by its smaller member and the odd part of the difference. The
+/// `min`/`max` select compiles to conditional moves, so the only branch per
+/// round is the loop test.
+pub(crate) fn u64_gcd(a: u64, b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
     }
     let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
+    let (mut a, mut b) = (a >> a.trailing_zeros(), b >> b.trailing_zeros());
+    while a != b {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let d = hi - lo;
+        a = lo;
+        b = d >> d.trailing_zeros();
     }
+    a << shift
 }
 
-/// Binary GCD on `u128` magnitudes (both nonzero).
-pub(crate) fn u128_gcd(mut a: u128, mut b: u128) -> u128 {
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
+/// GCD on `u128` magnitudes, finished on machine words.
+///
+/// Operands that both fit a `u64` go straight to [`u64_gcd`]. When only the
+/// smaller one fits, one `%` brings the larger below it. When both are
+/// wider, binary steps run in `u128` only until the smaller fits a `u64`,
+/// and the same single `%` finishes the reduction.
+pub(crate) fn u128_gcd(a: u128, b: u128) -> u128 {
+    let (lo, hi) = (a.min(b), a.max(b));
+    if hi >> 64 == 0 {
+        return u64_gcd(lo as u64, hi as u64).into();
     }
+    if lo == 0 {
+        return hi;
+    }
+    if lo >> 64 == 0 {
+        return u128_gcd_by_word(lo, hi);
+    }
+    let shift = (lo | hi).trailing_zeros();
+    let (x, y) = (lo >> lo.trailing_zeros(), hi >> hi.trailing_zeros());
+    // Both odd from here on, so the gcd is odd and `shift` restores the twos.
+    let (mut lo, mut hi) = (x.min(y), x.max(y));
+    while lo >> 64 != 0 {
+        let d = hi - lo;
+        if d == 0 {
+            return lo << shift;
+        }
+        let d = d >> d.trailing_zeros();
+        (lo, hi) = (lo.min(d), lo.max(d));
+    }
+    u128_gcd_by_word(lo, hi) << shift
 }
 
-/// GCD of two nonzero magnitudes on machine words, when both fit in two limbs.
-fn word_gcd(a: &[u64], b: &[u64]) -> Option<BigInt> {
-    match (a, b) {
-        ([x], [y]) => Some(BigInt::from(u64_gcd(*x, *y))),
-        _ if a.len() <= INLINE && b.len() <= INLINE => {
-            Some(BigInt::from(u128_gcd(mag_u128(a), mag_u128(b))))
+/// `gcd(lo, hi)` for a nonzero `lo < 2⁶⁴ ≤ hi`: one remainder, then words.
+fn u128_gcd_by_word(lo: u128, hi: u128) -> u128 {
+    u64_gcd(lo as u64, (hi % lo) as u64).into()
+}
+
+/// Remainder of a magnitude modulo one nonzero limb, without allocating.
+fn mag_rem_limb(a: &[u64], d: u64) -> u64 {
+    a.iter().rev().fold(0, |rem, &limb| {
+        (((u128::from(rem) << 64) | u128::from(limb)) % u128::from(d)) as u64
+    })
+}
+
+/// `gcd(big, small)` for magnitudes `big ≥ small` with `small` at most two
+/// limbs: one remainder brings `big` below `small` (a single-limb fold for
+/// a one-limb `small`, Algorithm D for a two-limb one), and the word paths
+/// finish.
+fn gcd_by_remainder(big: &[u64], small: &[u64]) -> BigInt {
+    debug_assert!(small.len() <= INLINE && mag_cmp(big, small) != Ordering::Less);
+    let g = match *small {
+        [] => return BigInt::from_parts(Sign::Positive, Limbs::from_slice(big)),
+        [d] => u64_gcd(d, mag_rem_limb(big, d)).into(),
+        _ if big.len() <= INLINE => u128_gcd(mag_u128(big), mag_u128(small)),
+        _ => {
+            let (_, r) = mag_divrem(big, small);
+            u128_gcd(mag_u128(small), mag_u128(&r))
         }
-        _ => None,
+    };
+    BigInt::from(g)
+}
+
+/// Width of the leading chunks Lehmer's inner loop runs on. Below 63 bits,
+/// so the chunk plus a cofactor never overflows an `i64`.
+const LEHMER_BITS: usize = 62;
+
+/// Cofactors stay below this magnitude, so that one limb times a cofactor,
+/// plus the other limb times the opposite-signed cofactor, fits an `i128`.
+const LEHMER_COFACTOR_LIMIT: u64 = 1 << LEHMER_BITS;
+
+/// Bits `[h, h + 64)` of a magnitude (limbs past the end read as zero).
+fn bits_at(a: &[u64], h: usize) -> u64 {
+    let (limb, off) = (h / 64, h % 64);
+    let lo = u128::from(a.get(limb).copied().unwrap_or(0));
+    let hi = u128::from(a.get(limb + 1).copied().unwrap_or(0));
+    (((hi << 64) | lo) >> off) as u64
+}
+
+/// The single-precision part of Lehmer's algorithm (Knuth's Algorithm L,
+/// TAOCP 4.5.2): run Euclid on the leading chunks `x ≥ y` for as long as
+/// the quotient is the same at both ends of the interval that the dropped
+/// low bits leave open, and return the cofactor matrix `[A, B, C, D]` of the
+/// steps taken. `B = 0` means not even the first quotient was certain.
+fn lehmer_cofactors(mut x: i64, mut y: i64) -> [i64; 4] {
+    let (mut a, mut b, mut c, mut d) = (1i64, 0i64, 0i64, 1i64);
+    while y + c > 0 && y + d > 0 {
+        let q = (x + a) / (y + c);
+        if q != (x + b) / (y + d) {
+            break;
+        }
+        // One Euclid step, `(p, r) ← (r, p − q·r)` on each pair; a step
+        // that would overflow or outgrow the cofactor bound is not taken.
+        let step = |p: i64, r: i64| q.checked_mul(r).and_then(|qr| p.checked_sub(qr));
+        let bounded = |v: i64| v.unsigned_abs() < LEHMER_COFACTOR_LIMIT;
+        let (Some(nc), Some(nd), Some(ny)) = (step(a, c), step(b, d), step(x, y)) else {
+            break;
+        };
+        if !bounded(nc) || !bounded(nd) {
+            break;
+        }
+        (a, b, c, d) = (c, d, nc, nd);
+        (x, y) = (y, ny);
     }
+    [a, b, c, d]
+}
+
+/// `(a, b) ← (A·a + B·b, C·a + D·b)` in place, for a Lehmer cofactor matrix
+/// (`A` and `B`, like `C` and `D`, have opposite signs or one is zero, and
+/// every cofactor is below [`LEHMER_COFACTOR_LIMIT`]) whose results are
+/// known to be non-negative: they are the next two Euclid remainders.
+fn lehmer_update(a: &mut Vec<u64>, b: &mut Vec<u64>, [ca, cb, cc, cd]: [i64; 4]) {
+    b.resize(a.len(), 0);
+    let (mut carry_a, mut carry_b) = (0i128, 0i128);
+    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+        let (u, v) = (i128::from(*x), i128::from(*y));
+        let t = carry_a + i128::from(ca) * u + i128::from(cb) * v;
+        let w = carry_b + i128::from(cc) * u + i128::from(cd) * v;
+        (*x, *y) = (t as u64, w as u64);
+        (carry_a, carry_b) = (t >> 64, w >> 64);
+    }
+    debug_assert!(carry_a == 0 && carry_b == 0, "Lehmer step left the range");
+    trim_vec(a);
+    trim_vec(b);
+}
+
+/// GCD of magnitudes `a ≥ b` that both span more than two limbs, by
+/// Lehmer's algorithm: each round advances Euclid by the quotients the
+/// leading [`LEHMER_BITS`] bits determine, applied as one linear
+/// combination over the limbs (or, when no quotient is certain, one long
+/// division). Once `b` fits two limbs the word paths take over.
+fn lehmer_gcd(a: &[u64], b: &[u64]) -> BigInt {
+    let (mut a, mut b) = (a.to_vec(), b.to_vec());
+    while b.len() > INLINE {
+        let h = mag_bits(&a) - LEHMER_BITS;
+        let cofactors = lehmer_cofactors(bits_at(&a, h) as i64, bits_at(&b, h) as i64);
+        if cofactors[1] == 0 {
+            let (_, r) = mag_divrem(&a, &b);
+            a = std::mem::replace(&mut b, r.to_vec());
+        } else {
+            lehmer_update(&mut a, &mut b, cofactors);
+        }
+    }
+    gcd_by_remainder(&a, &b)
 }
 
 /// Long division on magnitudes via Knuth's Algorithm D (TAOCP 4.3.1) with
@@ -741,46 +843,29 @@ impl BigInt {
 
     /// Greatest common divisor of the magnitudes (always non-negative).
     ///
-    /// Inputs of one or two limbs take a machine-word binary-GCD fast path
-    /// (`u64` or `u128`); the multi-limb case runs binary GCD **in place** on
-    /// two limb buffers (shift/subtract, no allocation per round) and drops
-    /// to the word path as soon as both operands fit in two limbs.
+    /// Dispatch is by the smaller operand's width, and nothing here
+    /// allocates unless the larger operand already lives on the heap:
+    /// - both one limb: branch-free binary gcd on `u64`;
+    /// - smaller operand of one limb: a single-limb remainder of the larger,
+    ///   then `u64`;
+    /// - smaller operand of two limbs: one remainder (none if the larger is
+    ///   two limbs too), then the `u128` path, which itself finishes in `u64`;
+    /// - both wider: Lehmer's algorithm until the smaller fits two limbs.
     #[must_use]
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        if self.is_zero() {
-            return other.abs();
+        let (a, b) = (&self.limbs[..], &other.limbs[..]);
+        if let ([x], [y]) = (a, b) {
+            return BigInt::from(u64_gcd(*x, *y));
         }
-        if other.is_zero() {
-            return self.abs();
-        }
-        if let Some(g) = word_gcd(&self.limbs, &other.limbs) {
-            return g;
-        }
-
-        // At least one operand spans more than two limbs: run the loop on
-        // plain heap buffers.
-        let mut a = self.limbs.to_vec();
-        let mut b = other.limbs.to_vec();
-        let a_tz = mag_trailing_zeros(&a);
-        let b_tz = mag_trailing_zeros(&b);
-        let shift = a_tz.min(b_tz);
-        mag_shr_in_place(&mut a, a_tz);
-        mag_shr_in_place(&mut b, b_tz);
-        loop {
-            // a and b are both odd here.
-            if let Some(g) = word_gcd(&a, &b) {
-                return g.shl_bits(shift);
-            }
-            match mag_cmp(&a, &b) {
-                Ordering::Equal => {
-                    return BigInt::from_parts(Sign::Positive, Limbs::from_vec(a)).shl_bits(shift);
-                }
-                Ordering::Less => std::mem::swap(&mut a, &mut b),
-                Ordering::Greater => {}
-            }
-            mag_sub_in_place(&mut a, &b);
-            let tz = mag_trailing_zeros(&a);
-            mag_shr_in_place(&mut a, tz);
+        let (big, small) = if mag_cmp(a, b) == Ordering::Less {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        if small.len() > INLINE {
+            lehmer_gcd(big, small)
+        } else {
+            gcd_by_remainder(big, small)
         }
     }
 

@@ -8,7 +8,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use crate::bigint::{u128_gcd, BigInt, ParseNumError, Sign};
+use crate::bigint::{u128_gcd, u64_gcd, BigInt, ParseNumError, Sign};
 
 /// An exact rational number `numerator / denominator` in lowest terms, with a
 /// strictly positive denominator.
@@ -184,30 +184,30 @@ impl Rational {
         }
     }
 
-    /// Fused `self - factor·x` in one normalization.
+    /// Fused `self - factor·x`.
     ///
     /// This is the innermost operation of the revised simplex's eta-vector
     /// kernels (FTRAN/BTRAN apply `w_i ← w_i - t_i·z` across every nonzero of
-    /// an eta column): computing it as `mul` then `sub` runs up to four gcd
-    /// reductions and several `BigInt` allocations. When every component fits
-    /// a single limb comfortably (`|v| < 2³¹`, so all cross products fit
-    /// `i128`) the fused form computes the unreduced `(a·d·f − c·e·b) /
-    /// (b·d·f)` in machine integers and reduces with **one** `u128` gcd.
-    /// Values outside the fast-path window fall back to the generic
-    /// cross-cancelling `mul`/`sub` path; both paths return the identical
-    /// canonical rational.
+    /// an eta column): computing it as `mul` then `sub` builds an
+    /// intermediate `Rational` and runs every gcd on `BigInt`s. When
+    /// `factor` and `x` have one-limb components (`i64`) and `self` two-limb
+    /// ones (`i128`), the fused form stays on machine words: it
+    /// cross-cancels the product with two `u64` gcds, then combines it with
+    /// `self` by Knuth's gcd-minimizing addition in checked `i128`
+    /// arithmetic. Any overflow falls back to the generic `mul`/`sub` path;
+    /// both paths return the identical canonical rational.
     #[must_use]
     pub fn sub_mul(&self, factor: &Rational, x: &Rational) -> Rational {
-        if let Some(out) = fused_mul_add_fast(self, factor, x, true) {
+        if let Some(out) = fused_mul_add_word(self, factor, x, true) {
             return out;
         }
         self - &(factor * x)
     }
 
-    /// Fused `self + factor·x`; see [`Rational::sub_mul`] for the fast path.
+    /// Fused `self + factor·x`; see [`Rational::sub_mul`] for the word path.
     #[must_use]
     pub fn add_mul(&self, factor: &Rational, x: &Rational) -> Rational {
-        if let Some(out) = fused_mul_add_fast(self, factor, x, false) {
+        if let Some(out) = fused_mul_add_word(self, factor, x, false) {
             return out;
         }
         self + &(factor * x)
@@ -424,43 +424,69 @@ impl Ord for Rational {
     }
 }
 
-/// Magnitude bound under which the fused single-limb path is safe: with all
-/// six components below `2³¹`, every cross product (`a·d·f`, `c·e·b`,
-/// `b·d·f`) stays under `2⁹³` and their sum under `2⁹⁴`, comfortably inside
-/// `i128`.
-const FUSED_FAST_LIMIT: i64 = 1 << 31;
-
-/// The single-limb fast path behind [`Rational::sub_mul`] /
-/// [`Rational::add_mul`]: `lhs ∓ factor·x` with one machine-integer gcd.
-/// Returns `None` when any component exceeds the safe magnitude window.
-fn fused_mul_add_fast(
+/// The machine-word path behind [`Rational::sub_mul`] /
+/// [`Rational::add_mul`]: `lhs ∓ factor·x` for `i64` components of `factor`
+/// and `x` and `i128` components of `lhs`. Returns `None` when a component
+/// is wider or an intermediate overflows `i128`.
+fn fused_mul_add_word(
     lhs: &Rational,
     factor: &Rational,
     x: &Rational,
     subtract: bool,
 ) -> Option<Rational> {
-    let small = |b: &BigInt| -> Option<i128> {
-        let v = b.to_i64()?;
-        (-FUSED_FAST_LIMIT < v && v < FUSED_FAST_LIMIT).then_some(v as i128)
-    };
-    let (a, b) = (small(&lhs.num)?, small(&lhs.den)?);
-    let (c, d) = (small(&factor.num)?, small(&factor.den)?);
-    let (e, f) = (small(&x.num)?, small(&x.den)?);
-    let prod = c * e; // < 2⁶²
-    let num = if subtract {
-        a * (d * f) - prod * b
-    } else {
-        a * (d * f) + prod * b
-    };
-    if num == 0 {
+    let (c, d) = (factor.num.to_i64()?, factor.den.to_i64()?);
+    let (e, f) = (x.num.to_i64()?, x.den.to_i64()?);
+    let (a, b) = (lhs.num.to_i128()?, lhs.den.to_i128()?);
+    if c == 0 || e == 0 {
+        return Some(lhs.clone());
+    }
+    // The product p/q = (c/d)·(e/f), cross-cancelled into lowest terms:
+    // |p| ≤ 2¹²⁶ and 0 < q < 2¹²⁶, so neither product overflows.
+    let (c, f) = cancel(c, f);
+    let (e, d) = cancel(e, d);
+    let p = i128::from(c) * i128::from(e);
+    let p = if subtract { -p } else { p };
+    let q = i128::from(d) * i128::from(f);
+    if a == 0 {
+        return Some(Rational::from_reduced(BigInt::from(p), BigInt::from(q)));
+    }
+    // a/b + p/q by Knuth's scheme, exactly as `add_sub` does on `BigInt`s.
+    let g0 = u128_gcd(b as u128, q as u128) as i128;
+    let (b_red, q_red) = (exact_quotient(b, g0), exact_quotient(q, g0));
+    let t = a.checked_mul(q_red)?.checked_add(p.checked_mul(b_red)?)?;
+    if t == 0 {
         return Some(Rational::zero());
     }
-    let den = b * (d * f); // > 0: denominators are positive
-    let g = u128_gcd(num.unsigned_abs(), den as u128) as i128;
+    let g1 = if g0 == 1 {
+        1
+    } else {
+        u128_gcd(t.unsigned_abs(), g0 as u128) as i128
+    };
+    let den = b_red.checked_mul(exact_quotient(q, g1))?;
     Some(Rational::from_reduced(
-        BigInt::from(num / g),
-        BigInt::from(den / g),
+        BigInt::from(exact_quotient(t, g1)),
+        BigInt::from(den),
     ))
+}
+
+/// `(n, d) / gcd(n, d)` for a positive `d`; coprime pairs skip the divisions.
+fn cancel(n: i64, d: i64) -> (i64, i64) {
+    match u64_gcd(n.unsigned_abs(), d as u64) as i64 {
+        1 => (n, d),
+        g => (n / g, d / g),
+    }
+}
+
+/// `v / g` for a positive divisor `g` of `v`, on one machine word when `v`
+/// fits one (an `i128` division is a library call).
+fn exact_quotient(v: i128, g: i128) -> i128 {
+    if g == 1 {
+        return v;
+    }
+    match (i64::try_from(v), i64::try_from(g)) {
+        (Ok(v), Ok(g)) => i128::from(v / g),
+        _ => v / g,
+    }
 }
 
 /// Shared implementation of `+` / `-` using Knuth's gcd-minimizing scheme

@@ -1,11 +1,14 @@
-//! Allocation guard: exact arithmetic on operands within one 64-bit limb
-//! must not touch the heap.
+//! Allocation guard: exact arithmetic on operands within one 64-bit limb,
+//! gcd on operands within two, and the fused word path must not touch the
+//! heap.
 //!
 //! The exact LP kernels run millions of `Rational` operations per solve, and
 //! nearly all of them on one-limb numerators and denominators. `BigInt`
 //! keeps magnitudes of up to two limbs inline, so building, cloning and
 //! combining such values — including every intermediate product of two
-//! one-limb operands — must make no heap allocation at all. A counting
+//! one-limb operands — must make no heap allocation at all. The gcd family
+//! and `sub_mul`/`add_mul` run on machine words in that range, so they must
+//! not allocate either. A counting
 //! global allocator measures this per thread, so the harness's own threads
 //! never disturb the count.
 
@@ -100,9 +103,8 @@ fn bigint_from_machine_integers_does_not_allocate() {
 
 #[test]
 fn rational_arithmetic_on_one_limb_operands_does_not_allocate() {
-    // One-limb numerators and denominators, from tiny to ~2⁵⁰, so both the
-    // fused machine-integer path (components < 2³¹) and the generic
-    // cross-cancelling path run; every intermediate stays within two limbs.
+    // One-limb numerators and denominators, from tiny to ~2⁵⁰; every
+    // intermediate stays within two limbs.
     let big_num = (1i64 << 50) - 27;
     let big_den = (1i64 << 49) + 9;
     let values = [
@@ -131,4 +133,91 @@ fn rational_arithmetic_on_one_limb_operands_does_not_allocate() {
             }
         }
     }
+}
+
+/// Magnitudes of up to two limbs around every word-path boundary.
+fn two_limb_values() -> Vec<BigInt> {
+    let one = BigInt::one();
+    let pow2 = |k: usize| one.shl_bits(k);
+    vec![
+        BigInt::zero(),
+        one.clone(),
+        BigInt::from(12u64),
+        BigInt::from(u64::MAX),
+        &pow2(64) - &one,
+        pow2(64),
+        &pow2(64) + &one,
+        BigInt::from(3u64).shl_bits(90),
+        BigInt::from(-(1i128 << 100) - 7),
+        &pow2(128) - &one,
+    ]
+}
+
+#[test]
+fn gcd_on_two_limb_operands_does_not_allocate() {
+    let values = two_limb_values();
+    for a in &values {
+        for b in &values {
+            let (a, b) = (black_box(a), black_box(b));
+            assert_no_alloc("BigInt::gcd", || a.gcd(b));
+        }
+    }
+}
+
+#[test]
+fn one_limb_by_many_gcd_does_not_allocate() {
+    let wide: Vec<BigInt> = (3..=8)
+        .map(|limbs| (BigInt::from(u64::MAX - 58).shl_bits(64 * (limbs - 1))) + BigInt::from(45u64))
+        .collect();
+    for w in &wide {
+        for d in [1u64, 3, 45, u64::MAX, 1 << 63] {
+            let d = BigInt::from(d);
+            let (w, d) = (black_box(w), black_box(&d));
+            assert_no_alloc("wide.gcd(word)", || w.gcd(d));
+            assert_no_alloc("word.gcd(wide)", || d.gcd(w));
+        }
+    }
+}
+
+#[test]
+fn the_fused_word_path_does_not_allocate() {
+    let pow2 = |k: usize| BigInt::one().shl_bits(k);
+    let lhs = [
+        Rational::zero(),
+        Rational::from_ratio(-3, 4),
+        Rational::from_int(i64::MIN),
+        Rational::new(&pow2(64) + &BigInt::one(), BigInt::from(i64::MAX)),
+        Rational::new(-(&pow2(126) + &BigInt::one()), BigInt::from(3u64)),
+        Rational::new(BigInt::from(7u64), &pow2(90) + &BigInt::one()),
+    ];
+    let words = [
+        Rational::zero(),
+        Rational::from_ratio(i64::MIN, i64::MAX),
+        Rational::from_ratio(i64::MAX, 1 << 31),
+        Rational::from_ratio(-(1 << 31), 3),
+        Rational::from_ratio(1, 2),
+    ];
+    for x in &lhs {
+        for y in &words {
+            for z in &words {
+                let (x, y, z) = (black_box(x), black_box(y), black_box(z));
+                // Results past `i128` overflow the word path by construction;
+                // the fallback is checked below.
+                let out = x.sub_mul(y, z);
+                if out.numer().bit_length() < 127 && out.denom().bit_length() < 127 {
+                    assert_no_alloc("Rational::sub_mul", || x.sub_mul(y, z));
+                    assert_no_alloc("Rational::add_mul", || x.add_mul(z, y));
+                }
+            }
+        }
+    }
+    // A checked-i128 overflow leaves the word path: the generic fallback
+    // builds multi-limb intermediates on the heap.
+    let x = Rational::new(BigInt::from(5u64), &pow2(100) + &BigInt::from(3u64));
+    let (y, z) = (
+        Rational::from_ratio(1, (1 << 62) + 1),
+        Rational::from_ratio(-1, (1 << 61) + 3),
+    );
+    let (count, _) = allocations(|| x.sub_mul(&y, &z));
+    assert!(count > 0, "the overflowing case must take the generic path");
 }

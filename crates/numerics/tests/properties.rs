@@ -360,11 +360,212 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fused eta-vector operations (PR 4): `sub_mul` / `add_mul` power the revised
-// simplex's FTRAN/BTRAN kernels. Their single-limb fast path (one u128 gcd on
-// machine integers) must agree with the generic mul-then-add/sub path on both
-// sides of the 2³¹ magnitude window, including the boundary itself.
+// The gcd family. `BigInt::gcd` dispatches on the operands' limb counts: both
+// one limb (binary gcd on `u64`), a one-limb smaller operand (a single-limb
+// remainder, then `u64`), a two-limb smaller operand (one remainder, then the
+// `u128` path), and both wider than two limbs (Lehmer's algorithm). Every
+// class is pinned to Euclid's algorithm on `BigInt::div_rem`, which shares
+// none of that code.
 // ---------------------------------------------------------------------------
+
+/// Euclid's algorithm on remainders: the test-local reference.
+fn euclid_gcd(a: &BigInt, b: &BigInt) -> BigInt {
+    let (mut x, mut y) = (a.abs(), b.abs());
+    while !y.is_zero() {
+        let r = &x % &y;
+        x = std::mem::replace(&mut y, r);
+    }
+    x
+}
+
+/// `gcd(a, b)` under every sign and argument order, against the reference.
+fn assert_gcd_matches_euclid(a: &BigInt, b: &BigInt) {
+    let expected = euclid_gcd(a, b);
+    for (x, y) in [(a, b), (b, a)] {
+        for (sx, sy) in [(false, false), (true, false), (false, true), (true, true)] {
+            let x = if sx { -x.clone() } else { x.clone() };
+            let y = if sy { -y.clone() } else { y.clone() };
+            assert_eq!(x.gcd(&y), expected, "gcd({x}, {y})");
+        }
+    }
+}
+
+/// A magnitude of exactly `n` limbs (its top bit set), or 1 for `n = 0`.
+fn exact_limbs(limbs: &[u64], n: usize) -> BigInt {
+    let mut v = limbs[..n].to_vec();
+    match v.last_mut() {
+        Some(top) => *top |= 1 << 63,
+        None => return BigInt::one(),
+    }
+    BigInt::from_sign_limbs(privmech_numerics::Sign::Positive, v)
+}
+
+/// Operand pairs of the given limb counts sharing a common factor of up to
+/// `common` limbs: with top bits set, a product of `i`- and `j`-limb factors
+/// has exactly `i + j` limbs, so each pair lands in its dispatch class.
+fn arb_gcd_class() -> impl Strategy<Value = (BigInt, BigInt)> {
+    (
+        prop_oneof![
+            Just((1usize, 1usize)),
+            Just((1, 2)),
+            Just((2, 2)),
+            (1usize..=1, 3usize..=8),
+            (2usize..=2, 3usize..=8),
+            (3usize..=8, 3usize..=8),
+        ],
+        0usize..=3,
+        prop::collection::vec(any::<u64>(), 24),
+    )
+        .prop_map(|((la, lb), common, limbs)| {
+            let lg = common.min(la).min(lb);
+            let g = exact_limbs(&limbs[16..], lg);
+            let a = &g * &exact_limbs(&limbs[..8], la - lg);
+            let b = &g * &exact_limbs(&limbs[8..16], lb - lg);
+            (a, b)
+        })
+}
+
+/// The limb-boundary values the word paths must get right, and Fibonacci
+/// numbers, whose quotients are all 1 (Lehmer's worst case).
+fn gcd_specials() -> Vec<BigInt> {
+    let one = BigInt::one();
+    let pow2 = |k: usize| one.shl_bits(k);
+    let mut v = vec![
+        BigInt::zero(),
+        one.clone(),
+        BigInt::from(2u64),
+        BigInt::from(6u64),
+        BigInt::from(u64::MAX),
+        &pow2(64) - &one,
+        pow2(64),
+        &pow2(64) + &one,
+        &pow2(128) - &one,
+        pow2(128),
+        &pow2(128) + &one,
+        BigInt::from(u64::MAX).shl_bits(70),
+        BigInt::from(3u64).shl_bits(200),
+    ];
+    v.extend([40u32, 93, 94, 150, 300].into_iter().map(fibonacci));
+    v
+}
+
+/// The `k`-th Fibonacci number (F₁ = F₂ = 1).
+fn fibonacci(k: u32) -> BigInt {
+    let (mut a, mut b) = (BigInt::zero(), BigInt::one());
+    for _ in 0..k {
+        let next = &a + &b;
+        a = std::mem::replace(&mut b, next);
+    }
+    a
+}
+
+#[test]
+fn gcd_of_boundary_values_matches_euclid() {
+    let specials = gcd_specials();
+    for a in &specials {
+        for b in &specials {
+            assert_gcd_matches_euclid(a, b);
+        }
+        // Equal operands, and a shared power of two on top of a shared
+        // odd factor.
+        assert_gcd_matches_euclid(a, a);
+        assert_gcd_matches_euclid(&a.shl_bits(67), &(a * &BigInt::from(12u64)));
+    }
+}
+
+#[test]
+fn gcd_of_fibonacci_numbers_is_a_fibonacci_number() {
+    // gcd(F_m, F_n) = F_gcd(m, n): consecutive pairs reduce through quotient
+    // 1 at every step, and the wide ones (F₇₀₀ has 486 bits) run Lehmer's
+    // loop at its longest.
+    let fib: Vec<BigInt> = (0..=700).map(fibonacci).collect();
+    let gcd_u = |mut m: usize, mut n: usize| {
+        while n != 0 {
+            (m, n) = (n, m % n);
+        }
+        m
+    };
+    for m in (90..700).step_by(61) {
+        for n in [m + 1, m - 1, m / 2, 2 * m / 3, 84, 700] {
+            if n > 700 {
+                continue;
+            }
+            assert_eq!(fib[m].gcd(&fib[n]), fib[gcd_u(m, n)], "gcd(F_{m}, F_{n})");
+        }
+        // A shared wide factor on top of a coprime pair.
+        let g = &fib[333] + &BigInt::from(7u64);
+        assert_eq!((&fib[m] * &g).gcd(&(&fib[m + 1] * &g)), g);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn gcd_matches_euclid_in_every_dispatch_class(
+        (a, b) in arb_gcd_class(),
+        shift in prop_oneof![Just(0usize), 1usize..=130],
+        word in arb_u64_boundary(),
+    ) {
+        assert_gcd_matches_euclid(&a, &b);
+        // A shared power of two moves the pair up a class or two.
+        assert_gcd_matches_euclid(&a.shl_bits(shift), &b.shl_bits(shift + 1));
+        // And a one-limb operand against the whole wide range.
+        assert_gcd_matches_euclid(&a, &BigInt::from(word));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fused eta-vector operations: `sub_mul` / `add_mul` power the revised
+// simplex's FTRAN/BTRAN kernels. Their machine-word path (`i64` factor and x,
+// `i128` lhs, checked `i128` combination) must agree with the generic
+// mul-then-add/sub path everywhere: inside the word window, at its edges
+// (±2³¹, ±(2⁶³−1), i64::MIN, a two-limb lhs), and past them, where an
+// overflow must fall back.
+// ---------------------------------------------------------------------------
+
+/// One-limb components around every edge of the word path.
+fn arb_word_component() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -40i64..=40,
+        (-3i64..=3).prop_map(|d| (1i64 << 31) + d),
+        (-3i64..=3).prop_map(|d| d - (1i64 << 31)),
+        (0i64..=3).prop_map(|d| i64::MAX - d),
+        (0i64..=3).prop_map(|d| i64::MIN + d),
+        any::<i64>(),
+    ]
+}
+
+/// `n / |d|` from two components (a zero denominator becomes 1).
+fn word_rational(n: i64, d: i64) -> Rational {
+    let d = BigInt::from(d).abs();
+    if d.is_zero() {
+        return Rational::from_int(n);
+    }
+    Rational::new(BigInt::from(n), d)
+}
+
+fn arb_word_rational() -> impl Strategy<Value = Rational> {
+    (arb_word_component(), arb_word_component()).prop_map(|(n, d)| word_rational(n, d))
+}
+
+/// A left-hand side of one, two or (past `i128`) three limbs: word
+/// components shifted by up to 70 bits, plus an offset so the low limb is
+/// not zero.
+fn arb_fused_lhs() -> impl Strategy<Value = Rational> {
+    (
+        arb_word_component(),
+        arb_word_component(),
+        prop_oneof![Just(0usize), 1usize..=70],
+        prop_oneof![Just(0usize), 1usize..=70],
+        any::<i64>(),
+    )
+        .prop_map(|(n, d, kn, kd, offset)| {
+            let num = BigInt::from(n).shl_bits(kn) + BigInt::from(offset);
+            let den = BigInt::from(d).abs().shl_bits(kd) + BigInt::one();
+            Rational::new(num, den)
+        })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -382,26 +583,17 @@ proptest! {
 
     #[test]
     fn fused_ops_agree_across_the_fast_path_boundary(
-        base in prop::collection::vec((1i64..=3, 0i64..=2), 6),
-        offset in -2i64..=2,
+        x in arb_fused_lhs(),
+        y in arb_word_rational(),
+        z in arb_word_rational(),
     ) {
-        // Components straddling 2³¹: (2³¹ + offset) · scale, with some
-        // components small — mixes fast-path hits, misses, and the exact
-        // window edges.
-        let limit = 1i64 << 31;
-        let comp = |i: usize| -> i64 {
-            let (scale, sel) = base[i];
-            match sel {
-                0 => scale,                 // tiny: inside the window
-                1 => limit - scale,         // just inside
-                _ => limit + scale + offset.abs(), // outside: generic path
-            }
-        };
-        let x = Rational::from_ratio(comp(0) * offset.signum().max(-1), comp(1));
-        let y = Rational::from_ratio(comp(2), comp(3));
-        let z = Rational::from_ratio(-comp(4), comp(5));
         prop_assert_eq!(x.sub_mul(&y, &z), &x - &(&y * &z));
         prop_assert_eq!(x.add_mul(&y, &z), &x + &(&y * &z));
+        // Exact cancellation, and a zero left-hand side.
+        let prod = &y * &z;
+        prop_assert_eq!(prod.sub_mul(&y, &z), Rational::zero());
+        prop_assert_eq!((-&prod).add_mul(&y, &z), Rational::zero());
+        prop_assert_eq!(Rational::zero().sub_mul(&y, &z), -&prod);
     }
 
     #[test]
@@ -415,4 +607,48 @@ proptest! {
         prop_assert_eq!(zero.sub_mul(&x, &x), -(&x * &x));
         prop_assert_eq!(x.add_mul(&zero, &zero), x.clone());
     }
+}
+
+#[test]
+fn fused_word_path_edges_agree_with_unfused() {
+    let pow2 = |k: usize| BigInt::one().shl_bits(k);
+    let r = |n: BigInt, d: BigInt| Rational::new(n, d);
+    let max = BigInt::from(i64::MAX);
+    let words = [
+        Rational::zero(),
+        word_rational(i64::MIN, 1),
+        word_rational(i64::MIN, i64::MAX),
+        word_rational(i64::MAX, i64::MAX - 1),
+        word_rational(-(1 << 31), (1 << 31) + 1),
+        word_rational(1 << 31, 3),
+    ];
+    let lhs = [
+        Rational::zero(),
+        Rational::one(),
+        word_rational(i64::MIN, 7),
+        // Two-limb numerators and denominators, up to the edge of i128.
+        r(&pow2(64) + &BigInt::one(), max.clone()),
+        r(&pow2(127) - &BigInt::one(), BigInt::from(3u64)),
+        r(-(&pow2(127) - &BigInt::one()), &pow2(126) + &BigInt::one()),
+        r(BigInt::from(5u64), &pow2(100) + &BigInt::from(3u64)),
+        // Past i128: the generic path from the start.
+        r(&pow2(127) + &BigInt::one(), BigInt::from(5u64)),
+        r(BigInt::one(), pow2(130) + BigInt::one()),
+    ];
+    for x in &lhs {
+        for y in &words {
+            for z in &words {
+                assert_eq!(x.sub_mul(y, z), x - &(y * z), "{x} - {y}·{z}");
+                assert_eq!(x.add_mul(y, z), x + &(y * z), "{x} + {y}·{z}");
+            }
+        }
+    }
+    // A checked-i128 overflow inside the word path (the combined denominator
+    // is about 2²²³) falls back to the generic path with the same answer.
+    let x = r(BigInt::from(5u64), &pow2(100) + &BigInt::from(3u64));
+    let y = word_rational(1, (1 << 62) + 1);
+    let z = word_rational(-1, (1 << 61) + 3);
+    let expected = &x - &(&y * &z);
+    assert!(expected.denom().bit_length() > 200);
+    assert_eq!(x.sub_mul(&y, &z), expected);
 }
