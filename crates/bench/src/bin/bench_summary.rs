@@ -11,9 +11,7 @@
 //! ```text
 //! bench-summary [--label <label>] [--output <path>] [--max-n <n>] [--reps <k>]
 //!               [--sweep] [--sweep-n <n>] [--sweep-points <k>] [--sweep-threads <t>]
-//!               [--serve] [--serve-n <n>] [--serve-points <k>] [--serve-repeat <r>]
-//!               [--serve-pipelined] [--pipeline-n <n>] [--pipeline-points <k>]
-//!               [--pipeline-solves <s>] [--compare-forms] [--compare-n <n>]
+//!               [--compare-forms] [--compare-n <n>]
 //!               [--warm-sweep] [--warm-n <n>] [--warm-points <k>]
 //!               [--sweep-mem] [--sweep-mem-n <n>] [--sweep-mem-points <k>]
 //! ```
@@ -25,22 +23,6 @@
 //! DirectLp — results asserted bit-identical to the cold baseline), and (c)
 //! by the engine's default Theorem-1 factorization strategy (losses asserted
 //! bit-identical; mechanisms optimal and derivable by construction).
-//!
-//! `--serve` appends a serving-layer throughput record instead: an
-//! in-process `privmech-serve` server is driven over real TCP with a
-//! repeated-request workload of `serve-points` distinct exact solves at
-//! `serve-n`, measuring cold (all cache misses) against cached (all hits)
-//! per-request latency. Every cached response is asserted byte-identical to
-//! a cache-bypassing fresh solve before the record is written, and the
-//! server's per-op latency histograms (`metrics` op) are printed.
-//!
-//! `--serve-pipelined` appends the protocol-v2 pipelining record instead: a
-//! mixed workload (one `pipeline-points`-α exact sweep + `pipeline-solves`
-//! repeated solves at `pipeline-n`) timed serially over strict v1
-//! request/response and pipelined over v2 on the same warmed server, with
-//! byte identity asserted between the two transports per request — plus a
-//! cache-bypassed streamed sweep asserting the first `sweep_item` frame
-//! lands in the first half of the sweep's wall-clock (streaming streams).
 //!
 //! `--compare-forms` appends a solver-form identity record instead: one
 //! exact solve at `compare-n` run under both the dense tableau and the
@@ -308,8 +290,9 @@ fn run_sweep(n: usize, points: usize, threads: usize) -> String {
 }
 
 /// The solver-form identity benchmark: one exact solve at size `n` run under
-/// both simplex forms ([`privmech_lp::SolverForm::Dense`] and
-/// [`privmech_lp::SolverForm::Revised`]), asserting the PR 4 contract —
+/// both simplex forms ([`privmech_lp::SolverForm::Dense`] and the default
+/// [`privmech_lp::SolverForm::Auto`], the revised simplex on exact scalars),
+/// asserting the dense ≡ revised contract —
 /// bit-identical mechanism, loss and pivot statistics (identical pivot
 /// counts are the visible consequence of the identical pivot *sequence*) —
 /// and recording the revised-over-dense speedup.
@@ -341,7 +324,7 @@ fn run_compare_forms(n: usize) -> String {
     eprintln!("compare-forms: revised-simplex exact solve at n = {n} ...");
     let start = Instant::now();
     let revised = engine
-        .solve(&with_form(SolverForm::Revised))
+        .solve(&with_form(SolverForm::Auto))
         .expect("solvable LP");
     let revised_ns = start.elapsed().as_nanos();
 
@@ -604,7 +587,7 @@ fn run_sweep_mem(n: usize, points: usize) -> String {
     // order can only *understate* the dense pass's margin, never fake one.
     let reset_supported = reset_peak_rss();
     eprintln!("sweep-mem: {points}-α CSR revised-simplex pass at n = {n} ...");
-    let revised = run_pass(SolverForm::Revised);
+    let revised = run_pass(SolverForm::Auto);
     let revised_peak = peak_rss_bytes().unwrap_or(0);
 
     if reset_supported {
@@ -644,325 +627,6 @@ fn run_sweep_mem(n: usize, points: usize) -> String {
     )
 }
 
-/// The serving-layer acceptance benchmark: `points` distinct exact solves at
-/// size `n` driven through a real `privmech-serve` TCP round trip, cold
-/// (every request misses) vs cached (`repeat` hot passes, every request
-/// hits), with the cached ≡ uncached byte identity asserted per request.
-fn run_serve(n: usize, points: usize, repeat: usize) -> String {
-    use privmech_serve::proto::{CacheDisposition, CacheMode, ConsumerSpec, LossSpec};
-    use privmech_serve::{client::Client, server, server::ServerConfig};
-
-    if points == 0 || repeat == 0 {
-        eprintln!("--serve-points and --serve-repeat must be at least 1");
-        std::process::exit(2);
-    }
-    let handle = server::spawn(ServerConfig::default()).expect("bind loopback");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let spec = ConsumerSpec::<Rational>::minimax(n, LossSpec::Absolute);
-    let alphas: Vec<Rational> = (1..=points)
-        .map(|k| rat(k as i64, points as i64 + 1))
-        .collect();
-
-    // Cold pass: every request computes and populates the cache.
-    eprintln!("serve cold: {points} distinct solves at n = {n} over TCP ...");
-    let start = Instant::now();
-    let cold_replies: Vec<_> = alphas
-        .iter()
-        .map(|alpha| client.solve(&spec, alpha, CacheMode::Use).expect("solve"))
-        .collect();
-    let cold_ns = start.elapsed().as_nanos();
-    assert!(
-        cold_replies
-            .iter()
-            .all(|r| r.cache == CacheDisposition::Miss),
-        "cold pass must miss on every distinct request"
-    );
-
-    // Hot passes: the same requests, answered from the cache.
-    eprintln!("serve cached: {repeat} hot passes over the same {points} requests ...");
-    let start = Instant::now();
-    let mut hits = 0usize;
-    for _ in 0..repeat {
-        for (alpha, cold) in alphas.iter().zip(&cold_replies) {
-            let reply = client.solve(&spec, alpha, CacheMode::Use).expect("solve");
-            assert_eq!(reply.cache, CacheDisposition::Hit, "hot pass must hit");
-            assert_eq!(
-                reply.raw, cold.raw,
-                "cached response must be byte-identical to the cold solve"
-            );
-            hits += 1;
-        }
-    }
-    let cached_ns = start.elapsed().as_nanos();
-
-    // Runtime bit-identity against *fresh* solves: bypass the cache entirely
-    // and compare bytes.
-    eprintln!("serve verify: cache-bypassing fresh solves vs cached responses ...");
-    for (alpha, cold) in alphas.iter().zip(&cold_replies) {
-        let fresh = client
-            .solve(&spec, alpha, CacheMode::Bypass)
-            .expect("bypass solve");
-        assert_eq!(
-            fresh.raw, cold.raw,
-            "uncached engine solve must render byte-identically"
-        );
-    }
-    let stats = client.cache_stats().expect("stats");
-    assert_eq!(stats.misses as usize, points);
-    assert_eq!(stats.hits as usize, hits);
-    print_metrics(&mut client);
-    client.shutdown().expect("shutdown");
-    handle.join();
-
-    let cold_per = cold_ns as f64 / points as f64;
-    let cached_per = cached_ns as f64 / (points * repeat) as f64;
-    let speedup = cold_per / cached_per;
-    eprintln!(
-        "cold: {:.3}ms/request | cached: {:.4}ms/request | {speedup:.1}x",
-        cold_per / 1e6,
-        cached_per / 1e6,
-    );
-    assert!(
-        speedup >= 5.0,
-        "acceptance: cached serving must be at least 5x cold, got {speedup:.2}x"
-    );
-
-    format!(
-        "\"serve\": {{\"n\": {n}, \"points\": {points}, \
-         \"repeat\": {repeat}, \"scalar\": \"rational\", \"transport\": \"tcp-loopback\", \
-         \"cold_ns\": {cold_ns}, \"cached_ns\": {cached_ns}, \
-         \"cold_per_request_ns\": {cold_per:.0}, \"cached_per_request_ns\": {cached_per:.0}, \
-         \"speedup_cached\": {speedup:.4}, \"bit_identical\": true, \
-         \"cache_hits\": {}, \"cache_misses\": {}}}",
-        stats.hits, stats.misses
-    )
-}
-
-/// Print the server's per-op latency histograms (the `metrics` op) to
-/// stderr, next to the hit/miss counters the `--serve` modes already report.
-fn print_metrics(client: &mut privmech_serve::client::Client) {
-    use privmech_serve::json::Json;
-    let Ok(metrics) = client.metrics() else {
-        eprintln!("metrics op unavailable");
-        return;
-    };
-    let Some(Json::Obj(ops)) = metrics.get("ops").cloned() else {
-        return;
-    };
-    eprintln!("server latency histograms (metrics op):");
-    for (op, histogram) in ops {
-        let count = histogram.get("count").and_then(Json::as_u64).unwrap_or(0);
-        let total_ns = histogram
-            .get("total_ns")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let mean_us = if count > 0 {
-            total_ns as f64 / count as f64 / 1e3
-        } else {
-            0.0
-        };
-        let buckets: Vec<String> = histogram
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|b| {
-                let le_ns = b.get("le_ns").and_then(Json::as_u64).unwrap_or(0);
-                let c = b.get("count").and_then(Json::as_u64).unwrap_or(0);
-                if le_ns == 0 {
-                    format!("+inf:{c}")
-                } else if le_ns >= 1_000_000 {
-                    format!("<={}ms:{c}", le_ns / 1_000_000)
-                } else {
-                    format!("<={}us:{c}", le_ns / 1_000)
-                }
-            })
-            .collect();
-        eprintln!(
-            "  {op:<9} count {count:>6}  mean {mean_us:>10.1}us  [{}]",
-            buckets.join(" ")
-        );
-    }
-}
-
-/// The pipelining acceptance benchmark: a mixed workload — one `points`-α
-/// exact sweep plus `solves` repeated solve requests at size `n` — run (a)
-/// serially over strict v1 request/response and (b) pipelined over protocol
-/// v2 (everything submitted up front, completions drained as they arrive),
-/// on the same warmed server over loopback. Byte identity between the two
-/// transports is asserted per request, and a cache-bypassing streamed sweep
-/// first proves that streaming actually streams (first `sweep_item` arrives
-/// in the first half of the sweep's wall-clock).
-fn run_serve_pipelined(n: usize, points: usize, solves: usize) -> String {
-    use privmech_serve::client::{Client, Event};
-    use privmech_serve::json;
-    use privmech_serve::proto::{CacheMode, ConsumerSpec, LossSpec};
-    use privmech_serve::{server, server::ServerConfig};
-
-    if points == 0 || solves == 0 {
-        eprintln!("--pipeline-points and --pipeline-solves must be at least 1");
-        std::process::exit(2);
-    }
-    let handle = server::spawn(ServerConfig::default()).expect("bind loopback");
-    let addr = handle.addr();
-    let spec = ConsumerSpec::<Rational>::minimax(n, LossSpec::Absolute);
-    let sweep_alphas: Vec<Rational> = (1..=points)
-        .map(|k| rat(k as i64, points as i64 + 1))
-        .collect();
-    // 8 distinct solve levels, cycled: a repeated-request workload.
-    let solve_alphas: Vec<Rational> = (0..solves).map(|k| rat((k % 8) as i64 + 1, 9)).collect();
-
-    // (a) Streaming proof, uncached: the first per-α result must arrive
-    // while the rest of the sweep is still solving.
-    eprintln!("pipeline streaming check: cache-bypassed {points}-α streamed sweep at n = {n} ...");
-    let mut v2 = Client::connect(addr).expect("connect v2");
-    assert_eq!(v2.version(), 2, "negotiation must land on v2");
-    let start = Instant::now();
-    let mut first_item_ns: Option<u128> = None;
-    let mut streamed = 0usize;
-    let mut stream = v2
-        .sweep_stream(&spec, &sweep_alphas, CacheMode::Bypass)
-        .expect("stream");
-    for item in stream.by_ref() {
-        item.expect("streamed item");
-        first_item_ns.get_or_insert_with(|| start.elapsed().as_nanos());
-        streamed += 1;
-    }
-    let done = stream.done().expect("sweep_done");
-    let sweep_total_ns = start.elapsed().as_nanos();
-    let first_item_ns = first_item_ns.expect("at least one item");
-    assert_eq!(streamed, points);
-    assert_eq!(done.count as usize, points);
-    assert!(
-        first_item_ns < sweep_total_ns,
-        "first sweep_item must arrive before the sweep completes"
-    );
-    assert!(
-        2 * first_item_ns < sweep_total_ns,
-        "streaming: first of {points} items must land in the first half \
-         (first at {first_item_ns} ns of {sweep_total_ns} ns)"
-    );
-    eprintln!(
-        "  first sweep_item after {:.1}ms of {:.1}ms total ({:.1}% in)",
-        first_item_ns as f64 / 1e6,
-        sweep_total_ns as f64 / 1e6,
-        100.0 * first_item_ns as f64 / sweep_total_ns as f64,
-    );
-
-    // (b) Prime the cache once (uncounted), so both timed transports run the
-    // same all-hit workload and the comparison isolates transport overhead.
-    eprintln!("pipeline prime: warming the cache with the full workload ...");
-    let mut v1 = Client::connect_with_version(addr, 1).expect("connect v1");
-    let _ = v1
-        .sweep(&spec, &sweep_alphas, CacheMode::Use)
-        .expect("sweep");
-    for alpha in solve_alphas.iter().take(8) {
-        let _ = v1.solve(&spec, alpha, CacheMode::Use).expect("solve");
-    }
-
-    // (c) Timed: serial v1 — one request in flight at a time, ever.
-    eprintln!(
-        "pipeline serial v1: {} wire requests ({points}-α sweep + {solves} solves) ...",
-        1 + solves
-    );
-    let start = Instant::now();
-    let v1_sweep_raw = v1
-        .sweep(&spec, &sweep_alphas, CacheMode::Use)
-        .expect("sweep")
-        .raw;
-    let v1_solve_raws: Vec<String> = solve_alphas
-        .iter()
-        .map(|alpha| v1.solve(&spec, alpha, CacheMode::Use).expect("solve").raw)
-        .collect();
-    let serial_ns = start.elapsed().as_nanos();
-
-    // (d) Timed: pipelined v2 — submit everything, then drain completions in
-    // whatever order they finish.
-    eprintln!("pipeline v2: same workload, all requests in flight at once ...");
-    let start = Instant::now();
-    let sweep_ticket = v2
-        .submit_sweep(&spec, &sweep_alphas, CacheMode::Use)
-        .expect("submit sweep");
-    let solve_tickets: Vec<_> = solve_alphas
-        .iter()
-        .map(|alpha| {
-            v2.submit_solve(&spec, alpha, CacheMode::Use)
-                .expect("submit solve")
-        })
-        .collect();
-    let mut sweep_slots: Vec<Option<String>> = vec![None; points];
-    let mut solve_raws: Vec<Option<String>> = vec![None; solves];
-    let mut open = 1 + solves;
-    while open > 0 {
-        match v2.recv().expect("recv") {
-            Event::Reply { ticket, response } => {
-                let idx = solve_tickets
-                    .iter()
-                    .position(|t| *t == ticket)
-                    .expect("a submitted solve");
-                let result = response.get("result").expect("result");
-                solve_raws[idx] = Some(json::to_string(result));
-                open -= 1;
-            }
-            Event::SweepItem {
-                ticket,
-                index,
-                response,
-            } => {
-                assert_eq!(ticket, sweep_ticket);
-                let result = response.get("result").expect("result");
-                sweep_slots[index] = Some(json::to_string(result));
-            }
-            Event::SweepDone { ticket, .. } => {
-                assert_eq!(ticket, sweep_ticket);
-                open -= 1;
-            }
-            Event::Error { error, .. } => panic!("pipelined request failed: {error}"),
-        }
-    }
-    let pipelined_ns = start.elapsed().as_nanos();
-
-    // (e) Byte identity between the two transports, per request.
-    let v2_items: Vec<String> = sweep_slots
-        .into_iter()
-        .map(|s| s.expect("every index streamed"))
-        .collect();
-    let v2_sweep_raw = privmech_serve::proto::assemble_solves(v2_items.iter().map(String::as_str));
-    assert_eq!(
-        v1_sweep_raw, v2_sweep_raw,
-        "v1 monolithic sweep ≡ reassembled v2 stream"
-    );
-    for (k, (a, b)) in v1_solve_raws.iter().zip(&solve_raws).enumerate() {
-        assert_eq!(a, b.as_ref().expect("every solve answered"), "solve {k}");
-    }
-
-    let speedup = serial_ns as f64 / pipelined_ns as f64;
-    eprintln!(
-        "serial v1: {:.1}ms | pipelined v2: {:.1}ms | {speedup:.2}x",
-        serial_ns as f64 / 1e6,
-        pipelined_ns as f64 / 1e6,
-    );
-    assert!(
-        speedup > 1.2,
-        "acceptance: pipelined v2 must beat serial v1 measurably, got {speedup:.2}x"
-    );
-    print_metrics(&mut v2);
-    v2.shutdown().expect("shutdown");
-    handle.join();
-
-    format!(
-        "\"pipeline\": {{\"n\": {n}, \"scalar\": \"rational\", \
-         \"transport\": \"tcp-loopback\", \"sweep_points\": {points}, \"solves\": {solves}, \
-         \"wire_requests\": {}, \"alpha_solves\": {}, \
-         \"serial_v1_ns\": {serial_ns}, \"pipelined_v2_ns\": {pipelined_ns}, \
-         \"speedup_pipelined\": {speedup:.4}, \"bit_identical\": true, \
-         \"stream_first_item_ns\": {first_item_ns}, \"stream_total_ns\": {sweep_total_ns}, \
-         \"streams\": true}}",
-        1 + solves,
-        points + solves,
-    )
-}
-
 fn main() {
     let mut label = "dev".to_string();
     let mut output = "BENCH_lp.json".to_string();
@@ -975,14 +639,6 @@ fn main() {
     let mut sweep_mem = false;
     let mut sweep_mem_n = 10usize;
     let mut sweep_mem_points = 4usize;
-    let mut serve = false;
-    let mut serve_n = 6usize;
-    let mut serve_points = 8usize;
-    let mut serve_repeat = 50usize;
-    let mut serve_pipelined = false;
-    let mut pipeline_n = 6usize;
-    let mut pipeline_points = 16usize;
-    let mut pipeline_solves = 48usize;
     let mut compare_forms = false;
     let mut compare_n = 8usize;
     let mut warm_sweep = false;
@@ -1068,58 +724,12 @@ fn main() {
                     .parse()
                     .expect("--compare-n needs an integer")
             }
-            "--serve" => serve = true,
-            "--serve-n" => {
-                serve_n = args
-                    .next()
-                    .expect("--serve-n needs a value")
-                    .parse()
-                    .expect("--serve-n needs an integer")
-            }
-            "--serve-points" => {
-                serve_points = args
-                    .next()
-                    .expect("--serve-points needs a value")
-                    .parse()
-                    .expect("--serve-points needs an integer")
-            }
-            "--serve-repeat" => {
-                serve_repeat = args
-                    .next()
-                    .expect("--serve-repeat needs a value")
-                    .parse()
-                    .expect("--serve-repeat needs an integer")
-            }
-            "--serve-pipelined" => serve_pipelined = true,
-            "--pipeline-n" => {
-                pipeline_n = args
-                    .next()
-                    .expect("--pipeline-n needs a value")
-                    .parse()
-                    .expect("--pipeline-n needs an integer")
-            }
-            "--pipeline-points" => {
-                pipeline_points = args
-                    .next()
-                    .expect("--pipeline-points needs a value")
-                    .parse()
-                    .expect("--pipeline-points needs an integer")
-            }
-            "--pipeline-solves" => {
-                pipeline_solves = args
-                    .next()
-                    .expect("--pipeline-solves needs a value")
-                    .parse()
-                    .expect("--pipeline-solves needs an integer")
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: bench-summary [--label L] [--output PATH] [--max-n N] [--reps K] \
                      [--sweep] [--sweep-n N] [--sweep-points K] [--sweep-threads T] \
-                     [--serve] [--serve-n N] [--serve-points K] [--serve-repeat R] \
-                     [--serve-pipelined] [--pipeline-n N] [--pipeline-points K] \
-                     [--pipeline-solves S] [--compare-forms] [--compare-n N] \
+                     [--compare-forms] [--compare-n N] \
                      [--warm-sweep] [--warm-n N] [--warm-points K] \
                      [--sweep-mem] [--sweep-mem-n N] [--sweep-mem-points K]"
                 );
@@ -1132,10 +742,6 @@ fn main() {
         run_compare_forms(compare_n)
     } else if warm_sweep {
         run_warm_sweep(warm_n, warm_points, reps.min(3))
-    } else if serve_pipelined {
-        run_serve_pipelined(pipeline_n, pipeline_points, pipeline_solves)
-    } else if serve {
-        run_serve(serve_n, serve_points, serve_repeat)
     } else if sweep_mem {
         run_sweep_mem(sweep_mem_n, sweep_mem_points)
     } else if sweep {

@@ -27,7 +27,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use privmech_linalg::Scalar;
-use privmech_lp::{PricingRule, ScalingMode, SolverOptions, WarmStartMode};
+use privmech_lp::{PricingRule, SolverOptions, WarmStartMode};
 
 use crate::engine::{RequestConsumer, SolveStrategy, ValidatedRequest};
 use crate::loss::LossFunction;
@@ -103,13 +103,10 @@ fn push_options(out: &mut String, options: &SolverOptions) {
         options.degeneracy_streak_limit
     );
     // Solution-relevant options enter the fingerprint; execution details
-    // (solver form, factorization kind, refactorization interval) stay out —
-    // they can never change a result. Scaling and warm-start *can* change
-    // results but default to off, and are appended only when enabled so that
-    // every pre-existing cache entry keyed without these fields still hits.
-    if options.scaling != ScalingMode::Off {
-        out.push_str(";scaling=equilibrate");
-    }
+    // (solver form, refactorization interval) stay out — they can never
+    // change a result. Warm-start *can* change results but defaults to off,
+    // and is appended only when enabled so that every pre-existing cache
+    // entry keyed without the field still hits.
     if options.warm_start != WarmStartMode::Off {
         out.push_str(";warm=dual-simplex");
     }

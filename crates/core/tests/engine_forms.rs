@@ -14,7 +14,7 @@ use privmech_core::{
     AbsoluteError, LossFunction, PrivacyEngine, PrivacyLevel, SolveRequest, SolveStrategy,
     SquaredError, ToleranceError, ValidatedRequest,
 };
-use privmech_lp::{FactorizationKind, SolverForm, SolverOptions};
+use privmech_lp::{SolverForm, SolverOptions};
 use privmech_numerics::{rat, Rational};
 
 fn request(
@@ -38,21 +38,15 @@ fn forms() -> Vec<SolverOptions> {
             form: SolverForm::Dense,
             ..SolverOptions::default()
         },
+        SolverOptions::default(), // Auto: revised for Rational
         SolverOptions {
-            form: SolverForm::Revised,
-            ..SolverOptions::default()
-        },
-        SolverOptions {
-            form: SolverForm::Revised,
             refactor_interval: 1,
             ..SolverOptions::default()
         },
         SolverOptions {
-            form: SolverForm::Revised,
             refactor_interval: SolverOptions::NEVER_REFACTOR,
             ..SolverOptions::default()
         },
-        SolverOptions::default(), // Auto: revised for Rational
     ]
 }
 
@@ -157,12 +151,12 @@ fn f64_backend_routes_every_form_to_the_dense_tableau() {
     }
 }
 
-/// The form and factorization matrix at realistic sizes: the dense tableau
-/// as reference, then the revised simplex by default (LU), refactorized
-/// every pivot, and over the eta file. Never-refactor runs at n = 3 above
-/// only: at n = 11 its unbounded update growth costs seconds per solve in a
-/// debug build.
-fn forms_and_factorizations() -> Vec<SolverOptions> {
+/// The form matrix at realistic sizes: the dense tableau as reference, then
+/// the revised simplex on the default refactorization trigger and
+/// refactorized every pivot. Never-refactor runs at n = 3 above only: at
+/// n = 11 its unbounded update growth costs seconds per solve in a debug
+/// build.
+fn realistic_forms() -> Vec<SolverOptions> {
     vec![
         SolverOptions {
             form: SolverForm::Dense,
@@ -170,13 +164,7 @@ fn forms_and_factorizations() -> Vec<SolverOptions> {
         },
         SolverOptions::default(),
         SolverOptions {
-            form: SolverForm::Revised,
             refactor_interval: 1,
-            ..SolverOptions::default()
-        },
-        SolverOptions {
-            form: SolverForm::Revised,
-            factorization: FactorizationKind::EtaFile,
             ..SolverOptions::default()
         },
     ]
@@ -185,8 +173,8 @@ fn forms_and_factorizations() -> Vec<SolverOptions> {
 /// Theorem-1 solves at realistic sizes. The interaction LP's epigraph rows
 /// carry `G_{n,α}` entries `∝ α^|i−z|` times the loss, so every column
 /// mixes denominators — the shape the revised simplex's fraction-free pivot
-/// row normalizes per column. Every form and factorization must return the
-/// identical mechanism, loss and pivot statistics.
+/// row normalizes per column. Every form must return the identical
+/// mechanism, loss and pivot statistics.
 #[test]
 fn realistic_theorem1_solves_are_bit_identical_across_forms() {
     let engine = PrivacyEngine::with_threads(1);
@@ -207,7 +195,7 @@ fn realistic_theorem1_solves_are_bit_identical_across_forms() {
                         .validate()
                         .expect("valid request")
                 };
-                let configs = forms_and_factorizations();
+                let configs = realistic_forms();
                 let reference = engine.solve(&build(configs[0])).expect("solvable");
                 let case = format!("n={n} alpha={alpha} loss={}", loss.name());
                 for options in &configs[1..] {
@@ -237,7 +225,7 @@ fn interaction_with_g11_is_bit_identical_across_forms() {
             .validate()
             .expect("valid request")
     };
-    let configs = forms_and_factorizations();
+    let configs = realistic_forms();
     let reference = engine
         .interact(&deployed, &build(configs[0]))
         .expect("interaction");

@@ -203,11 +203,6 @@ fn solver_form_and_refactor_interval_do_not_split_the_fingerprint() {
             ..SolverOptions::default()
         },
         SolverOptions {
-            form: SolverForm::Revised,
-            ..SolverOptions::default()
-        },
-        SolverOptions {
-            form: SolverForm::Revised,
             refactor_interval: 1,
             ..SolverOptions::default()
         },
@@ -239,22 +234,17 @@ fn solver_form_and_refactor_interval_do_not_split_the_fingerprint() {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-key stability across the PR 6 option additions.
+// Cache-key stability across option additions.
 //
-// PR 6 grew `SolverOptions` by three fields (factorization kind, scaling,
-// warm-start mode). The fingerprint policy keeps every cache entry written by
-// a pre-PR6 server addressable by a post-PR6 server:
-//
-// * `factorization` is an execution detail under the pivot-identity contract
-//   and never enters the key;
-// * `scaling` and `warm_start` can change which optimal vertex is returned,
-//   so they enter the key — but only when non-default, leaving the default
-//   rendering byte-identical to what a pre-PR6 server produced.
+// `warm_start` can change which optimal vertex is returned, so it enters the
+// key — but only when non-default, leaving the default rendering
+// byte-identical to what a server without the field produced. Every cache
+// entry written before the field existed therefore stays addressable.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn pr6_option_fields_leave_pre_existing_cache_keys_intact() {
-    use privmech_lp::{FactorizationKind, PricingRule, ScalingMode, SolverOptions, WarmStartMode};
+    use privmech_lp::{PricingRule, SolverOptions, WarmStartMode};
     let base = || {
         SolveRequest::<Rational>::minimax()
             .loss(Arc::new(AbsoluteError))
@@ -274,32 +264,7 @@ fn pr6_option_fields_leave_pre_existing_cache_keys_intact() {
          loss=0,1,2,3|1,0,1,2|2,1,0,1|3,2,1,0"
     );
 
-    // The factorization kind never splits the key.
-    for factorization in [
-        FactorizationKind::EtaFile,
-        FactorizationKind::LuForrestTomlin,
-    ] {
-        let fp = base()
-            .solver_options(SolverOptions {
-                factorization,
-                ..SolverOptions::default()
-            })
-            .validate()
-            .unwrap()
-            .fingerprint();
-        assert_eq!(reference, fp, "{factorization:?} must not split the key");
-    }
-
-    // Scaling and warm starts split the key exactly when enabled.
-    let scaled = base()
-        .solver_options(SolverOptions {
-            scaling: ScalingMode::Equilibrate,
-            ..SolverOptions::default()
-        })
-        .validate()
-        .unwrap()
-        .fingerprint();
-    assert_ne!(reference, scaled, "equilibration is result-relevant");
+    // Warm starts split the key exactly when enabled.
     let warm = base()
         .solver_options(SolverOptions {
             warm_start: WarmStartMode::DualSimplex,
@@ -309,7 +274,6 @@ fn pr6_option_fields_leave_pre_existing_cache_keys_intact() {
         .unwrap()
         .fingerprint();
     assert_ne!(reference, warm, "warm starts are result-relevant");
-    assert_ne!(scaled, warm);
 
     // Devex (pre-existing field, new value) splits the key like any
     // non-default pricing rule.

@@ -295,7 +295,7 @@ impl Scalar for Rational {
     // The fused forms hit `Rational`'s single-limb fast path (one machine
     // gcd instead of separate mul + add/sub reductions) — this is the
     // innermost operation of both the dense tableau update and the revised
-    // simplex's eta-vector FTRAN/BTRAN kernels.
+    // simplex's LU FTRAN/BTRAN kernels.
     fn sub_mul_assign(&mut self, factor: &Self, x: &Self) {
         *self = self.sub_mul(factor, x);
     }

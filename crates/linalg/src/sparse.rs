@@ -1,18 +1,15 @@
-//! Sparse eta-vector kernels for the revised simplex's basis factorization.
+//! Sparse kernels for the revised simplex: the CSR constraint store, borrowed
+//! sparse-vector views, and the elimination and triangular-solve steps of
+//! the sparse LU basis factorization.
 //!
-//! The revised simplex (see `privmech-lp`'s `SOLVER.md`) keeps the basis
-//! inverse in *product form*: a sequence of **eta matrices**, each the
-//! identity except for one column. Solving with the basis then reduces to
-//! applying (FTRAN) or transpose-applying (BTRAN) every eta in turn against a
-//! dense work vector. These kernels are the innermost loops of that solver,
-//! placed next to [`crate::kernels`] so both tableau forms share one home for
-//! their hot paths.
-//!
-//! An eta column is stored as its pivot position, the pivot entry, and the
-//! remaining nonzeros; both kernels skip all arithmetic that exact zeros make
-//! vacuous (the dominant case on the paper's sparse LPs — an FTRAN of a
-//! 3-nonzero constraint column touches only the etas whose pivot row the
-//! vector has actually reached).
+//! The revised simplex (see `privmech-lp`'s `SOLVER.md`) keeps the basis as
+//! `B = L·U`. Solving with the basis reduces to applying `L`'s elementary
+//! eliminations and one triangular solve with `U` (FTRAN), or their
+//! transposes in reverse (BTRAN), against a dense work vector. These kernels
+//! are the innermost loops of that solver, placed next to [`crate::kernels`]
+//! so both tableau forms share one home for their hot paths. Every kernel
+//! skips the arithmetic that exact zeros make vacuous, the dominant case on
+//! the paper's sparse LPs.
 
 use crate::scalar::Scalar;
 
@@ -285,14 +282,6 @@ impl<T: Scalar> Csr<T> {
         &self.values
     }
 
-    /// Mutable access to the stored values (the equilibration path scales
-    /// them in place). The sparsity pattern is fixed: callers must keep every
-    /// value exactly nonzero, or [`Csr::check_invariants`] will fail.
-    #[must_use]
-    pub fn csr_values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// The transpose, built by a counting pass: entry order within each
     /// transposed row follows the original **row** order, so the transpose of
     /// a CSR matrix is the CSC view of the same matrix (columns iterate in
@@ -373,104 +362,6 @@ impl<T: Scalar> Csr<T> {
         }
         Ok(())
     }
-}
-
-/// One eta column of a product-form basis inverse: the identity matrix with
-/// column [`Eta::pivot`] replaced by a sparse vector whose diagonal entry is
-/// [`Eta::pivot_value`] and whose off-diagonal nonzeros are
-/// [`Eta::entries`].
-#[derive(Debug, Clone)]
-pub struct Eta<T: Scalar> {
-    /// Row index of the eta column's diagonal (pivot) entry.
-    pub pivot: usize,
-    /// The diagonal (pivot) entry; never zero.
-    pub pivot_value: T,
-    /// Off-diagonal nonzeros `(row, value)` of the eta column, excluding the
-    /// pivot row.
-    pub entries: Vec<(usize, T)>,
-}
-
-impl<T: Scalar> Eta<T> {
-    /// Build an eta column from the dense result of an FTRAN: the pivot entry
-    /// is read at `pivot`, every other exact nonzero becomes an off-diagonal
-    /// entry.
-    ///
-    /// # Panics
-    /// Panics if `dense[pivot]` is exactly zero (a singular pivot).
-    #[must_use]
-    pub fn from_dense(pivot: usize, dense: &[T]) -> Self {
-        let pivot_value = dense[pivot].clone();
-        assert!(
-            !pivot_value.is_exactly_zero(),
-            "eta column with a zero pivot entry"
-        );
-        let entries = dense
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| i != pivot && !v.is_exactly_zero())
-            .map(|(i, v)| (i, v.clone()))
-            .collect();
-        Eta {
-            pivot,
-            pivot_value,
-            entries,
-        }
-    }
-
-    /// Number of stored nonzeros (including the pivot entry).
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.entries.len() + 1
-    }
-
-    /// True iff this eta is the identity matrix (pivot entry one, no
-    /// off-diagonal nonzeros) — applying it is a no-op, so callers can skip
-    /// storing it altogether.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.entries.is_empty() && self.pivot_value == T::one()
-    }
-}
-
-/// FTRAN step: in-place solve `E·w' = w` for one eta matrix `E`.
-///
-/// Concretely `w'[pivot] = w[pivot] / pivot_value` followed by
-/// `w'[i] = w[i] - t_i·w'[pivot]` over the off-diagonal nonzeros. When
-/// `w[pivot]` is exactly zero the whole step is a no-op and no arithmetic
-/// runs — this sparsity shortcut is what makes a product-form FTRAN cheap on
-/// the paper's LPs.
-pub fn ftran_eta<T: Scalar>(work: &mut [T], eta: &Eta<T>) {
-    if work[eta.pivot].is_exactly_zero() {
-        return;
-    }
-    work[eta.pivot].div_assign_ref(&eta.pivot_value);
-    // `z` is moved out so the borrow checker allows in-place updates of the
-    // sibling entries; it is written back unchanged.
-    let z = std::mem::replace(&mut work[eta.pivot], T::zero());
-    for (i, t) in &eta.entries {
-        work[*i].sub_mul_assign(t, &z);
-    }
-    work[eta.pivot] = z;
-}
-
-/// BTRAN step: in-place solve `w'ᵀ·E = wᵀ` for one eta matrix `E`.
-///
-/// Only the pivot entry changes:
-/// `w'[pivot] = (w[pivot] - Σᵢ w[i]·t_i) / pivot_value`. Off-diagonal terms
-/// whose `w[i]` is exactly zero are skipped, and if the accumulated numerator
-/// is zero the division is skipped as well.
-pub fn btran_eta<T: Scalar>(work: &mut [T], eta: &Eta<T>) {
-    let mut acc = work[eta.pivot].clone();
-    for (i, t) in &eta.entries {
-        if !work[*i].is_exactly_zero() {
-            acc.sub_mul_assign(&work[*i], t);
-        }
-    }
-    work[eta.pivot] = if acc.is_exactly_zero() {
-        T::zero()
-    } else {
-        acc.div_ref(&eta.pivot_value)
-    };
 }
 
 /// Scatter sparse `entries` into the (all-zero) dense `work` vector.
@@ -644,76 +535,6 @@ pub fn solve_upper_btran<T: Scalar>(
 mod tests {
     use super::*;
     use privmech_numerics::{rat, Rational};
-
-    fn dense_apply_inverse(eta: &Eta<Rational>, w: &[Rational]) -> Vec<Rational> {
-        // Reference: solve E x = w densely.
-        let mut x = w.to_vec();
-        x[eta.pivot] = w[eta.pivot].div_ref(&eta.pivot_value);
-        for (i, t) in &eta.entries {
-            let delta = t.mul_ref(&x[eta.pivot]);
-            x[*i] = x[*i].sub_ref(&delta);
-        }
-        x
-    }
-
-    #[test]
-    fn ftran_matches_dense_reference() {
-        let eta = Eta {
-            pivot: 1,
-            pivot_value: rat(2, 1),
-            entries: vec![(0, rat(1, 2)), (2, rat(-3, 1))],
-        };
-        let w = vec![rat(1, 1), rat(4, 1), rat(5, 1)];
-        let expected = dense_apply_inverse(&eta, &w);
-        let mut work = w;
-        ftran_eta(&mut work, &eta);
-        assert_eq!(work, expected);
-    }
-
-    #[test]
-    fn ftran_skips_zero_pivot_entry() {
-        let eta = Eta {
-            pivot: 1,
-            pivot_value: rat(7, 1),
-            entries: vec![(0, rat(1, 1))],
-        };
-        let mut work = vec![rat(3, 1), Rational::zero(), rat(9, 1)];
-        let before = work.clone();
-        ftran_eta(&mut work, &eta);
-        assert_eq!(work, before, "zero at the pivot row must be a no-op");
-    }
-
-    #[test]
-    fn btran_is_the_transpose_solve() {
-        // yᵀ E = wᵀ  ⇔  y agrees with w off-pivot and
-        // y[pivot] = (w[pivot] - Σ w_i t_i) / pivot_value.
-        let eta = Eta {
-            pivot: 0,
-            pivot_value: rat(3, 1),
-            entries: vec![(2, rat(5, 1))],
-        };
-        let mut work = vec![rat(6, 1), rat(1, 1), rat(2, 1)];
-        btran_eta(&mut work, &eta);
-        // y0 = (6 - 2·5) / 3 = -4/3.
-        assert_eq!(work, vec![rat(-4, 3), rat(1, 1), rat(2, 1)]);
-        // Check yᵀE = wᵀ: column `pivot` gives y·t = -4/3·3 + 2·5 = 6.
-        let recovered = work[0]
-            .mul_ref(&rat(3, 1))
-            .add_ref(&work[2].mul_ref(&rat(5, 1)));
-        assert_eq!(recovered, rat(6, 1));
-    }
-
-    #[test]
-    fn eta_from_dense_and_identity_detection() {
-        let dense = vec![Rational::zero(), rat(1, 1), Rational::zero()];
-        let eta = Eta::from_dense(1, &dense);
-        assert!(eta.is_identity());
-        assert_eq!(eta.nnz(), 1);
-        let dense = vec![rat(1, 2), rat(4, 1), Rational::zero()];
-        let eta = Eta::from_dense(1, &dense);
-        assert!(!eta.is_identity());
-        assert_eq!(eta.nnz(), 2);
-    }
 
     #[test]
     fn scatter_and_gather_kernels_are_transposes() {

@@ -51,7 +51,7 @@ use privmech_linalg::sparse;
 use privmech_linalg::sparse::SparseVec;
 use privmech_linalg::Scalar;
 
-use crate::basis::Basis;
+use crate::lu::LuFactors;
 use crate::model::LpError;
 use crate::pivot_row::RowProduct;
 use crate::simplex::{ColumnSolution, PivotStats, SolverOptions};
@@ -93,11 +93,11 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
     let cols = sf.matrix.transpose();
 
     let mut basis = warm_basis.to_vec();
-    let mut file: Basis<T> = Basis::identity(options.factorization, m);
+    let mut lu: LuFactors<T> = LuFactors::identity(m);
     {
         let basis = &basis;
         let cols = &cols;
-        if file.refactorize(|c| cols.row(basis[c])).is_err() {
+        if lu.refactorize(|c| cols.row(basis[c])).is_err() {
             // Singular under the new coefficients.
             return Ok(WarmOutcome::Fallback(sf));
         }
@@ -113,14 +113,14 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
         }
     }
     let mut work = vec![T::zero(); m];
-    file.ftran(&mut work, SparseVec::new(&rhs_idx, &rhs_val));
-    let mut x_b: Vec<T> = (0..m).map(|c| work[file.row_of(c)].clone()).collect();
+    lu.ftran(&mut work, SparseVec::new(&rhs_idx, &rhs_val));
+    let mut x_b: Vec<T> = (0..m).map(|c| work[lu.row_of(c)].clone()).collect();
 
     // d = c − AᵀB⁻ᵀc_B from one dense BTRAN (basic columns price to exactly
     // zero by construction).
     let cb: Vec<T> = basis.iter().map(|&b| sf.costs[b].clone()).collect();
     let mut rho = vec![T::zero(); m];
-    file.btran_dense(&mut rho, &cb);
+    lu.btran_dense(&mut rho, &cb);
     let num_cols = sf.num_cols;
     let mut row = vec![T::zero(); num_cols];
     let mut product = RowProduct::new(&sf.matrix);
@@ -189,7 +189,7 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
 
         // Pivot row α_r via unit BTRAN + row product.
         sparse::clear(&mut rho);
-        file.btran_unit(&mut rho, position);
+        lu.btran_unit(&mut rho, position);
         product.compute(&sf.matrix, &rho, &mut row);
 
         // Entering column: min ratio d_j / (−α_rj) over α_rj < 0, ties to
@@ -213,14 +213,14 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
 
         // Pivot — the same algebra as the primal revised pivot.
         sparse::clear(&mut work);
-        file.ftran(&mut work, cols.row(entering));
-        let pivot_value = work[file.row_of(position)].clone();
+        lu.ftran(&mut work, cols.row(entering));
+        let pivot_value = work[lu.row_of(position)].clone();
         let theta = x_b[position].div_ref(&pivot_value);
         for (r, t) in work.iter().enumerate() {
             if t.is_exactly_zero() {
                 continue;
             }
-            let c = file.position_of(r);
+            let c = lu.position_of(r);
             if c == position || theta.is_exactly_zero() {
                 continue;
             }
@@ -238,7 +238,7 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
             }
         }
         d[entering] = T::zero();
-        file.push_pivot(position, &work);
+        lu.push_pivot(position, &work);
         basis[position] = entering;
         x_b[position] = theta;
 
@@ -256,10 +256,10 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
             bland_mode = false;
         }
 
-        if file.should_refactor(options.refactor_interval) {
+        if lu.should_refactor(options.refactor_interval) {
             let basis = &basis;
             let cols = &cols;
-            file.refactorize(|c| cols.row(basis[c]))?;
+            lu.refactorize(|c| cols.row(basis[c]))?;
         }
     }
 

@@ -18,9 +18,7 @@
 //!   theorem-level claim) or `f64` (for speed), in two interchangeable
 //!   forms: a **revised simplex** over a sparse LU basis factorization with
 //!   Forrest–Tomlin updates (the [`SolverForm::Auto`] default for exact
-//!   scalars; the product-form eta file remains available via
-//!   [`FactorizationKind`]) and the classic **dense tableau** (always used
-//!   by `f64`). The correctness contract has two tiers: on the default
+//!   scalars) and the classic **dense tableau** (always used by `f64`). The correctness contract has two tiers: on the default
 //!   configuration the two forms follow the identical pivot sequence and
 //!   return bit-identical solutions; non-default configurations — devex
 //!   pricing, dual-simplex warm starts ([`WarmStartMode`]) — are instead
@@ -50,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod basis;
 pub mod certificate;
 mod dual_simplex;
 mod lu;
@@ -68,7 +65,7 @@ pub use model::{
     CoeffSlot, Constraint, LinExpr, LpError, Model, Relation, Sense, Solution, Var, VarBound,
 };
 pub use simplex::{
-    solve_model, solve_model_traced, solve_model_with, FactorizationKind, PivotRecord, PivotStats,
-    PricingRule, ScalingMode, SolverForm, SolverOptions, TracePhase, WarmStartMode,
+    solve_model, solve_model_traced, solve_model_with, PivotRecord, PivotStats, PricingRule,
+    SolverForm, SolverOptions, TracePhase, WarmStartMode,
 };
 pub use template::{ModelTemplate, WarmSweepHandle};

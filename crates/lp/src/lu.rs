@@ -1,8 +1,7 @@
 //! Sparse LU basis factorization with Forrest–Tomlin updates.
 //!
-//! This is the default basis representation behind the revised simplex
-//! (see [`crate::basis`] for the dispatch and the product-form alternative).
-//! The basis is held as `B = L·U`:
+//! This is the basis representation behind the revised simplex and the
+//! dual simplex. The basis is held as `B = L·U`:
 //!
 //! * `L⁻¹` is a sequence of elementary eliminations ([`LOp`]): sparse
 //!   column eliminations produced by factorization plus sparse row
@@ -31,26 +30,23 @@
 //! `L` — computed column-by-column, so no row-wise copy of `U` is ever
 //! maintained. Per pivot this costs one sparse matrix–vector product (the
 //! spike), one scan of the columns right of `p`, and an `O(m − p)`
-//! permutation shift; the dense-spike eta the product-form inverse would
-//! have appended is replaced by a usually much shorter row elimination.
+//! permutation shift.
 //!
-//! **Why bit-identity with the eta file (and the dense tableau) holds:**
+//! **Why bit-identity with the dense tableau holds:**
 //! FTRAN and BTRAN compute the mathematically exact entries of `B⁻¹a` /
 //! `yᵀB⁻¹` over an exact field, and every solver decision is a function of
 //! those exact values — never of the internal permutations or of how the
-//! factorization is composed. Swapping the basis representation therefore
+//! factorization is composed. When or how often it is refactorized therefore
 //! cannot change any pivot choice; the contract is property-tested across
-//! factorization kinds and refactorization frequencies in
-//! `tests/properties.rs`.
+//! refactorization frequencies in `tests/properties.rs`.
 
 use privmech_linalg::sparse::{self, SparseVec};
 use privmech_linalg::Scalar;
 
 use crate::model::LpError;
 
-/// Nonzero budget, as a multiple of the basis dimension, shared with the
-/// eta file: when `L` and `U` together hold more than this many nonzeros
-/// per row a refactorization is triggered even before the pivot-count
+/// Nonzero budget, as a multiple of the basis dimension: when `L` and `U`
+/// together hold more than this many nonzeros per row a refactorization is triggered even before the pivot-count
 /// interval elapses.
 const LU_GROWTH_FACTOR: usize = 16;
 
@@ -104,8 +100,7 @@ pub(crate) struct LuFactors<T: Scalar> {
     rpos: Vec<usize>,
     /// Triangular order → basis position. The Forrest–Tomlin cyclic shift
     /// permutes this triangular order; the driver-facing basis-position ↔
-    /// row maps below stay fixed between refactorizations (matching the eta
-    /// file, whose permutation also never changes outside refactorization).
+    /// row maps below stay fixed between refactorizations.
     cpos: Vec<usize>,
     /// Basis position → triangular order (inverse of `cpos`).
     cinv: Vec<usize>,

@@ -15,7 +15,7 @@
 
 use privmech_linalg::Scalar;
 
-use crate::simplex::{PivotStats, PricingRule, ScalingMode, SolverOptions};
+use crate::simplex::{PivotStats, PricingRule, SolverOptions};
 
 /// Entering column under Bland's rule: smallest index with a negative
 /// reduced cost, skipping banned columns.
@@ -87,12 +87,12 @@ pub(crate) fn entering_devex<T: Scalar>(
 /// or devex selection with the Bland anti-cycling fallback, plus the devex
 /// reference weights when that rule is active.
 ///
-/// Aggressive (non-Bland) pricing only engages for exact scalars — or for
-/// `f64` when equilibration scaling is on (see the `crate::simplex` module
-/// docs for why the unscaled `f64` backend always prices by Bland's rule). A
-/// streak of more than [`SolverOptions::degeneracy_streak_limit`] consecutive
-/// degenerate pivots switches to Bland's anti-cycling rule; the first
-/// objective-improving pivot switches back.
+/// Aggressive (non-Bland) pricing only engages for exact scalars (see the
+/// `crate::simplex` module docs for why the `f64` backend always prices by
+/// Bland's rule). A streak of more than
+/// [`SolverOptions::degeneracy_streak_limit`] consecutive degenerate pivots
+/// switches to Bland's anti-cycling rule; the first objective-improving
+/// pivot switches back.
 pub(crate) struct FallbackState {
     bland_mode: bool,
     aggressive_allowed: bool,
@@ -107,8 +107,7 @@ pub(crate) struct FallbackState {
 impl FallbackState {
     /// Initial pricing state for one phase of a solve with scalar type `T`.
     pub(crate) fn new<T: Scalar>(options: &SolverOptions) -> Self {
-        let aggressive_allowed = options.pricing != PricingRule::Bland
-            && (T::is_exact() || options.scaling == ScalingMode::Equilibrate);
+        let aggressive_allowed = options.pricing != PricingRule::Bland && T::is_exact();
         let devex_weights =
             (aggressive_allowed && options.pricing == PricingRule::Devex).then(Vec::new);
         FallbackState {

@@ -64,70 +64,3 @@ where
     }
     best.map(|(r, ratio)| (r, ratio.is_zero_approx()))
 }
-
-/// Harris two-pass ratio test for floating-point solves
-/// ([`ScalingMode::Equilibrate`](crate::simplex::ScalingMode)).
-///
-/// Pass 1 computes a relaxed step bound `θ_max = min (rhs(r) + δ) / coeff(r)`
-/// with `δ = T::tolerance()`, accepting every row whose basic variable would
-/// go no more negative than `−δ`. Pass 2 picks, among rows whose *true* ratio
-/// fits under `θ_max`, the one with the largest pivot coefficient. On
-/// near-degenerate floating-point models the strict test is forced onto
-/// whichever tiny-pivot row noise ranks first; the relaxation trades a
-/// bounded (`≤ δ`) primal infeasibility — absorbed by the tolerance-based
-/// feasibility checks — for a well-conditioned pivot.
-///
-/// Only reachable on inexact scalars: exact solves keep the strict test, so
-/// the dense ≡ revised pivot-identity contract is untouched, and Bland
-/// fallback mode bypasses Harris so the anti-cycling guarantee stands.
-pub(crate) fn choose_leaving_harris<'a, T, C, R>(
-    rows: usize,
-    coeff: C,
-    rhs: R,
-) -> Option<(usize, bool)>
-where
-    T: Scalar + 'a,
-    C: Fn(usize) -> &'a T,
-    R: Fn(usize) -> &'a T,
-{
-    let delta = T::tolerance();
-    let mut theta_max: Option<T> = None;
-    for r in 0..rows {
-        let c = coeff(r);
-        if !c.is_positive_approx() {
-            continue;
-        }
-        let relaxed = (rhs(r).clone() + delta.clone()).div_ref(c);
-        match &theta_max {
-            None => theta_max = Some(relaxed),
-            Some(t) => {
-                if relaxed < *t {
-                    theta_max = Some(relaxed);
-                }
-            }
-        }
-    }
-    let theta_max = theta_max?;
-
-    let mut best: Option<(usize, T, T)> = None; // (position, ratio, |coeff|)
-    for r in 0..rows {
-        let c = coeff(r);
-        if !c.is_positive_approx() {
-            continue;
-        }
-        let ratio = rhs(r).div_ref(c);
-        if ratio > theta_max {
-            continue;
-        }
-        let mag = c.abs();
-        match &best {
-            None => best = Some((r, ratio, mag)),
-            Some((_, _, bmag)) => {
-                if mag > *bmag {
-                    best = Some((r, ratio, mag));
-                }
-            }
-        }
-    }
-    best.map(|(r, ratio, _)| (r, ratio.is_zero_approx()))
-}

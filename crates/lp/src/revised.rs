@@ -1,5 +1,5 @@
-//! The revised simplex: two-phase simplex iterations priced from a
-//! product-form basis factorization instead of a dense tableau.
+//! The revised simplex: two-phase simplex iterations priced from a sparse
+//! LU basis factorization instead of a dense tableau.
 //!
 //! Where the dense form ([`crate::simplex`]) rewrites every tableau row on
 //! every pivot (O(rows × cols) scalar operations), this form keeps only
@@ -8,9 +8,8 @@
 //!   as the row view, plus one owned transpose as the column view (neither
 //!   changes during the solve; artificial unit columns are synthesized on
 //!   demand, never stored),
-//! * the basis factorization ([`crate::basis::Basis`]: sparse LU with
-//!   Forrest–Tomlin updates by default, product-form eta file as the
-//!   alternative representation),
+//! * the basis factorization ([`LuFactors`]: sparse LU with Forrest–Tomlin
+//!   updates, see [`crate::lu`]),
 //! * the current basic solution `x_B`,
 //! * the current reduced-cost vector `d` and phase objective value,
 //!
@@ -48,7 +47,7 @@ use privmech_linalg::sparse;
 use privmech_linalg::sparse::{Csr, SparseVec};
 use privmech_linalg::Scalar;
 
-use crate::basis::Basis;
+use crate::lu::LuFactors;
 use crate::model::LpError;
 use crate::pivot_row::RowProduct;
 use crate::pricing::FallbackState;
@@ -144,7 +143,7 @@ struct State<T: Scalar> {
     /// The row product `ρᵀA` over the real columns: the constraint store's
     /// integer view and the product's accumulators.
     product: RowProduct,
-    file: Basis<T>,
+    lu: LuFactors<T>,
     /// Basic column per position.
     basis: Vec<usize>,
     /// Current basic solution (`x_B`), by position.
@@ -167,7 +166,7 @@ impl<T: Scalar> State<T> {
     /// followed by the row product.
     fn compute_pivot_row(&mut self, matrix: &Matrix<'_, T>, position: usize) {
         sparse::clear(&mut self.rho);
-        self.file.btran_unit(&mut self.rho, position);
+        self.lu.btran_unit(&mut self.rho, position);
         matrix.row_product(&mut self.product, &self.rho, &mut self.row);
     }
 
@@ -178,7 +177,7 @@ impl<T: Scalar> State<T> {
     fn price(&mut self, matrix: &Matrix<'_, T>, costs: &[T]) {
         let cb: Vec<T> = self.basis.iter().map(|&b| costs[b].clone()).collect();
         sparse::clear(&mut self.rho);
-        self.file.btran_dense(&mut self.rho, &cb);
+        self.lu.btran_dense(&mut self.rho, &cb);
         matrix.row_product(&mut self.product, &self.rho, &mut self.row);
         for ((d_j, c_j), r_j) in self.d.iter_mut().zip(costs).zip(&self.row) {
             *d_j = c_j.sub_ref(r_j);
@@ -196,8 +195,8 @@ impl<T: Scalar> State<T> {
     /// reduced costs (a recurrence exactly equal to the dense objective-row
     /// update, over the BTRAN'd pivot row — skipped with `update_costs: false` for drive-out pivots,
     /// whose stale phase-1 costs the phase-2 rebuild discards anyway), the
-    /// eta file and the basis. `self.work` must hold the entering column's
-    /// FTRAN result.
+    /// factorization and the basis. `self.work` must hold the entering
+    /// column's FTRAN result.
     fn pivot(
         &mut self,
         matrix: &Matrix<'_, T>,
@@ -205,7 +204,7 @@ impl<T: Scalar> State<T> {
         entering: usize,
         update_costs: bool,
     ) {
-        let pivot_value = self.work[self.file.row_of(position)].clone();
+        let pivot_value = self.work[self.lu.row_of(position)].clone();
         let theta = self.x_b[position].div_ref(&pivot_value);
 
         // x_B ← x_B − θ·(pivot column), x_B[position] ← θ; walking the FTRAN
@@ -214,7 +213,7 @@ impl<T: Scalar> State<T> {
             if t.is_exactly_zero() {
                 continue;
             }
-            let c = self.file.position_of(r);
+            let c = self.lu.position_of(r);
             if c == position {
                 continue;
             }
@@ -241,24 +240,24 @@ impl<T: Scalar> State<T> {
             self.obj_val.add_mul_assign(&d_q, &theta);
         }
 
-        self.file.push_pivot(position, &self.work);
+        self.lu.push_pivot(position, &self.work);
         self.basis[position] = entering;
         self.x_b[position] = theta;
     }
 
     /// Refactorize when the trigger fires (pivot-count interval or
-    /// factorization growth; see [`Basis::should_refactor`]). A refactorization changes
-    /// no observable value — FTRAN/BTRAN results are exact regardless of how
-    /// the factorization is composed — so this can run at any point between
-    /// pivots.
+    /// factorization growth; see [`LuFactors::should_refactor`]). A
+    /// refactorization changes no observable value — FTRAN/BTRAN results are
+    /// exact regardless of how the factorization is composed — so this can
+    /// run at any point between pivots.
     fn maybe_refactor(
         &mut self,
         matrix: &Matrix<'_, T>,
         options: &SolverOptions,
     ) -> Result<(), LpError> {
-        if self.file.should_refactor(options.refactor_interval) {
+        if self.lu.should_refactor(options.refactor_interval) {
             let basis = &self.basis;
-            self.file.refactorize(|c| matrix.col(basis[c]))?;
+            self.lu.refactorize(|c| matrix.col(basis[c]))?;
         }
         Ok(())
     }
@@ -275,7 +274,7 @@ impl<T: Scalar> State<T> {
         stats: &mut PivotStats,
         trace: &mut TraceSink<'_>,
     ) -> Result<(), LpError> {
-        let m = self.file.dim();
+        let m = self.lu.dim();
         let max_iters = 50_000usize.max(100 * (matrix.total_cols + m));
         let mut pricing = FallbackState::new::<T>(options);
 
@@ -284,22 +283,22 @@ impl<T: Scalar> State<T> {
                 return Ok(());
             };
             sparse::clear(&mut self.work);
-            self.file.ftran(&mut self.work, matrix.col(entering));
+            self.lu.ftran(&mut self.work, matrix.col(entering));
             let bland_mode = pricing.bland_mode();
-            let file = &self.file;
+            let lu = &self.lu;
             let work = &self.work;
             let x_b = &self.x_b;
             let Some((position, degenerate)) = choose_leaving(
                 m,
                 &self.basis,
                 bland_mode,
-                |c| &work[file.row_of(c)],
+                |c| &work[lu.row_of(c)],
                 |c| &x_b[c],
             ) else {
                 return Err(LpError::Unbounded);
             };
             let leaving_col = self.basis[position];
-            let pivot_element = self.work[self.file.row_of(position)].to_f64();
+            let pivot_element = self.work[self.lu.row_of(position)].to_f64();
             self.pivot(matrix, position, entering, true);
             // Devex reference-weight maintenance (no-op for other rules):
             // `self.row` still holds the raw BTRAN'd pivot row computed by
@@ -349,7 +348,7 @@ pub(crate) fn solve_revised<T: Scalar>(
 
     // Initial basis: slack seeds where available, artificials elsewhere —
     // identical to the dense form. Every seed is a unit column, so the
-    // initial basis matrix is the identity and the eta file starts empty.
+    // initial basis matrix is the identity and the factorization is trivial.
     let mut artificial_rows: Vec<usize> = Vec::new();
     let mut basis = vec![usize::MAX; m];
     for (i, seed) in sf.slack_basis.iter().enumerate() {
@@ -365,7 +364,7 @@ pub(crate) fn solve_revised<T: Scalar>(
 
     let mut state = State {
         product: RowProduct::new(&sf.matrix),
-        file: Basis::identity(options.factorization, m),
+        lu: LuFactors::identity(m),
         basis,
         x_b: sf.rhs.clone(),
         d: vec![T::zero(); matrix.total_cols],
@@ -411,7 +410,7 @@ pub(crate) fn solve_revised<T: Scalar>(
             let replacement = (0..sf.num_cols).find(|&j| !state.row[j].is_zero_approx());
             if let Some(col) = replacement {
                 sparse::clear(&mut state.work);
-                state.file.ftran(&mut state.work, matrix.col(col));
+                state.lu.ftran(&mut state.work, matrix.col(col));
                 state.pivot(&matrix, position, col, false);
                 record(trace, TracePhase::DriveOut, col, position);
             }
@@ -468,7 +467,7 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
 
     let mut state = State {
         product: RowProduct::new(&sf.matrix),
-        file: Basis::identity(options.factorization, m),
+        lu: LuFactors::identity(m),
         basis,
         x_b: vec![T::zero(); m],
         d: vec![T::zero(); matrix.total_cols],
@@ -479,7 +478,7 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
     };
     {
         let basis = &state.basis;
-        state.file.refactorize(|c| matrix.col(basis[c]))?;
+        state.lu.refactorize(|c| matrix.col(basis[c]))?;
     }
 
     // x_B = B⁻¹b, read per position through the factorization's row map.
@@ -492,10 +491,10 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
         }
     }
     state
-        .file
+        .lu
         .ftran(&mut state.work, SparseVec::new(&rhs_idx, &rhs_val));
     for c in 0..m {
-        state.x_b[c] = state.work[state.file.row_of(c)].clone();
+        state.x_b[c] = state.work[state.lu.row_of(c)].clone();
     }
 
     // Reduced costs and objective — the phase-2 rebuild of `solve_revised`,

@@ -14,13 +14,12 @@
 //! * **Dense tableau** ([`SolverForm::Dense`]): every pivot rewrites the full
 //!   `rows × cols` tableau (support-masked). Simple, battle-tested, and the
 //!   only form the `f64` backend runs (see below).
-//! * **Revised simplex** ([`SolverForm::Revised`], the [`SolverForm::Auto`]
-//!   default for exact scalars): the basis is kept as sparse LU factors with
-//!   Forrest–Tomlin updates (`crate::basis`, [`FactorizationKind`]; the
-//!   product-form eta file remains as a cross-check), entering columns are
-//!   FTRAN'd against the original sparse constraint columns, and the
-//!   reduced-cost row is maintained from BTRAN'd pivot rows — each iteration
-//!   prices from the factorization instead of rewriting the tableau.
+//! * **Revised simplex** (what [`SolverForm::Auto`], the default, runs for
+//!   exact scalars): the basis is kept as sparse LU factors with
+//!   Forrest–Tomlin updates (`crate::lu`), entering columns are FTRAN'd
+//!   against the original sparse constraint columns, and the reduced-cost
+//!   row is maintained from BTRAN'd pivot rows — each iteration prices from
+//!   the factorization instead of rewriting the tableau.
 //!
 //! **Identity contract**: on exact scalars both forms follow the *identical*
 //! pivot sequence (same entering column and leaving position at every
@@ -35,8 +34,7 @@
 //! runs the dense tableau — a float FTRAN/BTRAN rounds differently than a
 //! float tableau update, which would break both the contract and the
 //! backend's carefully preserved seed trajectory — so [`SolverForm::Auto`]
-//! (and even an explicit [`SolverForm::Revised`]) falls back to dense for
-//! inexact scalars.
+//! falls back to dense for inexact scalars.
 //!
 //! # Pricing strategy
 //!
@@ -67,8 +65,7 @@
 //! most-negative-cost rule steers `f64` through ill-conditioned bases until
 //! accumulated noise fabricates infeasible/unbounded verdicts. The `f64`
 //! backend therefore always prices by Bland's rule, exactly like the solver
-//! before this rework; making Dantzig robust for floats would need scaling
-//! plus a Harris-style ratio test and is left as an open item.
+//! before this rework.
 //!
 //! # Statistics
 //!
@@ -83,7 +80,7 @@ use privmech_linalg::{kernels, Scalar};
 
 use crate::model::{LpError, Model, Solution};
 use crate::pricing::FallbackState;
-use crate::ratio::{choose_leaving, choose_leaving_harris};
+use crate::ratio::choose_leaving;
 use crate::standard::{build_standard_form, extract_values, report_objective, StandardForm};
 
 /// Entering-column pricing rule.
@@ -114,51 +111,13 @@ pub enum PricingRule {
 /// deliberately excluded from request fingerprints and cache keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverForm {
-    /// Revised simplex for exact scalars, dense tableau for `f64`. The
-    /// default.
+    /// Revised simplex for exact scalars, dense tableau for `f64` (a float
+    /// FTRAN/BTRAN rounds differently than a float tableau update; see the
+    /// module docs). The default.
     #[default]
     Auto,
     /// Always the dense tableau.
     Dense,
-    /// Revised simplex where sound: exact scalars run it, inexact backends
-    /// still fall back to the dense tableau (a float FTRAN/BTRAN rounds
-    /// differently than a float tableau update; see the module docs).
-    Revised,
-}
-
-/// Which basis-factorization representation the revised simplex maintains.
-/// Both kinds produce mathematically exact FTRAN/BTRAN results on exact
-/// scalars, so this never changes a pivot choice or a solution — like
-/// [`SolverForm`] it is an execution detail, deliberately excluded from
-/// request fingerprints and cache keys (property-tested in
-/// `crates/lp/tests/properties.rs` and `crates/core/tests/fingerprint.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FactorizationKind {
-    /// Sparse LU with Markowitz ordering and Forrest–Tomlin updates
-    /// (`crate::lu`). The default since the third solver-speed round.
-    #[default]
-    LuForrestTomlin,
-    /// Product-form inverse (eta file), the previous default, retained as a
-    /// cross-check and for the representation-invariance property tests.
-    EtaFile,
-}
-
-/// Numeric pre-conditioning for the inexact (`f64`) backend.
-///
-/// Exact backends ignore this entirely — rational arithmetic needs no
-/// conditioning, and scaling would only bloat the numerators/denominators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScalingMode {
-    /// No scaling; the `f64` backend prices by Bland's rule exactly as it
-    /// has since the seed solver, byte-preserving its pivot trajectory (and
-    /// hence every cached `f64` artifact). The default.
-    #[default]
-    Off,
-    /// Power-of-two row/column equilibration (lossless in binary floating
-    /// point) plus the Harris two-pass ratio test, which together make
-    /// Dantzig and devex pricing safe off the exact path. Changes the `f64`
-    /// pivot trajectory, so it is fingerprint-relevant when enabled.
-    Equilibrate,
 }
 
 /// Cross-parameter warm-start behavior for templated sweeps
@@ -191,16 +150,9 @@ pub struct SolverOptions {
     /// Revised simplex only: pivots between basis refactorizations.
     /// [`SolverOptions::NEVER_REFACTOR`] disables refactorization (the
     /// factorization then grows by one update per pivot); a *growth* trigger
-    /// fires early regardless of the interval (see `crate::basis`). Ignored
-    /// by the dense form.
+    /// fires early regardless of the interval (see `crate::lu`). Ignored by
+    /// the dense form.
     pub refactor_interval: usize,
-    /// Revised simplex only: which basis-factorization representation to
-    /// maintain (a result-invariant execution detail; see
-    /// [`FactorizationKind`]). Ignored by the dense form.
-    pub factorization: FactorizationKind,
-    /// `f64` backend only: numeric pre-conditioning (see [`ScalingMode`]).
-    /// Exact backends ignore it.
-    pub scaling: ScalingMode,
     /// Templated sweeps only: cross-parameter warm-start behavior (see
     /// [`WarmStartMode`]). Single solves ignore it.
     pub warm_start: WarmStartMode,
@@ -208,7 +160,7 @@ pub struct SolverOptions {
 
 impl SolverOptions {
     /// Sentinel for [`SolverOptions::refactor_interval`] disabling
-    /// refactorization (including the eta-growth trigger) entirely.
+    /// refactorization (including the growth trigger) entirely.
     pub const NEVER_REFACTOR: usize = usize::MAX;
 }
 
@@ -219,8 +171,6 @@ impl Default for SolverOptions {
             degeneracy_streak_limit: 8,
             form: SolverForm::default(),
             refactor_interval: 64,
-            factorization: FactorizationKind::default(),
-            scaling: ScalingMode::default(),
             warm_start: WarmStartMode::default(),
         }
     }
@@ -385,28 +335,18 @@ impl<T: Scalar> Tableau<'_, T> {
         // into a hang.
         let max_iters = 50_000usize.max(100 * (self.cols + self.body.len()));
         let mut pricing = FallbackState::new::<T>(self.options);
-        // Harris's relaxed two-pass ratio test is a floating-point conditioning
-        // device; exact scalars keep the strict test (pivot-identity contract),
-        // and Bland fallback mode bypasses it (anti-cycling guarantee).
-        let harris = !T::is_exact() && self.options.scaling == ScalingMode::Equilibrate;
 
         for _ in 0..max_iters {
             let Some(col) = pricing.select(&self.obj, &self.banned, self.cols) else {
                 return Ok(());
             };
-            let bland_mode = pricing.bland_mode();
-            let choice = if harris && !bland_mode {
-                choose_leaving_harris(self.body.len(), |r| &self.body[r][col], |r| self.rhs(r))
-            } else {
-                choose_leaving(
-                    self.body.len(),
-                    &self.basis,
-                    bland_mode,
-                    |r| &self.body[r][col],
-                    |r| self.rhs(r),
-                )
-            };
-            let Some((row, degenerate)) = choice else {
+            let Some((row, degenerate)) = choose_leaving(
+                self.body.len(),
+                &self.basis,
+                pricing.bland_mode(),
+                |r| &self.body[r][col],
+                |r| self.rhs(r),
+            ) else {
                 return Err(LpError::Unbounded);
             };
             let leaving_col = self.basis[row];
@@ -459,7 +399,7 @@ pub fn solve_model_with<T: Scalar>(
 ///
 /// This is the observation surface for the dense ≡ revised identity
 /// contract: the property tests solve the same model under
-/// [`SolverForm::Dense`] and [`SolverForm::Revised`] and assert the returned
+/// [`SolverForm::Dense`] and [`SolverForm::Auto`] and assert the returned
 /// traces are equal element for element. Tracing allocates one
 /// [`PivotRecord`] per pivot and is otherwise free.
 pub fn solve_model_traced<T: Scalar>(
@@ -494,7 +434,7 @@ pub(crate) fn solve_warm<T: Scalar>(
     options: &SolverOptions,
     mut trace: TraceSink<'_>,
 ) -> Result<(Solution<T>, Vec<usize>, bool), LpError> {
-    let mut sf = build_standard_form(model)?;
+    let sf = build_standard_form(model)?;
     let mut stats = PivotStats::default();
 
     // Handle the degenerate "no constraints" case directly: the optimum is at
@@ -518,18 +458,6 @@ pub(crate) fn solve_warm<T: Scalar>(
         ));
     }
 
-    // Floating-point equilibration: power-of-two row/column scaling
-    // ([`StandardForm::equilibrate`]) conditions the tableau so the aggressive
-    // pricing rules and the Harris ratio test are safe off the exact path;
-    // the per-column factors map the scaled optimum back after the solve.
-    // Exact scalars never scale — the pivot-identity contract is stated on
-    // the raw standard form.
-    let col_factors = if !T::is_exact() && options.scaling == ScalingMode::Equilibrate {
-        Some(sf.equilibrate())
-    } else {
-        None
-    };
-
     // Warm start: when the caller supplies a previous basis (and the mode is
     // on), try the dual-simplex / primal-phase-2 reoptimization first. Its
     // successful results are certificate-verified internally; its fallback
@@ -551,7 +479,7 @@ pub(crate) fn solve_warm<T: Scalar>(
     }
 
     let warm_used = warm_values.is_some();
-    let mut values = match warm_values {
+    let values = match warm_values {
         Some(v) => v,
         None => {
             let sf = sf.take().expect("standard form present");
@@ -574,14 +502,6 @@ pub(crate) fn solve_warm<T: Scalar>(
             values
         }
     };
-    // Undo equilibration: the scaled problem's optimum `y` maps back to the
-    // model's columns as `x = Cy` (the certificate above, when it ran, was
-    // checked against the scaled problem, where the basis lives).
-    if let Some(factors) = &col_factors {
-        for (v, f) in values.column_values.iter_mut().zip(factors.iter()) {
-            *v = v.mul_ref(f);
-        }
-    }
     let extracted = values.extract(model);
     Ok((
         Solution {
@@ -763,7 +683,7 @@ fn solve_dense<T: Scalar>(
 
 #[cfg(test)]
 mod tests {
-    use super::{PivotStats, PricingRule, ScalingMode, SolverOptions};
+    use super::{PivotStats, PricingRule, SolverOptions};
     use crate::model::{LinExpr, LpError, Model, Relation, Sense, VarBound};
     use privmech_numerics::{rat, Rational};
 
@@ -1071,14 +991,7 @@ mod tests {
             },
         )
         .unwrap();
-        let revised = crate::simplex::solve_model_traced(
-            &m,
-            &SolverOptions {
-                form: SolverForm::Revised,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
+        let revised = crate::simplex::solve_model_traced(&m, &SolverOptions::default()).unwrap();
         assert_eq!(dense.0, revised.0, "solutions must be bit-identical");
         assert_eq!(dense.1, revised.1, "pivot sequences must be identical");
         assert!(dense.1.iter().all(|r| matches!(
@@ -1096,7 +1009,7 @@ mod tests {
         use super::SolverForm;
         let m = beale_cycling_model();
         let default = m.solve().unwrap();
-        for form in [SolverForm::Dense, SolverForm::Revised] {
+        for form in [SolverForm::Dense, SolverForm::Auto] {
             let devex = crate::simplex::solve_model_with(
                 &m,
                 &SolverOptions {
@@ -1153,8 +1066,8 @@ mod tests {
     }
 
     #[test]
-    fn devex_on_f64_without_scaling_falls_back_to_bland() {
-        // The unscaled f64 backend cannot trust aggressive pricing, so the
+    fn devex_on_f64_falls_back_to_bland() {
+        // Aggressive pricing engages only for exact scalars: on f64 the
         // fallback state pins Bland's rule from the start (same policy as
         // Dantzig; see FallbackState::new).
         let mut m: Model<f64> = Model::new();
@@ -1175,91 +1088,5 @@ mod tests {
         assert!((sol.objective - 20.0).abs() < 1e-9);
         assert_eq!(sol.stats.devex_pivots, 0);
         assert!(sol.stats.bland_pivots > 0);
-    }
-
-    /// A model whose constraint rows live nine orders of magnitude apart.
-    /// After dividing out the scales it is `max 3x + 2y` subject to
-    /// `4x + y ≤ 4`, `x + y ≤ 3/2`, with unique optimum `23/6` at
-    /// `(5/6, 2/3)`.
-    fn badly_scaled_model() -> Model<f64> {
-        let mut m: Model<f64> = Model::new();
-        let x = m.add_var("x", VarBound::NonNegative);
-        let y = m.add_var("y", VarBound::NonNegative);
-        m.add_constraint(LinExpr::term(x, 4.0e6).plus(y, 1.0e6), Relation::Le, 4.0e6)
-            .unwrap();
-        m.add_constraint(
-            LinExpr::term(x, 1.0e-3).plus(y, 1.0e-3),
-            Relation::Le,
-            1.5e-3,
-        )
-        .unwrap();
-        m.set_objective(Sense::Maximize, LinExpr::term(x, 3.0).plus(y, 2.0))
-            .unwrap();
-        m
-    }
-
-    #[test]
-    fn equilibration_unlocks_dantzig_on_f64_and_preserves_the_optimum() {
-        let m = badly_scaled_model();
-        let bland = m.solve().unwrap();
-        let scaled = crate::simplex::solve_model_with(
-            &m,
-            &SolverOptions {
-                scaling: ScalingMode::Equilibrate,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
-        for sol in [&bland, &scaled] {
-            assert!((sol.objective - 23.0 / 6.0).abs() < 1e-6);
-            assert!((sol.values[0] - 5.0 / 6.0).abs() < 1e-6);
-            assert!((sol.values[1] - 2.0 / 3.0).abs() < 1e-6);
-        }
-        // Unscaled f64 is pinned to Bland; equilibration lifts the pin.
-        assert_eq!(bland.stats.dantzig_pivots, 0);
-        assert!(bland.stats.bland_pivots > 0);
-        assert!(scaled.stats.dantzig_pivots > 0);
-        assert_eq!(scaled.stats.bland_pivots, 0);
-    }
-
-    #[test]
-    fn devex_with_equilibration_runs_and_certifies_on_f64() {
-        // Devex on scaled f64 takes the aggressive path, and since the rule
-        // is non-default the solve is certificate-verified (against the
-        // scaled problem) before the unscaled solution is released.
-        let m = badly_scaled_model();
-        let sol = crate::simplex::solve_model_with(
-            &m,
-            &SolverOptions {
-                pricing: PricingRule::Devex,
-                scaling: ScalingMode::Equilibrate,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
-        assert!((sol.objective - 23.0 / 6.0).abs() < 1e-6);
-        assert!((sol.values[0] - 5.0 / 6.0).abs() < 1e-6);
-        assert!((sol.values[1] - 2.0 / 3.0).abs() < 1e-6);
-        assert!(sol.stats.devex_pivots > 0);
-        assert_eq!(sol.stats.bland_pivots, 0);
-    }
-
-    #[test]
-    fn equilibration_on_an_exact_model_is_a_no_op() {
-        // Exact scalars never scale: the option is accepted but the pivot
-        // trajectory (and hence the stats) must match the default bit for bit.
-        let m = beale_cycling_model();
-        let default = m.solve().unwrap();
-        let scaled = crate::simplex::solve_model_with(
-            &m,
-            &SolverOptions {
-                scaling: ScalingMode::Equilibrate,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(scaled.objective, default.objective);
-        assert_eq!(scaled.values, default.values);
-        assert_eq!(scaled.stats, default.stats);
     }
 }

@@ -1,6 +1,6 @@
 //! Standard-form construction shared by both simplex implementations.
 //!
-//! Both the dense tableau solver and the revised (product-form basis) solver
+//! Both the dense tableau solver and the revised (sparse LU basis) solver
 //! work on the same canonical shape: minimize `cᵀy` subject to `Ay = b`,
 //! `y ≥ 0`, `b ≥ 0`. This module owns the model → standard-form translation
 //! (documented end to end in `crates/lp/SOLVER.md`):
@@ -77,85 +77,6 @@ impl<T: Scalar> StandardForm<T> {
         (0..self.num_rows())
             .map(|i| self.matrix.row(i).to_pairs())
             .collect()
-    }
-
-    /// Power-of-two row/column equilibration for floating-point solves
-    /// ([`ScalingMode::Equilibrate`](crate::simplex::ScalingMode)).
-    ///
-    /// Each row is scaled by `2^(−⌊log₂ max|aᵢⱼ|⌋)` (together with its
-    /// right-hand side), then each column likewise (together with its cost),
-    /// bringing every row and column maximum into `[1, 2)`. Powers of two are
-    /// exactly representable, so scaling perturbs no `f64` mantissa — it only
-    /// re-centers exponents so the solver's absolute tolerances act uniformly
-    /// across badly scaled models. The CSR sparsity pattern is untouched:
-    /// scaling only multiplies stored values in place.
-    ///
-    /// With `R`, `C` the diagonal scale matrices, the solved problem is
-    /// `min (Cc)ᵀy  s.t. (RAC)y = Rb, y ≥ 0`; a solution maps back via
-    /// `x = Cy`, and the objective value is unchanged (`(Cc)ᵀy = cᵀx`).
-    /// Returns the per-column factors `C` for that unscaling.
-    pub(crate) fn equilibrate(&mut self) -> Vec<T> {
-        let pow2 = |e: i32| -> T {
-            // Clamp to the i64-representable exponent range; anything beyond
-            // is already far outside the solver's usable dynamic range.
-            let e = e.clamp(-62, 62);
-            if e >= 0 {
-                T::from_ratio(1i64 << e, 1)
-            } else {
-                T::from_ratio(1, 1i64 << (-e))
-            }
-        };
-        let exponent = |max: f64| -> i32 {
-            if max > 0.0 && max.is_finite() {
-                max.log2().floor() as i32
-            } else {
-                0
-            }
-        };
-
-        let num_rows = self.num_rows();
-        for i in 0..num_rows {
-            let (lo, hi) = (self.matrix.row_ptr()[i], self.matrix.row_ptr()[i + 1]);
-            let max = self.matrix.csr_values()[lo..hi]
-                .iter()
-                .fold(0.0f64, |m, v| m.max(v.abs().to_f64()));
-            let e = exponent(max);
-            if e != 0 {
-                let factor = pow2(-e);
-                for v in &mut self.matrix.csr_values_mut()[lo..hi] {
-                    *v = v.mul_ref(&factor);
-                }
-                self.rhs[i] = self.rhs[i].mul_ref(&factor);
-            }
-        }
-
-        let mut col_max = vec![0.0f64; self.num_cols];
-        for (&j, v) in self
-            .matrix
-            .col_indices()
-            .iter()
-            .zip(self.matrix.csr_values())
-        {
-            col_max[j] = col_max[j].max(v.abs().to_f64());
-        }
-        let mut col_factors = vec![T::one(); self.num_cols];
-        let mut scaled_col = vec![false; self.num_cols];
-        for (j, col_factor) in col_factors.iter_mut().enumerate() {
-            let e = exponent(col_max[j]);
-            if e != 0 {
-                *col_factor = pow2(-e);
-                self.costs[j] = self.costs[j].mul_ref(col_factor);
-                scaled_col[j] = true;
-            }
-        }
-        let col_idx = self.matrix.col_indices().to_vec();
-        for (k, v) in self.matrix.csr_values_mut().iter_mut().enumerate() {
-            let j = col_idx[k];
-            if scaled_col[j] {
-                *v = v.mul_ref(&col_factors[j]);
-            }
-        }
-        col_factors
     }
 }
 

@@ -220,7 +220,7 @@ proptest! {
     ) {
         let m = random_model(&coeffs, &rhs, &costs, free_var);
         let dense = solve_model_traced(&m, &with_form(SolverForm::Dense));
-        let revised = solve_model_traced(&m, &with_form(SolverForm::Revised));
+        let revised = solve_model_traced(&m, &SolverOptions::default());
         prop_assert_eq!(dense, revised);
     }
 
@@ -236,13 +236,11 @@ proptest! {
     ) {
         let m = random_model(&coeffs, &rhs, &costs, free_var);
         let every_pivot = solve_model_traced(&m, &SolverOptions {
-            form: SolverForm::Revised,
             refactor_interval: 1,
             ..SolverOptions::default()
         });
-        let default_trigger = solve_model_traced(&m, &with_form(SolverForm::Revised));
+        let default_trigger = solve_model_traced(&m, &SolverOptions::default());
         let never = solve_model_traced(&m, &SolverOptions {
-            form: SolverForm::Revised,
             refactor_interval: SolverOptions::NEVER_REFACTOR,
             ..SolverOptions::default()
         });
@@ -250,12 +248,11 @@ proptest! {
         prop_assert_eq!(&default_trigger, &never);
     }
 
-    /// Factorization-kind × refactorization-interval boundary sweep (PR 6):
-    /// the LU/Forrest–Tomlin default and the eta-file fallback must be
-    /// mutually unobservable at every refactorization frequency — identical
-    /// pivot traces under the default pricing rule — and the optimum they
-    /// agree on must survive the exact optimality certificate (solved again
-    /// under devex pricing, whose every solve is certificate-verified).
+    /// Refactorization-interval boundary sweep for the LU/Forrest–Tomlin
+    /// factorization (the only basis representation): every interval must
+    /// reproduce the default run's pivot trace, and the optimum they agree
+    /// on must survive the exact optimality certificate (solved again under
+    /// devex pricing, whose every solve is certificate-verified).
     #[test]
     fn factorization_kind_is_unobservable_at_every_refactor_boundary(
         coeffs in prop::collection::vec(-4i64..=4, 9),
@@ -263,20 +260,14 @@ proptest! {
         costs in prop::collection::vec(-3i64..=5, 3),
         free_var in any::<bool>(),
     ) {
-        use privmech_lp::FactorizationKind;
         let m = random_model(&coeffs, &rhs, &costs, free_var);
-        let reference = solve_model_traced(&m, &with_form(SolverForm::Revised));
-        for factorization in [FactorizationKind::LuForrestTomlin, FactorizationKind::EtaFile] {
-            for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
-                let run = solve_model_traced(&m, &SolverOptions {
-                    form: SolverForm::Revised,
-                    factorization,
-                    refactor_interval: interval,
-                    ..SolverOptions::default()
-                });
-                prop_assert_eq!(&reference, &run,
-                    "{:?} at interval {} diverged", factorization, interval);
-            }
+        let reference = solve_model_traced(&m, &SolverOptions::default());
+        for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
+            let run = solve_model_traced(&m, &SolverOptions {
+                refactor_interval: interval,
+                ..SolverOptions::default()
+            });
+            prop_assert_eq!(&reference, &run, "interval {} diverged", interval);
         }
         // Certificate cross-check: devex solves are verified against the
         // exact optimality certificate before release, so agreement on the
@@ -291,58 +282,9 @@ proptest! {
         }
     }
 
-    /// The same boundary sweep on the equilibrated `f64` path: scaling runs
-    /// on the dense tableau, so factorization kind and refactorization
-    /// interval must stay byte-for-byte inert there too.
-    #[test]
-    fn f64_equilibrated_path_ignores_factorization_boundaries(
-        a in prop::collection::vec(1i64..=9, 6),
-        b in prop::collection::vec(1i64..=15, 3),
-        c in prop::collection::vec(1i64..=9, 2),
-    ) {
-        use privmech_lp::{FactorizationKind, ScalingMode};
-        let mut m: Model<f64> = Model::new();
-        let xs = m.add_nonneg_vars("x", 2);
-        for i in 0..3 {
-            // Spread the rows across ~7 orders of magnitude so equilibration
-            // actually rescales.
-            let scale = [1.0e3, 1.0, 1.0e-4][i];
-            let e = LinExpr::term(xs[0], a[2 * i] as f64 * scale)
-                .plus(xs[1], a[2 * i + 1] as f64 * scale);
-            m.add_constraint(e, Relation::Ge, b[i] as f64 * scale).unwrap();
-        }
-        m.set_objective(
-            Sense::Minimize,
-            LinExpr::term(xs[0], c[0] as f64).plus(xs[1], c[1] as f64),
-        ).unwrap();
-        let reference = solve_model_traced(&m, &SolverOptions {
-            scaling: ScalingMode::Equilibrate,
-            ..SolverOptions::default()
-        }).unwrap();
-        for factorization in [FactorizationKind::LuForrestTomlin, FactorizationKind::EtaFile] {
-            for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
-                let run = solve_model_traced(&m, &SolverOptions {
-                    scaling: ScalingMode::Equilibrate,
-                    factorization,
-                    refactor_interval: interval,
-                    ..SolverOptions::default()
-                }).unwrap();
-                prop_assert_eq!(&reference, &run,
-                    "{:?} at interval {} diverged", factorization, interval);
-            }
-        }
-        // Equilibration itself must not move the optimum. The unscaled solve
-        // is allowed to fail — absolute tolerances misjudge rows seven orders
-        // of magnitude apart, which is the failure mode equilibration exists
-        // to remove — but when it does solve, the optima must agree.
-        if let Ok(unscaled) = solve_model_traced(&m, &SolverOptions::default()) {
-            prop_assert!((reference.0.objective - unscaled.0.objective).abs() < 1e-6);
-        }
-    }
-
     /// The f64 backend routes every `SolverForm` onto the dense tableau (a
     /// float FTRAN/BTRAN rounds differently than a float tableau update), so
-    /// all three forms — and all refactorization intervals — must return
+    /// both forms — and all refactorization intervals — must return
     /// byte-identical results there too.
     #[test]
     fn f64_solver_form_is_inert(
@@ -362,13 +304,12 @@ proptest! {
         ).unwrap();
         let auto = solve_model_traced(&m, &with_form(SolverForm::Auto)).unwrap();
         let dense = solve_model_traced(&m, &with_form(SolverForm::Dense)).unwrap();
-        let revised = solve_model_traced(&m, &SolverOptions {
-            form: SolverForm::Revised,
+        let every_pivot = solve_model_traced(&m, &SolverOptions {
             refactor_interval: 1,
             ..SolverOptions::default()
         }).unwrap();
         prop_assert_eq!(&auto, &dense);
-        prop_assert_eq!(&dense, &revised);
+        prop_assert_eq!(&dense, &every_pivot);
     }
 }
 
@@ -397,7 +338,7 @@ fn degenerate_cycling_lp_identical_across_forms_and_frequencies() {
     assert_eq!(reference.0.objective, rat(1, 1));
     assert!(reference.0.stats.fallback_activations > 0 || reference.0.stats.degenerate_pivots > 0);
     for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
-        let revised = run(SolverForm::Revised, interval);
+        let revised = run(SolverForm::Auto, interval);
         assert_eq!(reference, revised, "interval {interval}");
     }
 }
@@ -415,46 +356,36 @@ fn degenerate_cycling_lp_identical_across_forms_and_frequencies() {
 
 /// Every corpus entry: the CSR-backed revised driver must return the exact
 /// `Result` of the dense oracle — bit-identical solution, stats, and pivot
-/// trace — under both factorization kinds and at every refactorization
-/// frequency, on the exact backend.
+/// trace — at every refactorization frequency, on the exact backend.
 #[test]
 fn structured_corpus_csr_revised_matches_dense_oracle() {
-    use privmech_lp::FactorizationKind;
     for (name, m) in structured_corpus(0xC5B8) {
         let dense = solve_model_traced(&m, &with_form(SolverForm::Dense));
-        for factorization in [
-            FactorizationKind::LuForrestTomlin,
-            FactorizationKind::EtaFile,
+        for interval in [
+            1,
+            SolverOptions::default().refactor_interval,
+            SolverOptions::NEVER_REFACTOR,
         ] {
-            for interval in [
-                1,
-                SolverOptions::default().refactor_interval,
-                SolverOptions::NEVER_REFACTOR,
-            ] {
-                let revised = solve_model_traced(
-                    &m,
-                    &SolverOptions {
-                        form: SolverForm::Revised,
-                        factorization,
-                        refactor_interval: interval,
-                        ..SolverOptions::default()
-                    },
-                );
-                assert_eq!(
-                    dense, revised,
-                    "{name}: {factorization:?} at interval {interval} diverged from dense oracle"
-                );
-            }
+            let revised = solve_model_traced(
+                &m,
+                &SolverOptions {
+                    refactor_interval: interval,
+                    ..SolverOptions::default()
+                },
+            );
+            assert_eq!(
+                dense, revised,
+                "{name}: interval {interval} diverged from dense oracle"
+            );
         }
     }
 }
 
 /// The generic corpus shapes on the `f64` backend: every `SolverForm` and
-/// factorization kind must be byte-for-byte inert there too (the float path
-/// routes all forms onto the dense tableau).
+/// refactorization interval must be byte-for-byte inert there too (the float
+/// path routes all forms onto the dense tableau).
 #[test]
 fn structured_corpus_f64_shapes_match_dense_oracle() {
-    use privmech_lp::FactorizationKind;
     let corpus: Vec<(&str, Model<f64>)> = vec![
         ("dp_chain_4_alpha_1_2", common::dp_chain_model(4, (1, 2))),
         ("dp_chain_7_alpha_2_3", common::dp_chain_model(7, (2, 3))),
@@ -469,25 +400,15 @@ fn structured_corpus_f64_shapes_match_dense_oracle() {
     ];
     for (name, m) in corpus {
         let dense = solve_model_traced(&m, &with_form(SolverForm::Dense));
-        for factorization in [
-            FactorizationKind::LuForrestTomlin,
-            FactorizationKind::EtaFile,
-        ] {
-            for interval in [1, SolverOptions::NEVER_REFACTOR] {
-                let revised = solve_model_traced(
-                    &m,
-                    &SolverOptions {
-                        form: SolverForm::Revised,
-                        factorization,
-                        refactor_interval: interval,
-                        ..SolverOptions::default()
-                    },
-                );
-                assert_eq!(
-                    dense, revised,
-                    "{name}: f64 {factorization:?} at interval {interval} diverged"
-                );
-            }
+        for interval in [1, SolverOptions::NEVER_REFACTOR] {
+            let auto = solve_model_traced(
+                &m,
+                &SolverOptions {
+                    refactor_interval: interval,
+                    ..SolverOptions::default()
+                },
+            );
+            assert_eq!(dense, auto, "{name}: f64 at interval {interval} diverged");
         }
     }
 }

@@ -83,12 +83,12 @@ impl LatencyHistogram {
 
     /// Render as a wire object: `{count, total_ns, buckets: [{le_ns, count}]}`
     /// with empty buckets omitted; the overflow bucket reports `le_ns: 0`
-    /// (meaning "unbounded").
-    #[must_use]
-    pub fn to_wire(&self) -> Json {
+    /// (meaning "unbounded"). Every counter is read through `read`: a plain
+    /// [`load`] for a snapshot, or [`take`] to zero it in the same step.
+    fn render(&self, read: fn(&AtomicU64) -> u64) -> Json {
         let mut buckets = Vec::new();
         for (k, bucket) in self.buckets.iter().enumerate() {
-            let count = bucket.load(Ordering::Relaxed);
+            let count = read(bucket);
             if count == 0 {
                 continue;
             }
@@ -104,48 +104,23 @@ impl LatencyHistogram {
             );
         }
         Json::obj()
-            .with("count", Json::num_u64(self.count()))
-            .with(
-                "total_ns",
-                Json::num_u64(self.total_ns.load(Ordering::Relaxed)),
-            )
+            .with("count", Json::num_u64(read(&self.count)))
+            .with("total_ns", Json::num_u64(read(&self.total_ns)))
             .with("buckets", Json::Arr(buckets))
     }
+}
 
-    /// Atomically-per-counter take the histogram's contents: render the same
-    /// wire object as [`LatencyHistogram::to_wire`] while zeroing every
-    /// counter via `swap(0)`. Concurrent recordings may straddle the reset
-    /// (landing partly in each window) — the right trade for observability
-    /// counters, same as the racing snapshot in `to_wire`.
-    fn take_wire(&self) -> Json {
-        let mut buckets = Vec::new();
-        for (k, bucket) in self.buckets.iter().enumerate() {
-            let count = bucket.swap(0, Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let le_ns = if k == BUCKET_COUNT - 1 {
-                0
-            } else {
-                bucket_upper_ns(k)
-            };
-            buckets.push(
-                Json::obj()
-                    .with("le_ns", Json::num_u64(le_ns))
-                    .with("count", Json::num_u64(count)),
-            );
-        }
-        Json::obj()
-            .with(
-                "count",
-                Json::num_u64(self.count.swap(0, Ordering::Relaxed)),
-            )
-            .with(
-                "total_ns",
-                Json::num_u64(self.total_ns.swap(0, Ordering::Relaxed)),
-            )
-            .with("buckets", Json::Arr(buckets))
-    }
+/// Snapshot read of one counter. The snapshot is a racing read, the right
+/// trade for observability counters.
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// Read one counter and zero it (`swap(0)`). Each counter is taken
+/// atomically on its own, so concurrent recordings may straddle the reset,
+/// landing partly in each window.
+fn take(counter: &AtomicU64) -> u64 {
+    counter.swap(0, Ordering::Relaxed)
 }
 
 /// Per-operation latency histograms, indexed by [`TRACKED_OPS`].
@@ -192,14 +167,7 @@ impl Metrics {
     /// with never-recorded ops omitted.
     #[must_use]
     pub fn to_wire(&self) -> Json {
-        let mut ops = Json::obj();
-        for (op, histogram) in TRACKED_OPS.iter().zip(&self.histograms) {
-            if histogram.count() == 0 {
-                continue;
-            }
-            ops = ops.with(op, histogram.to_wire());
-        }
-        Json::obj().with("ops", ops)
+        self.render(load)
     }
 
     /// Render the `metrics` op result exactly as [`Metrics::to_wire`] would,
@@ -208,12 +176,16 @@ impl Metrics {
     /// wanting exact windows should quiesce traffic around the reset.
     #[must_use]
     pub fn snapshot_and_reset(&self) -> Json {
+        self.render(take)
+    }
+
+    fn render(&self, read: fn(&AtomicU64) -> u64) -> Json {
         let mut ops = Json::obj();
         for (op, histogram) in TRACKED_OPS.iter().zip(&self.histograms) {
             if histogram.count() == 0 {
                 continue;
             }
-            ops = ops.with(op, histogram.take_wire());
+            ops = ops.with(op, histogram.render(read));
         }
         Json::obj().with("ops", ops)
     }

@@ -55,12 +55,7 @@ fn pre_refactor_cache_entries_survive_the_revised_default() {
             ..SolverOptions::default()
         }))
         .expect("solvable");
-    let revised = engine
-        .solve(&validated.clone().with_options(SolverOptions {
-            form: SolverForm::Revised,
-            ..SolverOptions::default()
-        }))
-        .expect("solvable");
+    let revised = engine.solve(&validated).expect("solvable");
     assert_eq!(dense.level.alpha(), revised.level.alpha());
     assert_eq!(dense.loss, revised.loss);
     assert_eq!(dense.mechanism, revised.mechanism);
