@@ -152,10 +152,9 @@ fn f64_backend_routes_every_form_to_the_dense_tableau() {
 }
 
 /// The form matrix at realistic sizes: the dense tableau as reference, then
-/// the revised simplex on the default refactorization trigger and
-/// refactorized every pivot. Never-refactor runs at n = 3 above only: at
-/// n = 11 its unbounded update growth costs seconds per solve in a debug
-/// build.
+/// the revised simplex on the default refactorization trigger, refactorized
+/// every pivot, and never refactorized (one Forrest–Tomlin update per pivot
+/// for the whole solve).
 fn realistic_forms() -> Vec<SolverOptions> {
     vec![
         SolverOptions {
@@ -165,6 +164,10 @@ fn realistic_forms() -> Vec<SolverOptions> {
         SolverOptions::default(),
         SolverOptions {
             refactor_interval: 1,
+            ..SolverOptions::default()
+        },
+        SolverOptions {
+            refactor_interval: SolverOptions::NEVER_REFACTOR,
             ..SolverOptions::default()
         },
     ]

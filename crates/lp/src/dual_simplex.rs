@@ -238,7 +238,7 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
             }
         }
         d[entering] = T::zero();
-        lu.push_pivot(position, &work);
+        lu.push_pivot(position);
         basis[position] = entering;
         x_b[position] = theta;
 

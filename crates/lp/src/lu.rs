@@ -23,14 +23,28 @@
 //! reproducible.
 //!
 //! **Update** ([`LuFactors::push_pivot`]): replacing the basis column at
-//! position `p` turns column `p` of `U` into the *spike* `w = L⁻¹·a`. The
-//! Forrest–Tomlin update cyclically permutes positions `p..m−1` so the
-//! spike lands in the last position, then eliminates the displaced pivot
-//! row's off-diagonal entries with one sparse row elimination appended to
-//! `L` — computed column-by-column, so no row-wise copy of `U` is ever
-//! maintained. Per pivot this costs one sparse matrix–vector product (the
-//! spike), one scan of the columns right of `p`, and an `O(m − p)`
-//! permutation shift.
+//! position `p` turns column `p` of `U` into the *spike* `w = L⁻¹·a`.
+//! [`LuFactors::ftran`] computes `w` on its way to `B⁻¹a` and keeps it, so
+//! the update that follows the entering column's FTRAN receives its spike
+//! for free, as Forrest and Tomlin store it (Math. Programming 2, 1972).
+//! The update cyclically permutes positions `p..m−1` so the spike lands in
+//! the last position, then eliminates the displaced pivot row's
+//! off-diagonal entries with one sparse row elimination appended to `L` —
+//! computed column-by-column, so no row-wise copy of `U` is ever
+//! maintained. Per pivot this costs one scan of the columns right of `p`
+//! and an `O(m − p)` permutation shift.
+//!
+//! **Refactorization trigger** ([`LuFactors::should_refactor`]): every
+//! update appends to `L` and may fill `U`, so each FTRAN and BTRAN grows
+//! more expensive until the next refactorization. With `R` the operation
+//! count of the last refactorization (multiplier divisions plus elimination
+//! multiply-subtracts, plus `m`), `k` the pivots since, and `S` the sum of
+//! the factor nonzeros after each of those `k` updates, the next pivot's
+//! FTRAN plus BTRAN costs about `2·nnz` while the cycle so far averaged
+//! `(R + 2·S) / k` per pivot. The factors are rebuilt as soon as
+//! `2·nnz·k > R + 2·S` — the classic minimum-average-cost reinversion rule,
+//! which needs no tuning constant. Fill-free updates never fire it; the
+//! pivot-count interval caps the cycle length regardless.
 //!
 //! **Why bit-identity with the dense tableau holds:**
 //! FTRAN and BTRAN compute the mathematically exact entries of `B⁻¹a` /
@@ -44,11 +58,6 @@ use privmech_linalg::sparse::{self, SparseVec};
 use privmech_linalg::Scalar;
 
 use crate::model::LpError;
-
-/// Nonzero budget, as a multiple of the basis dimension: when `L` and `U`
-/// together hold more than this many nonzeros per row a refactorization is triggered even before the pivot-count
-/// interval elapses.
-const LU_GROWTH_FACTOR: usize = 16;
 
 /// One elementary elimination of the `L` factor.
 #[derive(Debug, Clone)]
@@ -109,12 +118,21 @@ pub(crate) struct LuFactors<T: Scalar> {
     slot_row: Vec<usize>,
     /// Row → basis position (inverse of `slot_row`).
     rinv: Vec<usize>,
-    /// Total stored nonzeros across `L` and `U` (growth-trigger input).
+    /// Total stored nonzeros across `L` and `U`.
     nnz: usize,
-    /// Pivots applied since the last refactorization (interval input).
+    /// Pivots applied since the last refactorization (`k` of the trigger).
     pivots_since_refactor: usize,
-    /// Dense scratch for spike reconstruction during updates.
+    /// Operation count of the last refactorization (`R` of the trigger).
+    refactor_ops: usize,
+    /// Sum of `nnz` after each update since the last refactorization (`S`
+    /// of the trigger).
+    update_nnz_sum: usize,
+    /// The last FTRAN's `L⁻¹a`, in internal row space: the spike of the
+    /// next update. Entries outside the last FTRAN's support are zero.
     spike: Vec<T>,
+    /// Whether `spike` belongs to the current factors (set by FTRAN,
+    /// cleared by an update or a refactorization).
+    spike_armed: bool,
 }
 
 impl<T: Scalar> LuFactors<T> {
@@ -131,7 +149,10 @@ impl<T: Scalar> LuFactors<T> {
             rinv: (0..m).collect(),
             nnz: m,
             pivots_since_refactor: 0,
+            refactor_ops: m,
+            update_nnz_sum: 0,
             spike: vec![T::zero(); m],
+            spike_armed: false,
         }
     }
 
@@ -154,12 +175,21 @@ impl<T: Scalar> LuFactors<T> {
 
     /// FTRAN: overwrite the zeroed `work` vector with `B⁻¹a` for a sparse
     /// column `a` (apply `L⁻¹`, then solve with `U`). Read position-space
-    /// entries through [`LuFactors::row_of`].
-    pub(crate) fn ftran(&self, work: &mut [T], column: SparseVec<'_, T>) {
+    /// entries through [`LuFactors::row_of`]. The partial result `L⁻¹a` is
+    /// kept as the spike of a following [`LuFactors::push_pivot`].
+    pub(crate) fn ftran(&mut self, work: &mut [T], column: SparseVec<'_, T>) {
         column.scatter_into(work);
         for op in &self.ops {
             op.apply(work);
         }
+        for (s, w) in self.spike.iter_mut().zip(work.iter()) {
+            if !w.is_exactly_zero() {
+                s.clone_from(w);
+            } else if !s.is_exactly_zero() {
+                *s = T::zero();
+            }
+        }
+        self.spike_armed = true;
         sparse::solve_upper_ftran(work, &self.ucols, &self.cpos, &self.rpos);
     }
 
@@ -194,17 +224,22 @@ impl<T: Scalar> LuFactors<T> {
         }
     }
 
-    /// Record a pivot at basis position `position` whose FTRAN result (in
-    /// internal row space) is `ftran_work`: the Forrest–Tomlin update
-    /// described in the module docs.
+    /// Record a pivot at basis position `position` on the column of the
+    /// immediately preceding [`LuFactors::ftran`], whose kept `L⁻¹a` is the
+    /// spike: the Forrest–Tomlin update described in the module docs.
     ///
     /// # Panics
-    /// Panics if the update produces a zero diagonal (the ratio test
-    /// guarantees a nonzero pivot element, which makes the updated basis
-    /// nonsingular).
-    pub(crate) fn push_pivot(&mut self, position: usize, ftran_work: &[T]) {
-        let m = self.dim();
-        let t = m - 1;
+    /// Panics if no FTRAN has run since the last update or
+    /// refactorization (there is no spike to insert), or if the update
+    /// produces a zero diagonal (the ratio test guarantees a nonzero pivot
+    /// element, which makes the updated basis nonsingular).
+    pub(crate) fn push_pivot(&mut self, position: usize) {
+        assert!(
+            self.spike_armed,
+            "Forrest–Tomlin update without a spike: FTRAN the entering column first"
+        );
+        self.spike_armed = false;
+        let t = self.dim() - 1;
         // `position` is the driver's basis position == the slot of the `U`
         // column being replaced; `p` is where that column currently sits in
         // the triangular order. The basis-position ↔ row maps are untouched
@@ -212,18 +247,6 @@ impl<T: Scalar> LuFactors<T> {
         let slot = position;
         let p = self.cinv[slot];
         let r_p = self.slot_row[slot];
-
-        // Reconstruct the spike w = L⁻¹a = U·x from the FTRAN result x
-        // (column access only): w = Σ_j x_j · U[:, cpos[j]].
-        for j in 0..m {
-            let x_j = &ftran_work[self.rpos[j]];
-            if x_j.is_exactly_zero() {
-                continue;
-            }
-            for (i, v) in &self.ucols[self.cpos[j]] {
-                self.spike[*i].add_mul_assign(v, x_j);
-            }
-        }
 
         // Retire the replaced column and cyclically shift the triangular
         // order p..t so the spike lands last and r_p becomes the last pivot
@@ -307,17 +330,20 @@ impl<T: Scalar> LuFactors<T> {
             });
         }
         self.pivots_since_refactor += 1;
+        self.update_nnz_sum += self.nnz;
     }
 
-    /// Whether the refactorization trigger has fired: either the pivot-count
-    /// interval elapsed or the factors' nonzeros outgrew
-    /// [`LU_GROWTH_FACTOR`]`· m`. An interval of `usize::MAX` disables
-    /// refactorization entirely.
+    /// Whether a refactorization is due: the pivot-count `interval` has
+    /// elapsed, or the next pivot's FTRAN plus BTRAN would cost more than
+    /// the cycle's average per pivot so far, refactorization included (the
+    /// amortized rule of the module docs). An interval of `usize::MAX`
+    /// disables refactorization entirely.
     pub(crate) fn should_refactor(&self, interval: usize) -> bool {
         if interval == usize::MAX {
             return false;
         }
-        self.pivots_since_refactor >= interval || self.nnz > LU_GROWTH_FACTOR * self.dim()
+        let k = self.pivots_since_refactor;
+        k >= interval || 2 * self.nnz * k > self.refactor_ops + 2 * self.update_nnz_sum
     }
 
     /// Factorize the basis whose position `c` holds the sparse column
@@ -361,6 +387,8 @@ impl<T: Scalar> LuFactors<T> {
 
         let mut ops: Vec<LOp<T>> = Vec::new();
         let mut nnz = 0usize;
+        // Multiplier divisions plus elimination multiply-subtracts, plus `m`.
+        let mut work_ops = m;
         let mut rpos = vec![usize::MAX; m];
         let mut cpos = vec![usize::MAX; m];
 
@@ -409,6 +437,7 @@ impl<T: Scalar> LuFactors<T> {
                     multipliers.push((*i, v.div_ref(&pivot_value)));
                 }
             }
+            work_ops += multipliers.len();
             let mut ucol = std::mem::take(&mut frozen[c]);
             ucol.push((r, pivot_value));
             nnz += ucol.len();
@@ -431,6 +460,7 @@ impl<T: Scalar> LuFactors<T> {
                 row_cnt[r] = row_cnt[r].saturating_sub(1);
                 let factor = u.1.clone();
                 frozen[c_t].push(u);
+                work_ops += multipliers.len();
                 // Merge: subtract factor·multipliers from the sorted column.
                 let old = std::mem::take(&mut active[c_t]);
                 let mut merged = Vec::with_capacity(old.len() + multipliers.len());
@@ -496,6 +526,9 @@ impl<T: Scalar> LuFactors<T> {
         self.cpos = cpos;
         self.nnz = nnz;
         self.pivots_since_refactor = 0;
+        self.refactor_ops = work_ops;
+        self.update_nnz_sum = 0;
+        self.spike_armed = false;
         Ok(())
     }
 }
@@ -521,7 +554,7 @@ mod tests {
         ]
     }
 
-    fn ftran_dense(lu: &LuFactors<Rational>, col: &Col) -> Vec<Rational> {
+    fn ftran_dense(lu: &mut LuFactors<Rational>, col: &Col) -> Vec<Rational> {
         let m = lu.dim();
         let mut work = vec![Rational::zero(); m];
         lu.ftran(&mut work, sv(col));
@@ -536,11 +569,11 @@ mod tests {
         for (p, col) in cols.iter().enumerate() {
             sparse::clear(&mut work);
             lu.ftran(&mut work, sv(col));
-            lu.push_pivot(p, &work);
+            lu.push_pivot(p);
         }
         // B·(1,1,1) = (3, 2, 3)ᵀ.
         let rhs: Col = (vec![0, 1, 2], vec![rat(3, 1), rat(2, 1), rat(3, 1)]);
-        let x = ftran_dense(&lu, &rhs);
+        let x = ftran_dense(&mut lu, &rhs);
         assert_eq!(x, vec![rat(1, 1), rat(1, 1), rat(1, 1)]);
     }
 
@@ -552,15 +585,15 @@ mod tests {
         for (p, col) in cols.iter().enumerate() {
             sparse::clear(&mut work);
             lu.ftran(&mut work, sv(col));
-            lu.push_pivot(p, &work);
+            lu.push_pivot(p);
         }
         let rhs: Col = (vec![0, 1, 2], vec![rat(7, 1), rat(-2, 1), rat(5, 2)]);
-        let before = ftran_dense(&lu, &rhs);
+        let before = ftran_dense(&mut lu, &rhs);
         let mut y_before = vec![Rational::zero(); 3];
         lu.btran_unit(&mut y_before, 2);
 
         lu.refactorize(|c| sv(&cols[c])).unwrap();
-        let after = ftran_dense(&lu, &rhs);
+        let after = ftran_dense(&mut lu, &rhs);
         assert_eq!(before, after, "FTRAN must be factorization-independent");
         let mut y_after = vec![Rational::zero(); 3];
         lu.btran_unit(&mut y_after, 2);
@@ -577,18 +610,18 @@ mod tests {
         for (p, col) in cols.iter().enumerate() {
             sparse::clear(&mut work);
             lu.ftran(&mut work, sv(col));
-            lu.push_pivot(p, &work);
+            lu.push_pivot(p);
         }
         // Replace position 1 (column [0,1,0]ᵀ) with [1,2,1]ᵀ.
         let entering: Col = (vec![0, 1, 2], vec![rat(1, 1), rat(2, 1), rat(1, 1)]);
         sparse::clear(&mut work);
         lu.ftran(&mut work, sv(&entering));
-        lu.push_pivot(1, &work);
+        lu.push_pivot(1);
         // New B = [[2,1,1],[0,2,1],[0,1,3]] (columns 0, entering, 2).
         // Solve B x = (4, 3, 4)ᵀ: x = (1, 1, 1).
         let rhs: Col = (vec![0, 1, 2], vec![rat(4, 1), rat(3, 1), rat(4, 1)]);
         assert_eq!(
-            ftran_dense(&lu, &rhs),
+            ftran_dense(&mut lu, &rhs),
             vec![rat(1, 1), rat(1, 1), rat(1, 1)]
         );
         // BTRAN cross-check: yᵀB = (1, 0, 0) row recovery.
@@ -601,27 +634,82 @@ mod tests {
         assert_eq!(dot(&cols[2]), Rational::zero());
     }
 
+    /// Basis position `j` of a dense, diagonally dominant `m × m` basis:
+    /// `m + 1` on the diagonal, `1` elsewhere.
+    fn dense_column(m: usize, j: usize) -> Col {
+        let vals = (0..m)
+            .map(|i| rat(if i == j { m as i64 + 1 } else { 1 }, 1))
+            .collect();
+        ((0..m).collect(), vals)
+    }
+
+    /// FTRAN `col` and pivot it in at `position`.
+    fn pivot_in(lu: &mut LuFactors<Rational>, position: usize, col: &Col) {
+        let mut work = vec![Rational::zero(); lu.dim()];
+        lu.ftran(&mut work, sv(col));
+        lu.push_pivot(position);
+    }
+
     #[test]
     fn growth_trigger_and_interval_semantics() {
+        let never = crate::SolverOptions::NEVER_REFACTOR;
         let lu: LuFactors<Rational> = LuFactors::identity(2);
-        assert!(!lu.should_refactor(usize::MAX));
+        assert!(!lu.should_refactor(never));
         assert!(!lu.should_refactor(1), "no pivots yet");
-        let cols: Vec<Col> = vec![
-            (vec![0, 1], vec![rat(1, 2), rat(1, 3)]),
-            (vec![1], vec![rat(2, 1)]),
-        ];
-        let mut lu: LuFactors<Rational> = LuFactors::identity(2);
-        let mut work = vec![Rational::zero(); 2];
-        lu.ftran(&mut work, sv(&cols[0]));
-        lu.push_pivot(0, &work);
-        assert!(lu.should_refactor(1));
-        assert!(!lu.should_refactor(2));
-        assert!(
-            !lu.should_refactor(usize::MAX),
-            "MAX disables both triggers"
-        );
+
+        // Fill-free updates (a scaled unit column replacing a unit column)
+        // leave every FTRAN and BTRAN as cheap as the fresh factors: the
+        // amortized rule never fires, only the interval cap does.
+        let m = 6;
+        let mut lu: LuFactors<Rational> = LuFactors::identity(m);
+        for k in 1..=40usize {
+            let position = k % m;
+            let unit: Col = (vec![position], vec![rat(k as i64 + 1, 3)]);
+            pivot_in(&mut lu, position, &unit);
+            assert!(!lu.should_refactor(64), "fill-free update {k} fired");
+            assert!(!lu.should_refactor(never));
+            assert!(lu.should_refactor(k), "interval cap at {k}");
+            assert!(!lu.should_refactor(k + 1));
+        }
+
+        // Dense columns replacing unit columns grow L and U with every
+        // update: the amortized rule fires long before the interval.
+        let cols: Vec<Col> = (0..m).map(|j| dense_column(m, j)).collect();
+        let mut lu: LuFactors<Rational> = LuFactors::identity(m);
+        let mut fired_at = None;
+        for (j, col) in cols.iter().enumerate() {
+            pivot_in(&mut lu, j, col);
+            assert!(!lu.should_refactor(never), "NEVER disables both triggers");
+            if fired_at.is_none() && lu.should_refactor(64) {
+                fired_at = Some(j + 1);
+            }
+        }
+        let fired_at = fired_at.expect("fill growth must fire the amortized rule");
+        assert!(fired_at < m, "fired after {fired_at} of {m} pivots");
+        assert!(lu.should_refactor(64));
         lu.refactorize(|c| sv(&cols[c])).unwrap();
-        assert!(!lu.should_refactor(1), "refactorization resets the counter");
+        assert!(!lu.should_refactor(1), "refactorization resets the counts");
+        assert!(!lu.should_refactor(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "without a spike")]
+    fn push_pivot_without_ftran_panics() {
+        let mut lu: LuFactors<Rational> = LuFactors::identity(3);
+        lu.push_pivot(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "without a spike")]
+    fn push_pivot_after_refactorize_panics() {
+        let cols = columns();
+        let mut lu: LuFactors<Rational> = LuFactors::identity(3);
+        let mut work = vec![Rational::zero(); 3];
+        lu.ftran(&mut work, sv(&cols[2]));
+        // The kept spike was L⁻¹a of the identity factors; the fresh
+        // factors' L differs, so it must not be inserted.
+        lu.refactorize(|c| sv(&cols[c])).unwrap();
+        lu.push_pivot(2);
     }
 
     #[test]
@@ -662,6 +750,6 @@ mod tests {
                 rhs.1.push(v.clone());
             }
         }
-        assert_eq!(ftran_dense(&lu, &rhs), vec![rat(1, 1); m]);
+        assert_eq!(ftran_dense(&mut lu, &rhs), vec![rat(1, 1); m]);
     }
 }

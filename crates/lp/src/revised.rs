@@ -18,7 +18,7 @@
 //! position followed by the row product `ρᵀA` (recovering the pivot row of
 //! the tableau without storing any tableau; computed fraction-free, see
 //! [`crate::pivot_row`]), the reduced-cost update over that row, and one
-//! basis update. On the paper's LPs — thousands of rows touching 2–4
+//! basis update on the spike the FTRAN kept. On the paper's LPs — thousands of rows touching 2–4
 //! structural columns each — this replaces the dense update's full-matrix
 //! pass with work proportional to the factorization's actual nonzeros.
 //!
@@ -240,13 +240,13 @@ impl<T: Scalar> State<T> {
             self.obj_val.add_mul_assign(&d_q, &theta);
         }
 
-        self.lu.push_pivot(position, &self.work);
+        self.lu.push_pivot(position);
         self.basis[position] = entering;
         self.x_b[position] = theta;
     }
 
-    /// Refactorize when the trigger fires (pivot-count interval or
-    /// factorization growth; see [`LuFactors::should_refactor`]). A
+    /// Refactorize when the trigger fires (pivot-count interval or the
+    /// amortized cost rule; see [`LuFactors::should_refactor`]). A
     /// refactorization changes no observable value — FTRAN/BTRAN results are
     /// exact regardless of how the factorization is composed — so this can
     /// run at any point between pivots.

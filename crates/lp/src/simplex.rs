@@ -147,11 +147,14 @@ pub struct SolverOptions {
     /// Which simplex implementation to run (a result-invariant execution
     /// detail; see [`SolverForm`]).
     pub form: SolverForm,
-    /// Revised simplex only: pivots between basis refactorizations.
+    /// Revised simplex only: the most pivots between basis
+    /// refactorizations (`1` refactorizes after every pivot). Within that
+    /// cap an amortized-cost trigger refactorizes as soon as the next
+    /// pivot's FTRAN and BTRAN would cost more than the cycle's average per
+    /// pivot, refactorization included (see `crate::lu`).
     /// [`SolverOptions::NEVER_REFACTOR`] disables refactorization (the
-    /// factorization then grows by one update per pivot); a *growth* trigger
-    /// fires early regardless of the interval (see `crate::lu`). Ignored by
-    /// the dense form.
+    /// factorization then grows by one update per pivot). Ignored by the
+    /// dense form.
     pub refactor_interval: usize,
     /// Templated sweeps only: cross-parameter warm-start behavior (see
     /// [`WarmStartMode`]). Single solves ignore it.
@@ -160,7 +163,8 @@ pub struct SolverOptions {
 
 impl SolverOptions {
     /// Sentinel for [`SolverOptions::refactor_interval`] disabling
-    /// refactorization (including the growth trigger) entirely.
+    /// refactorization (the interval cap and the amortized-cost trigger)
+    /// entirely.
     pub const NEVER_REFACTOR: usize = usize::MAX;
 }
 
