@@ -1,27 +1,22 @@
-//! The typed protocol client: blocking calls over v1 semantics, and a
-//! nonblocking, pipelined surface over protocol v2.
+//! The typed protocol client: blocking calls and a nonblocking, pipelined
+//! surface over protocol v2.
 //!
-//! One [`Client`] owns one connection. On connect it **negotiates** the
-//! protocol: it sends a `hello` op and speaks v2 (tagged multi-in-flight
-//! requests, streaming sweeps) if the server answers, falling back to strict
-//! v1 request/response against older servers (which reject `hello` with
-//! `unknown_op`).
-//!
-//! The nonblocking surface is [`Client::submit`] (send a request, get a
-//! [`Ticket`]), [`Client::recv`] (the next completion from the server, any
-//! ticket), [`Client::wait`] (block for one ticket) and
-//! [`Client::sweep_stream`] (iterate a sweep's per-α results **as the server
-//! finishes them**, out of order, each tagged with its input index). The
-//! blocking helpers ([`Client::solve`], [`Client::sweep`],
-//! [`Client::interact`]) are thin wrappers over submit/wait and work
-//! identically under both negotiated versions.
+//! One [`Client`] owns one connection. The nonblocking surface is
+//! [`Client::submit`] (send a request, get a [`Ticket`]), [`Client::recv`]
+//! (the next completion from the server, any ticket), [`Client::wait`]
+//! (block for one ticket) and [`Client::sweep_stream`] (iterate a sweep's
+//! per-α results **as the server finishes them**, out of order, each tagged
+//! with its input index). The blocking helpers ([`Client::solve`],
+//! [`Client::sweep`], [`Client::interact`]) are thin wrappers over
+//! submit/wait.
 //!
 //! Every typed reply carries `raw`: the canonical serialization of the
 //! response's `result` object. Two replies are byte-identical exactly when
 //! their `raw` strings are equal — this is how callers check the cached ≡
-//! uncached (and v1 ≡ v2) contracts end to end. A blocking v2 `sweep`
-//! reassembles the monolithic v1 `raw` from its streamed items, so the raw
-//! strings are byte-comparable **across protocol versions** too.
+//! uncached contract end to end. A blocking `sweep` reassembles the
+//! monolithic `{"solves":[...]}` rendering from its streamed items
+//! ([`crate::proto::assemble_solves`]), so its `raw` is byte-comparable with
+//! the server's cache entry for the same request.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
@@ -34,7 +29,7 @@ use crate::frame::{read_frame, write_frame};
 use crate::json::{self, Json};
 use crate::proto::{
     intern_code, rows_from_wire, stats_from_wire, CacheDisposition, CacheMode, ConsumerSpec,
-    LossSpec, WireError, WireScalar, PROTOCOL_V1, PROTOCOL_VERSION,
+    LossSpec, WireError, WireScalar, PROTOCOL_VERSION,
 };
 use crate::zoo::{query_to_wire, ZooAgentSpec, ZooConsumerSpec};
 
@@ -101,7 +96,7 @@ pub struct Reply<R> {
     /// How the server answered (hit / miss / bypass).
     pub cache: CacheDisposition,
     /// Canonical serialization of the `result` object — byte-comparable
-    /// across replies (and across protocol versions).
+    /// across replies.
     pub raw: String,
 }
 
@@ -218,54 +213,14 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     next_id: u64,
-    version: u64,
     /// Completions read while looking for a different ticket, replayed in
     /// arrival order by [`Client::recv`] / [`Client::wait`].
     buffered: VecDeque<Event>,
 }
 
 impl Client {
-    /// Connect and negotiate the protocol version: v2 if the server answers
-    /// `hello`, v1 if it rejects it (an older server).
+    /// Connect to a server (or router).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let mut client = Self::connect_raw(addr)?;
-        client.version = PROTOCOL_VERSION;
-        match client.call(Json::obj().with("op", Json::str("hello"))) {
-            Ok(_) => {}
-            Err(ClientError::Server(e))
-                if e.code == "unknown_op" || e.code == "unsupported_version" =>
-            {
-                client.version = PROTOCOL_V1;
-            }
-            Err(ClientError::Io(e)) => return Err(e),
-            Err(other) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("version negotiation failed: {other}"),
-                ))
-            }
-        }
-        Ok(client)
-    }
-
-    /// Connect speaking exactly `version` (1 or 2), skipping negotiation —
-    /// e.g. to benchmark serial v1 request/response against pipelined v2 on
-    /// the same server.
-    pub fn connect_with_version(addr: impl ToSocketAddrs, version: u64) -> io::Result<Client> {
-        if version != PROTOCOL_V1 && version != PROTOCOL_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "this client speaks v{PROTOCOL_V1} and v{PROTOCOL_VERSION}, not v{version}"
-                ),
-            ));
-        }
-        let mut client = Self::connect_raw(addr)?;
-        client.version = version;
-        Ok(client)
-    }
-
-    fn connect_raw(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
@@ -273,29 +228,18 @@ impl Client {
             reader,
             writer: BufWriter::new(stream),
             next_id: 0,
-            version: PROTOCOL_V1,
             buffered: VecDeque::new(),
         })
     }
 
-    /// The negotiated protocol major this client stamps on requests.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Send a request without waiting for its completion. The `v` and `id`
     /// fields are filled in; the returned [`Ticket`] matches the completion
-    /// frames. Pipelined submits work under negotiated v1 too — but only
-    /// because this client always stamps an `id` to match replies by:
-    /// against a v2-era server even v1 frames are computed concurrently and
-    /// may complete out of order (see `PROTOCOL.md`), so replies are
-    /// correlated by id, never by arrival order.
+    /// frames, which may arrive in any order.
     pub fn submit(&mut self, request: Json) -> Result<Ticket, ClientError> {
         self.next_id += 1;
         let id = self.next_id;
         let mut framed = Json::obj()
-            .with("v", Json::num_u64(self.version))
+            .with("v", Json::num_u64(PROTOCOL_VERSION))
             .with("id", Json::num_u64(id));
         if let (Json::Obj(dst), Json::Obj(src)) = (&mut framed, request) {
             dst.extend(src);
@@ -534,8 +478,8 @@ impl Client {
         self.submit(Self::interact_request(spec, mechanism, cache))
     }
 
-    /// Submit a sweep without waiting. Under v2 its completions are
-    /// `sweep_item`/`sweep_done` events; under v1, one monolithic reply.
+    /// Submit a sweep without waiting. Its completions are `sweep_item`
+    /// events closed by one `sweep_done` (or an error).
     pub fn submit_sweep<T: WireScalar>(
         &mut self,
         spec: &ConsumerSpec<T>,
@@ -545,8 +489,7 @@ impl Client {
         self.submit(Self::sweep_request(spec, alphas, cache))
     }
 
-    /// Solve one request at one privacy level (blocking; works under both
-    /// negotiated versions).
+    /// Solve one request at one privacy level (blocking).
     pub fn solve<T: WireScalar>(
         &mut self,
         spec: &ConsumerSpec<T>,
@@ -563,29 +506,15 @@ impl Client {
         })
     }
 
-    /// Solve one request at a batch of privacy levels (blocking). Under v2
-    /// this consumes the stream and reorders to input order; `raw` is the
-    /// reassembled monolithic rendering, byte-identical to a v1 reply for
-    /// the same request.
+    /// Solve one request at a batch of privacy levels (blocking). This
+    /// consumes the stream and reorders to input order; `raw` is the
+    /// reassembled monolithic rendering `{"solves":[...]}`.
     pub fn sweep<T: WireScalar>(
         &mut self,
         spec: &ConsumerSpec<T>,
         alphas: &[T],
         cache: CacheMode,
     ) -> Result<Reply<Vec<SolveReply<T>>>, ClientError> {
-        if self.version == PROTOCOL_V1 {
-            let response = self.call(Self::sweep_request(spec, alphas, cache))?;
-            let (result, cache, raw) = cached_result(&response)?;
-            let solves = result
-                .get("solves")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| ClientError::Protocol("sweep reply lacks \"solves\"".to_string()))?;
-            let value = solves
-                .iter()
-                .map(decode_solve)
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Reply { value, cache, raw });
-        }
         let mut stream = self.sweep_stream(spec, alphas, cache)?;
         let mut slots: Vec<Option<(SolveReply<T>, String)>> = Vec::new();
         slots.resize_with(alphas.len(), || None);
@@ -794,65 +723,18 @@ impl Client {
 
     /// Submit a sweep and iterate its results **in completion order**, each
     /// tagged with its input index — the first item arrives while later
-    /// levels are still solving. Under negotiated v1 the monolithic reply is
-    /// fetched up front and replayed in input order, so consumers are
-    /// version-agnostic. Call [`SweepStream::done`] after iteration for the
-    /// terminal frame's cache disposition and aggregate statistics.
+    /// levels are still solving. Call [`SweepStream::done`] after iteration
+    /// for the terminal frame's cache disposition and aggregate statistics.
     pub fn sweep_stream<'c, T: WireScalar>(
         &'c mut self,
         spec: &ConsumerSpec<T>,
         alphas: &[T],
         cache: CacheMode,
     ) -> Result<SweepStream<'c, T>, ClientError> {
-        if self.version == PROTOCOL_V1 {
-            let reply = self.sweep(spec, alphas, cache)?;
-            let count = reply.value.len() as u64;
-            let stats = reply
-                .value
-                .iter()
-                .fold(PivotStats::default(), |mut acc, s| {
-                    acc += &s.stats;
-                    acc
-                });
-            let solves = match json::parse(&reply.raw) {
-                Ok(parsed) => parsed
-                    .get("solves")
-                    .and_then(Json::as_arr)
-                    .map(<[Json]>::to_vec)
-                    .unwrap_or_default(),
-                Err(_) => Vec::new(),
-            };
-            let prefetched = reply
-                .value
-                .into_iter()
-                .zip(solves)
-                .enumerate()
-                .map(|(index, (value, item))| {
-                    Ok(SweepItemReply {
-                        index,
-                        value,
-                        raw: json::to_string(&item),
-                    })
-                })
-                .collect();
-            return Ok(SweepStream {
-                client: self,
-                ticket: None,
-                prefetched,
-                done: Some(SweepDoneReply {
-                    cache: reply.cache,
-                    count,
-                    stats,
-                }),
-                terminated: false,
-                _marker: std::marker::PhantomData,
-            });
-        }
         let ticket = self.submit_sweep(spec, alphas, cache)?;
         Ok(SweepStream {
             client: self,
-            ticket: Some(ticket),
-            prefetched: VecDeque::new(),
+            ticket,
             done: None,
             terminated: false,
             _marker: std::marker::PhantomData,
@@ -868,7 +750,8 @@ pub struct SweepItemReply<T> {
     /// The decoded solve.
     pub value: SolveReply<T>,
     /// Canonical serialization of the item's `result` object —
-    /// byte-identical to the corresponding element of a monolithic reply.
+    /// byte-identical to the corresponding element of the monolithic
+    /// rendering.
     pub raw: String,
 }
 
@@ -888,9 +771,7 @@ pub struct SweepDoneReply {
 /// observed while streaming are buffered on the client, not lost.
 pub struct SweepStream<'c, T: WireScalar> {
     client: &'c mut Client,
-    /// `None` under v1 replay (everything is prefetched).
-    ticket: Option<Ticket>,
-    prefetched: VecDeque<Result<SweepItemReply<T>, ClientError>>,
+    ticket: Ticket,
     done: Option<SweepDoneReply>,
     terminated: bool,
     _marker: std::marker::PhantomData<T>,
@@ -900,14 +781,10 @@ impl<T: WireScalar> Iterator for SweepStream<'_, T> {
     type Item = Result<SweepItemReply<T>, ClientError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some(item) = self.prefetched.pop_front() {
-            return Some(item);
-        }
         if self.terminated {
             return None;
         }
-        let ticket = self.ticket?;
-        match self.client.next_event_for(ticket) {
+        match self.client.next_event_for(self.ticket) {
             Ok(Event::SweepItem {
                 index, response, ..
             }) => {
@@ -1026,8 +903,8 @@ fn scalar_reply_field<T: WireScalar>(result: &Json, field: &str) -> Result<T, Cl
         .ok_or_else(|| ClientError::Protocol(format!("reply lacks a scalar \"{field}\"")))
 }
 
-/// Decode one solve result object (a `solve` reply's `result`, one element
-/// of a monolithic sweep's `solves`, or a `sweep_item`'s `result`).
+/// Decode one solve result object (a `solve` reply's `result` or a
+/// `sweep_item`'s `result`).
 pub fn decode_solve<T: WireScalar>(result: &Json) -> Result<SolveReply<T>, ClientError> {
     let alpha = scalar_reply_field::<T>(result, "alpha")?;
     let loss = scalar_reply_field::<T>(result, "loss")?;

@@ -11,14 +11,14 @@
 //! infrastructure:
 //!
 //! * a **wire protocol** (v2: tagged multi-in-flight requests, streaming
-//!   sweeps; v1 still accepted per frame): length-prefixed JSON frames over
-//!   TCP (see [`frame`], [`json`], [`proto`] and the prose spec in
-//!   `crates/serve/PROTOCOL.md`),
-//! * a **pipelined request loop** ([`server`]): an epoll-style readiness
-//!   loop (hand-rolled bindings, nonblocking sockets, per-connection frame
-//!   state machines) feeding a shared worker pool, completions queued back
-//!   through a per-connection outbox — possibly out of order, matched by
-//!   request `id` — mapping wire requests onto
+//!   sweeps): length-prefixed JSON frames over TCP (see [`frame`], [`json`],
+//!   [`proto`] and the prose spec in `crates/serve/PROTOCOL.md`),
+//! * a **pipelined request loop** ([`server`]): one epoll-style readiness
+//!   reactor (hand-rolled bindings, nonblocking sockets, per-connection
+//!   frame state machines; shared with the [`router`]) feeding a shared
+//!   worker pool, completions queued back through a per-connection outbox —
+//!   possibly out of order, matched by request `id` — mapping wire requests
+//!   onto
 //!   [`PrivacyEngine::solve`](privmech_core::PrivacyEngine::solve) /
 //!   [`sweep_with`](privmech_core::PrivacyEngine::sweep_with) /
 //!   [`interact`](privmech_core::PrivacyEngine::interact),
@@ -36,7 +36,7 @@
 //!   [`Client::recv`](client::Client::recv), and the [`SweepStream`]
 //!   iterator that yields per-α results as the server completes them,
 //! * a **fleet tier** ([`ring`], [`router`], the `privmech-router` binary):
-//!   N shard processes behind one listen address, each v2 frame forwarded to
+//!   N shard processes behind one listen address, each frame forwarded to
 //!   the shard chosen by consistent hashing on the canonical request key, so
 //!   the cache keyspace partitions with zero cross-shard coordination and
 //!   routed responses stay byte-identical to a single process.
@@ -71,7 +71,7 @@
 //! handle.shutdown();
 //! ```
 //!
-//! Pipelined (protocol v2): submit many requests on one connection, then
+//! Pipelined: submit many requests on one connection, then
 //! consume completions as they arrive — and stream a sweep's per-α results
 //! in completion order:
 //!
@@ -83,7 +83,6 @@
 //!
 //! let handle = server::spawn(ServerConfig::default()).unwrap();
 //! let mut client = Client::connect(handle.addr()).unwrap();
-//! assert_eq!(client.version(), 2); // negotiated via the hello op
 //!
 //! // Two solves in flight at once; replies are matched by ticket.
 //! let spec = ConsumerSpec::<Rational>::minimax(2, LossSpec::Absolute);
@@ -133,8 +132,7 @@ pub use client::{
 pub use json::Json;
 pub use metrics::{LatencyHistogram, Metrics};
 pub use proto::{
-    CacheDisposition, CacheMode, ConsumerSpec, LossSpec, WireError, WireScalar, PROTOCOL_V1,
-    PROTOCOL_VERSION,
+    CacheDisposition, CacheMode, ConsumerSpec, LossSpec, WireError, WireScalar, PROTOCOL_VERSION,
 };
 pub use ring::ShardRing;
 pub use router::{RouterConfig, RouterHandle};

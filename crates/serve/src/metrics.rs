@@ -26,7 +26,6 @@ pub const BUCKET_COUNT: usize = 31;
 /// unparsable frames).
 pub const TRACKED_OPS: &[&str] = &[
     "ping",
-    "hello",
     "stats",
     "metrics",
     "solve",

@@ -1,5 +1,5 @@
 //! The request/response schema shared by the server and the client
-//! (protocol majors v1 and v2).
+//! (protocol v2).
 //!
 //! The authoritative prose specification lives in `crates/serve/PROTOCOL.md`;
 //! this module is its executable form. Keep the two in sync: every schema
@@ -9,11 +9,11 @@
 //!
 //! * Requests and responses are single JSON objects, one per frame (see
 //!   [`crate::frame`]). The `"v"` field carries the protocol major version;
-//!   the server accepts majors [`PROTOCOL_V1`] and [`PROTOCOL_VERSION`]
-//!   **per frame** and rejects others with `unsupported_version` (additive
-//!   fields do not bump the version — unknown fields are ignored). v2 frames
-//!   must carry a client-chosen `"id"`; many may be in flight per connection
-//!   and replies are matched by `"id"`, with `sweep` answered as a stream of
+//!   the server answers only [`PROTOCOL_VERSION`] and rejects every other
+//!   major with `unsupported_version` (additive fields do not bump the
+//!   version — unknown fields are ignored). Every frame must carry a
+//!   client-chosen `"id"`; many may be in flight per connection and replies
+//!   are matched by `"id"`, with `sweep` answered as a stream of
 //!   `sweep_item` frames plus a terminal `sweep_done`.
 //! * Scalars travel in backend-tagged form (the request's `"scalar"` field):
 //!   exact rationals as strings (`"5/3"`, also accepting integer and decimal
@@ -30,16 +30,12 @@ use privmech_core::{
 use privmech_linalg::{Matrix, Scalar};
 use privmech_numerics::Rational;
 
-use crate::json::Json;
+use crate::json::{self, Json};
 
-/// The newest protocol major this build speaks (v2: tagged multi-in-flight
-/// requests and streaming sweeps). The server also accepts [`PROTOCOL_V1`]
-/// frames — the request's `"v"` field selects, per frame, which reply shape
-/// it gets (see `PROTOCOL.md` § Versioning and negotiation).
+/// The protocol major this build speaks (v2: tagged multi-in-flight
+/// requests and streaming sweeps); frames of any other major are rejected
+/// (see `PROTOCOL.md` § Versioning).
 pub const PROTOCOL_VERSION: u64 = 2;
-
-/// The original strict request/response protocol major, still accepted.
-pub const PROTOCOL_V1: u64 = 1;
 
 /// Upper bound on the query-range bound `n` a server accepts over the wire.
 ///
@@ -647,10 +643,83 @@ impl CacheDisposition {
     }
 }
 
+/// A successful terminal reply envelope.
+pub(crate) fn ok_response(id: Json, cache: Option<CacheDisposition>, result: Json) -> Json {
+    let mut obj = Json::obj()
+        .with("v", Json::num_u64(PROTOCOL_VERSION))
+        .with("id", id)
+        .with("ok", Json::Bool(true));
+    if let Some(disposition) = cache {
+        obj = obj.with("cache", Json::str(disposition.as_wire()));
+    }
+    obj.with("result", result)
+}
+
+/// Render a [`WireError`] as the response's `error` object — also the exact
+/// form stored in the negative cache, so negative hits splice byte-identical
+/// bytes.
+pub(crate) fn wire_error_json(error: &WireError) -> Json {
+    Json::obj()
+        .with("code", Json::str(error.code))
+        .with("message", Json::str(error.message.clone()))
+}
+
+/// A failed terminal reply envelope around a rendered `error` object.
+pub(crate) fn error_response(id: Json, error: Json, cache: Option<CacheDisposition>) -> Json {
+    let mut obj = Json::obj()
+        .with("v", Json::num_u64(PROTOCOL_VERSION))
+        .with("id", id)
+        .with("ok", Json::Bool(false));
+    if let Some(disposition) = cache {
+        obj = obj.with("cache", Json::str(disposition.as_wire()));
+    }
+    obj.with("error", error)
+}
+
+/// Gate one request frame up to its op: the parsed request and its `id`, or
+/// the terminal error frame for a payload that is not UTF-8 JSON, is not v2,
+/// or carries no `id`. The server and the router both gate through this, so
+/// their rejections are byte-identical.
+pub(crate) fn decode_request(payload: &[u8]) -> Result<(Json, Json), Json> {
+    let reject = |id, error: WireError| Err(error_response(id, wire_error_json(&error), None));
+    let Ok(text) = std::str::from_utf8(payload) else {
+        return reject(
+            Json::Null,
+            WireError::new("malformed_json", "frame is not UTF-8"),
+        );
+    };
+    let request = match json::parse(text) {
+        Ok(value) => value,
+        Err(e) => return reject(Json::Null, WireError::new("malformed_json", e.to_string())),
+    };
+    let id = request.get("id").cloned().unwrap_or(Json::Null);
+    let message = match request.get("v").and_then(Json::as_u64) {
+        Some(PROTOCOL_VERSION) => None,
+        Some(v) => Some(format!(
+            "server speaks protocol v{PROTOCOL_VERSION}, request is v{v}"
+        )),
+        None => Some(format!(
+            "request needs an integer \"v\" ({PROTOCOL_VERSION})"
+        )),
+    };
+    if let Some(message) = message {
+        return reject(id, WireError::new("unsupported_version", message));
+    }
+    if id == Json::Null {
+        // Replies are matched by id, and many may be in flight — an untagged
+        // request could never be correlated.
+        return reject(
+            Json::Null,
+            WireError::bad_request("v2 requests must carry a client-chosen \"id\""),
+        );
+    }
+    Ok((request, id))
+}
+
 /// Assemble the monolithic sweep rendering `{"solves":[...]}` from per-item
 /// result renderings in input order — the **one** definition of that shape,
 /// shared by the server (cache-entry assembly from a streamed miss), the
-/// client (reassembling a v2 stream into a v1-byte-identical `raw`) and the
+/// client (reassembling a stream into one byte-comparable `raw`) and the
 /// bench harness (the independently hand-rolled copies in
 /// `tests/pipeline.rs` / `examples/pipelining.rs` stay as oracles).
 #[must_use]

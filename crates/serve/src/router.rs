@@ -18,14 +18,17 @@
 //!
 //! # Mechanics
 //!
-//! The router is a single readiness loop (same machinery as the server's):
-//! it decodes client frames, rewrites each request's `id` to an internal
-//! ticket, forwards it on a multiplexed nonblocking connection to the owning
-//! shard, and splices the client's original `id` rendering back into each
-//! reply — including every `sweep_item` of a streaming sweep — before
-//! relaying it. The splice is lexical (the reply is never re-rendered), so
-//! relayed frames are byte-identical to what a direct connection would have
-//! read.
+//! The router is a handler on the same reactor as the server (the
+//! `readiness` module's `Reactor`, which owns the client connections): it
+//! rewrites each decoded request's `id` to an internal ticket, forwards it
+//! on a multiplexed nonblocking connection to the owning shard (registered
+//! on the reactor's poller under the router's reserved tokens), and splices
+//! the client's original `id` rendering back into each reply — including
+//! every `sweep_item` of a streaming sweep — before relaying it. The splice
+//! is lexical (the reply is never re-rendered), so relayed frames are
+//! byte-identical to what a direct connection would have read. A stopping
+//! router drains like a server: forwarded requests still in flight are
+//! answered before their connections close.
 //!
 //! Per-op routing:
 //!
@@ -34,8 +37,8 @@
 //!   shard and aggregated, so fleet counters read like one server's;
 //! * `shutdown` → broadcast to every live shard (each dumps its cache file),
 //!   answered locally, then the router itself stops;
-//! * everything else (`ping`, `hello` negotiation, unknown ops, schema
-//!   errors) → the lowest live shard, whose reply is deterministic.
+//! * everything else (`ping`, unknown ops, schema errors) → the lowest live
+//!   shard, whose reply is deterministic.
 //!
 //! A dead shard (connect failure, reset, EOF) fails **only its own
 //! requests**: every pending ticket on it is answered with a
@@ -47,20 +50,22 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::json::{self, Json};
 use crate::metrics::TRACKED_OPS;
-use crate::proto::{routing_key, WireError, PROTOCOL_V1, PROTOCOL_VERSION};
-use crate::readiness::{FrameReader, Outbox};
+use crate::proto::{
+    decode_request, error_response, ok_response, routing_key, wire_error_json, WireError,
+};
+use crate::readiness::{
+    ConnWriter, Doorbell, FrameReader, Handler, Outbox, Reactor, FIRST_HANDLER_TOKEN,
+};
 use crate::ring::{ShardRing, DEFAULT_VNODES};
-use crate::server::{error_response, ok_response, wire_error_json};
-use crate::sys::{EpollEvent, Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use crate::sys::{Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 
 /// Configuration of a router instance.
 #[derive(Debug, Clone)]
@@ -101,21 +106,13 @@ const CONNECT_ATTEMPTS: usize = 2;
 /// Timeout of one reconnection attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// How long a stopping router keeps flushing before force-closing.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-struct RouterShared {
-    stop: AtomicBool,
-    wake: WakeFd,
+/// A running router. Dropping the handle shuts it down and joins its thread.
+pub struct RouterHandle {
     addr: SocketAddr,
     /// Current shard addresses by index, consulted on every reconnection —
     /// restarted shards may come back on fresh ephemeral ports.
-    addrs: Mutex<Vec<String>>,
-}
-
-/// A running router. Dropping the handle shuts it down and joins its thread.
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
+    addrs: Arc<Mutex<Vec<String>>>,
+    bell: Arc<Doorbell>,
     event: Option<JoinHandle<()>>,
 }
 
@@ -123,18 +120,14 @@ impl RouterHandle {
     /// The bound listen address (resolves ephemeral ports).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.addr
     }
 
     /// Point shard `index` at a new address — re-admits a restarted shard.
     /// Takes effect on the next reconnection attempt; ring ownership is
     /// untouched (it hashes the index, not the address).
     pub fn update_shard(&self, index: usize, addr: impl Into<String>) {
-        let mut addrs = self
-            .shared
-            .addrs
-            .lock()
-            .expect("shard address list poisoned");
+        let mut addrs = self.addrs.lock().expect("shard address list poisoned");
         if let Some(slot) = addrs.get_mut(index) {
             *slot = addr.into();
         }
@@ -153,8 +146,7 @@ impl RouterHandle {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.signal();
+        self.bell.stop();
         if let Some(event) = self.event.take() {
             let _ = event.join();
         }
@@ -176,71 +168,31 @@ pub fn spawn(config: RouterConfig) -> io::Result<RouterHandle> {
             "a router needs at least one shard",
         ));
     }
-    let listener =
-        TcpListener::bind(
-            config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address")
-            })?,
-        )?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let shared = Arc::new(RouterShared {
-        stop: AtomicBool::new(false),
-        wake: WakeFd::new()?,
-        addr,
-        addrs: Mutex::new(config.shards.clone()),
-    });
-    let poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
-    poller.register(shared.wake.as_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
-
     let nshards = config.shards.len();
-    let now = Instant::now();
-    let event = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            RouterLoop {
-                shared,
-                poller,
-                listener,
-                ring: ShardRing::new(nshards, config.vnodes.max(1)),
-                max_inflight: config.max_inflight_per_conn,
-                clients: HashMap::new(),
-                shards: (0..nshards)
-                    .map(|_| ShardState::Down { until: now })
-                    .collect(),
-                owned: vec![HashSet::new(); nshards],
-                pendings: HashMap::new(),
-                aggs: HashMap::new(),
-                next_client_token: TOKEN_SHARD_BASE + nshards as u64,
-                next_ticket: 1,
-                scratch: vec![0u8; 64 * 1024],
-            }
-            .run();
-        })
+    let reactor = Reactor::bind(&config.addr, config.max_inflight_per_conn, nshards as u64)?;
+    let addrs = Arc::new(Mutex::new(config.shards));
+    let bell = Arc::clone(reactor.doorbell());
+    let mut router = Router {
+        addrs: Arc::clone(&addrs),
+        bell: Arc::clone(&bell),
+        ring: ShardRing::new(nshards, config.vnodes.max(1)),
+        shards: (0..nshards)
+            .map(|_| ShardState::Down {
+                until: Instant::now(),
+            })
+            .collect(),
+        owned: vec![HashSet::new(); nshards],
+        pendings: HashMap::new(),
+        aggs: HashMap::new(),
+        next_ticket: 1,
+        scratch: vec![0u8; 64 * 1024],
     };
     Ok(RouterHandle {
-        shared,
-        event: Some(event),
+        addr: reactor.local_addr()?,
+        addrs,
+        bell,
+        event: Some(std::thread::spawn(move || reactor.run(&mut router))),
     })
-}
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-/// Shard `i`'s connection carries token `TOKEN_SHARD_BASE + i`, stable
-/// across reconnections; client tokens start above the shard range.
-const TOKEN_SHARD_BASE: u64 = 2;
-
-struct ClientConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    outbox: Outbox,
-    interest: u32,
-    read_closed: bool,
-    closing: bool,
-    /// Forwarded requests awaiting their terminal reply (the readiness-gated
-    /// in-flight count).
-    inflight: usize,
 }
 
 struct ShardConn {
@@ -259,9 +211,8 @@ enum ShardState {
 enum Pending {
     /// Relay to a client, restoring its original `id` rendering.
     Forward {
-        client: u64,
+        client: Arc<ConnWriter>,
         id_rendering: String,
-        v: u64,
     },
     /// One member of a `stats`/`metrics` fan-out, remembering which shard it
     /// was sent to so `metrics` can report a per-shard breakdown.
@@ -272,8 +223,7 @@ enum Pending {
 
 /// An in-progress `stats`/`metrics` fan-out.
 struct Agg {
-    client: u64,
-    v: u64,
+    client: Arc<ConnWriter>,
     id_rendering: String,
     waiting: usize,
     successes: usize,
@@ -326,318 +276,72 @@ struct OpAcc {
     buckets: HashMap<u64, u64>,
 }
 
-struct RouterLoop {
-    shared: Arc<RouterShared>,
-    poller: Poller,
-    listener: TcpListener,
+/// The router's reactor handler: shard connections, tickets and fan-outs.
+/// Shard `i`'s connection carries poller token `FIRST_HANDLER_TOKEN + i`,
+/// stable across reconnections.
+struct Router {
+    addrs: Arc<Mutex<Vec<String>>>,
+    bell: Arc<Doorbell>,
     ring: ShardRing,
-    max_inflight: usize,
-    clients: HashMap<u64, ClientConn>,
     shards: Vec<ShardState>,
     /// Tickets outstanding on each shard, for fault fan-out on death.
     owned: Vec<HashSet<u64>>,
     pendings: HashMap<u64, Pending>,
     aggs: HashMap<u64, Agg>,
-    next_client_token: u64,
     next_ticket: u64,
     scratch: Vec<u8>,
 }
 
-impl RouterLoop {
-    fn run(mut self) {
-        let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-        let mut draining = false;
-        let mut drain_deadline = Instant::now();
-        loop {
-            let timeout = if draining { 20 } else { 500 };
-            let Ok(n) = self.poller.wait(&mut events, timeout) else {
-                break;
-            };
-            for event in &events[..n] {
-                let token = event.data;
-                let mask = event.events;
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.shared.wake.drain(),
-                    token if token < TOKEN_SHARD_BASE + self.shards.len() as u64 => {
-                        self.shard_ready((token - TOKEN_SHARD_BASE) as usize, mask);
-                    }
-                    token => self.client_ready(token, mask),
-                }
-            }
-            if self.shared.stop.load(Ordering::SeqCst) {
-                if !draining {
-                    draining = true;
-                    drain_deadline = Instant::now() + DRAIN_GRACE;
-                    let _ = self.poller.deregister(self.listener.as_raw_fd());
-                    let tokens: Vec<u64> = self.clients.keys().copied().collect();
-                    for token in tokens {
-                        if let Some(client) = self.clients.get_mut(&token) {
-                            client.read_closed = true;
-                            client.closing = true;
-                        }
-                        self.service_client(token);
-                    }
-                }
-                // Quiesced = every outbox flushed (shutdown broadcasts must
-                // reach the shards before the router exits).
-                let flushed = self.clients.values().all(|c| c.outbox.is_empty())
-                    && self.shards.iter().all(|s| match s {
-                        ShardState::Up(conn) => conn.outbox.is_empty(),
-                        ShardState::Down { .. } => true,
-                    });
-                if flushed || Instant::now() >= drain_deadline {
-                    break;
-                }
-            }
-        }
-        for (_, client) in self.clients.drain() {
-            let _ = client.stream.shutdown(Shutdown::Both);
-        }
-        for shard in &self.shards {
-            if let ShardState::Up(conn) = shard {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
+impl Handler for Router {
+    fn on_frame(&mut self, poller: &Poller, writer: &Arc<ConnWriter>, payload: Vec<u8>) -> bool {
+        self.handle_client_frame(poller, writer, &payload);
+        true
     }
 
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.stop.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_client_token;
-                    self.next_client_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, EPOLLIN)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.clients.insert(
-                        token,
-                        ClientConn {
-                            stream,
-                            reader: FrameReader::new(),
-                            outbox: Outbox::new(),
-                            interest: EPOLLIN,
-                            read_closed: false,
-                            closing: false,
-                            inflight: 0,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
+    fn on_event(&mut self, poller: &Poller, token: u64, mask: u32) {
+        self.shard_ready(poller, (token - FIRST_HANDLER_TOKEN) as usize, mask);
     }
 
-    // ------------------------------------------------------------------
-    // Client side
-    // ------------------------------------------------------------------
-
-    fn client_ready(&mut self, token: u64, mask: u32) {
-        let Some(client) = self.clients.get_mut(&token) else {
-            return;
-        };
-        if mask & (EPOLLERR | EPOLLHUP) != 0 {
-            self.drop_client(token);
-            return;
-        }
-        if mask & EPOLLIN != 0 && !client.read_closed {
-            match client.reader.fill(&mut &client.stream, &mut self.scratch) {
-                Ok(eof) => client.read_closed |= eof,
-                Err(_) => {
-                    self.drop_client(token);
-                    return;
-                }
-            }
-        }
-        self.service_client(token);
+    /// Shutdown broadcasts must reach the shards before the router exits.
+    fn quiesced(&self) -> bool {
+        self.shards.iter().all(|s| match s {
+            ShardState::Up(conn) => conn.outbox.is_empty(),
+            ShardState::Down { .. } => true,
+        })
     }
+}
 
-    /// Decode and dispatch buffered client frames (gated at the in-flight
-    /// cap), flush the outbox, update interest, tear down when finished.
-    fn service_client(&mut self, token: u64) {
-        enum DecodeEnd {
-            NoMore,
-            Capped,
-            Fatal,
-        }
-        let mut end = DecodeEnd::NoMore;
-        loop {
-            let frame = {
-                let Some(client) = self.clients.get_mut(&token) else {
-                    return;
-                };
-                if client.closing {
-                    break;
-                }
-                if self.max_inflight != 0 && client.inflight >= self.max_inflight {
-                    end = DecodeEnd::Capped;
-                    break;
-                }
-                match client.reader.next_frame() {
-                    Ok(Some(payload)) => payload,
-                    Ok(None) => break,
-                    Err(_) => {
-                        end = DecodeEnd::Fatal;
-                        break;
-                    }
-                }
-            };
-            self.handle_client_frame(token, &frame);
-        }
-        {
-            let Some(client) = self.clients.get_mut(&token) else {
-                return;
-            };
-            let truncated = matches!(end, DecodeEnd::NoMore)
-                && client.read_closed
-                && client.reader.has_partial();
-            if !client.closing && (matches!(end, DecodeEnd::Fatal) || truncated) {
-                client.closing = true;
-                let frame = error_response(
-                    PROTOCOL_VERSION,
-                    Json::Null,
-                    wire_error_json(&WireError::new("malformed_frame", "unreadable frame")),
-                    None,
-                );
-                let _ = client.outbox.push_frame(json::to_string(&frame).as_bytes());
-            }
-        }
-        self.flush_client(token);
-    }
+/// Answer a frame locally: its terminal reply, and its in-flight slot back.
+fn reply_local(writer: &ConnWriter, frame: &Json) {
+    let _ = writer.send(frame);
+    writer.release();
+}
 
-    /// Pump the client's outbox, refresh poller interest, and tear the
-    /// connection down once it has nothing left to do.
-    fn flush_client(&mut self, token: u64) {
-        let Some(client) = self.clients.get_mut(&token) else {
-            return;
-        };
-        let flushed = match client.outbox.pump(&mut &client.stream) {
-            Ok(emptied) => emptied,
-            Err(_) => {
-                self.drop_client(token);
+impl Router {
+    fn handle_client_frame(&mut self, poller: &Poller, writer: &Arc<ConnWriter>, payload: &[u8]) {
+        // Frames the server would reject before reaching an op handler are
+        // rejected here through the same gate, with the identical bytes:
+        // there is nothing cache-dependent to route.
+        let (request, id) = match decode_request(payload) {
+            Ok(decoded) => decoded,
+            Err(frame) => {
+                reply_local(writer, &frame);
                 return;
             }
         };
-        let at_cap = self.max_inflight != 0 && client.inflight >= self.max_inflight;
-        let readable = !client.read_closed && !client.closing && !at_cap;
-        let desired = if readable { EPOLLIN } else { 0 } | if flushed { 0 } else { EPOLLOUT };
-        if desired != client.interest
-            && self
-                .poller
-                .modify(client.stream.as_raw_fd(), token, desired)
-                .is_ok()
-        {
-            client.interest = desired;
-        }
-        if (client.closing || client.read_closed) && flushed && client.inflight == 0 {
-            self.drop_client(token);
-        }
-    }
-
-    fn drop_client(&mut self, token: u64) {
-        if let Some(client) = self.clients.remove(&token) {
-            let _ = self.poller.deregister(client.stream.as_raw_fd());
-            let _ = client.stream.shutdown(Shutdown::Both);
-        }
-        // Tickets this client had in flight drain lazily: replies arriving
-        // for a gone client are discarded on receipt.
-    }
-
-    /// Queue a locally-built reply frame on a client's outbox.
-    fn reply_local(&mut self, token: u64, frame: &Json) {
-        if let Some(client) = self.clients.get_mut(&token) {
-            let _ = client.outbox.push_frame(json::to_string(frame).as_bytes());
-        }
-        self.flush_client(token);
-    }
-
-    fn handle_client_frame(&mut self, token: u64, payload: &[u8]) {
-        // Frames the *server* would reject before reaching an op handler are
-        // rejected here with the identical bytes (same codes, same messages,
-        // same envelope rendering): there is nothing cache-dependent to
-        // route.
-        let Ok(text) = std::str::from_utf8(payload) else {
-            self.reply_local(
-                token,
-                &error_response(
-                    PROTOCOL_VERSION,
-                    Json::Null,
-                    wire_error_json(&WireError::new("malformed_json", "frame is not UTF-8")),
-                    None,
-                ),
-            );
-            return;
-        };
-        let request = match json::parse(text) {
-            Ok(value) => value,
-            Err(e) => {
-                self.reply_local(
-                    token,
-                    &error_response(
-                        PROTOCOL_VERSION,
-                        Json::Null,
-                        wire_error_json(&WireError::new("malformed_json", e.to_string())),
-                        None,
-                    ),
-                );
-                return;
-            }
-        };
-        let id = request.get("id").cloned().unwrap_or(Json::Null);
-        let v = request.get("v").and_then(Json::as_u64);
-        if v == Some(PROTOCOL_VERSION) && id == Json::Null {
-            // Enforced locally: the forwarded request necessarily carries a
-            // ticket id, so the shard could never reproduce this rejection.
-            self.reply_local(
-                token,
-                &error_response(
-                    PROTOCOL_VERSION,
-                    Json::Null,
-                    wire_error_json(&WireError::bad_request(
-                        "v2 requests must carry a client-chosen \"id\"",
-                    )),
-                    None,
-                ),
-            );
-            return;
-        }
-        // The v recorded on the ticket shapes only *synthesized* failure
-        // frames; the server echoes v2 for invalid versions, so mirror that.
-        let v_eff = match v {
-            Some(v @ (PROTOCOL_V1 | PROTOCOL_VERSION)) => v,
-            _ => PROTOCOL_VERSION,
-        };
-        // Fleet-level ops are only intercepted for valid versions — an
-        // invalid `v` must reach a shard so the client gets the server's
-        // exact `unsupported_version` bytes (and a bad-version `shutdown`
-        // must stop nothing).
-        let v_valid = matches!(v, Some(PROTOCOL_V1 | PROTOCOL_VERSION));
         let op = request.get("op").and_then(Json::as_str).unwrap_or("");
         match op {
-            "stats" | "metrics" if v_valid => self.handle_agg(token, v_eff, &id, &request),
-            "shutdown" if v_valid => self.handle_shutdown(token, v_eff, id, &request),
+            "stats" | "metrics" => self.handle_agg(poller, writer, &id, &request),
+            "shutdown" => self.handle_shutdown(poller, writer, id, &request),
             _ => {
                 let shard = match routing_key(&request) {
                     Some(key) => self.ring.shard_for(&key),
-                    // Keyless requests (ping, hello, schema errors…) have
+                    // Keyless requests (ping, unknown ops…) have
                     // deterministic, cache-independent responses: any shard
                     // answers them identically.
-                    None => self.lowest_live_shard(),
+                    None => self.lowest_live_shard(poller),
                 };
-                self.forward(token, shard, v_eff, &id, request);
+                self.forward(poller, writer, shard, &id, request);
             }
         }
     }
@@ -648,46 +352,46 @@ impl RouterLoop {
 
     /// Rewrite the request's id to a fresh ticket and queue it on `shard`'s
     /// connection; on an unreachable shard, answer `shard_unavailable`.
-    fn forward(&mut self, token: u64, shard: usize, v: u64, id: &Json, mut request: Json) {
+    fn forward(
+        &mut self,
+        poller: &Poller,
+        client: &Arc<ConnWriter>,
+        shard: usize,
+        id: &Json,
+        mut request: Json,
+    ) {
         let id_rendering = json::to_string(id);
-        if !self.ensure_shard(shard) {
-            self.reply_local(token, &shard_unavailable_frame(v, &id_rendering, shard));
-            return;
-        }
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         set_field(&mut request, "id", Json::num_u64(ticket));
-        let ok = self.push_to_shard(shard, json::to_string(&request).as_bytes());
-        if !ok {
-            // The push killed the shard (overflow / write error): its
-            // pendings were already failed; fail this request the same way.
-            self.reply_local(token, &shard_unavailable_frame(v, &id_rendering, shard));
+        // A failed push kills the shard, whose pendings are failed with it;
+        // fail this request the same way.
+        if !self.ensure_shard(poller, shard)
+            || !self.push_to_shard(poller, shard, json::to_string(&request).as_bytes())
+        {
+            reply_local(client, &shard_unavailable_frame(&id_rendering, shard));
             return;
         }
         self.pendings.insert(
             ticket,
             Pending::Forward {
-                client: token,
+                client: Arc::clone(client),
                 id_rendering,
-                v,
             },
         );
         self.owned[shard].insert(ticket);
-        if let Some(client) = self.clients.get_mut(&token) {
-            client.inflight += 1;
-        }
     }
 
     /// The first shard accepting a connection, for keyless requests. Falls
     /// back to shard 0 (whose unavailability then surfaces naturally).
-    fn lowest_live_shard(&mut self) -> usize {
+    fn lowest_live_shard(&mut self, poller: &Poller) -> usize {
         for shard in 0..self.shards.len() {
             if matches!(self.shards[shard], ShardState::Up(_)) {
                 return shard;
             }
         }
         for shard in 0..self.shards.len() {
-            if self.ensure_shard(shard) {
+            if self.ensure_shard(poller, shard) {
                 return shard;
             }
         }
@@ -696,7 +400,7 @@ impl RouterLoop {
 
     /// Make sure `shard` has a live connection, reconnecting (bounded) if
     /// its cooldown has lapsed. Returns whether it is usable.
-    fn ensure_shard(&mut self, shard: usize) -> bool {
+    fn ensure_shard(&mut self, poller: &Poller, shard: usize) -> bool {
         match &self.shards[shard] {
             ShardState::Up(_) => true,
             ShardState::Down { until } => {
@@ -704,7 +408,6 @@ impl RouterLoop {
                     return false;
                 }
                 let addr = self
-                    .shared
                     .addrs
                     .lock()
                     .expect("shard address list poisoned")
@@ -722,10 +425,8 @@ impl RouterLoop {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let token = TOKEN_SHARD_BASE + shard as u64;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, EPOLLIN)
+                    if poller
+                        .register(stream.as_raw_fd(), shard_token(shard), EPOLLIN)
                         .is_err()
                     {
                         continue;
@@ -748,41 +449,38 @@ impl RouterLoop {
 
     /// Queue one frame on a shard connection and flush. Returns false — and
     /// fails the shard — if the push or flush breaks the connection.
-    fn push_to_shard(&mut self, shard: usize, payload: &[u8]) -> bool {
+    fn push_to_shard(&mut self, poller: &Poller, shard: usize, payload: &[u8]) -> bool {
         let pushed = match &mut self.shards[shard] {
             ShardState::Up(conn) => conn.outbox.push_frame(payload).is_ok(),
             ShardState::Down { .. } => false,
         };
         if !pushed {
-            self.kill_shard(shard);
+            self.kill_shard(poller, shard);
             return false;
         }
-        self.flush_shard(shard)
+        self.flush_shard(poller, shard)
     }
 
     /// Pump a shard's outbox and refresh its poller interest. Returns false
     /// — and fails the shard — on a write error.
-    fn flush_shard(&mut self, shard: usize) -> bool {
+    fn flush_shard(&mut self, poller: &Poller, shard: usize) -> bool {
         let ShardState::Up(conn) = &mut self.shards[shard] else {
             return false;
         };
         let flushed = match conn.outbox.pump(&mut &conn.stream) {
             Ok(emptied) => emptied,
             Err(_) => {
-                self.kill_shard(shard);
+                self.kill_shard(poller, shard);
                 return false;
             }
         };
         let desired = EPOLLIN | if flushed { 0 } else { EPOLLOUT };
-        if desired != conn.interest {
-            let token = TOKEN_SHARD_BASE + shard as u64;
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, desired)
+        if desired != conn.interest
+            && poller
+                .modify(conn.stream.as_raw_fd(), shard_token(shard), desired)
                 .is_ok()
-            {
-                conn.interest = desired;
-            }
+        {
+            conn.interest = desired;
         }
         true
     }
@@ -790,7 +488,7 @@ impl RouterLoop {
     /// A shard connection failed: close it, start its cooldown, and fail
     /// every ticket it owned with `shard_unavailable` — other shards'
     /// traffic is untouched.
-    fn kill_shard(&mut self, shard: usize) {
+    fn kill_shard(&mut self, poller: &Poller, shard: usize) {
         let state = std::mem::replace(
             &mut self.shards[shard],
             ShardState::Down {
@@ -798,7 +496,7 @@ impl RouterLoop {
             },
         );
         if let ShardState::Up(conn) = state {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            let _ = poller.deregister(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         let tickets: Vec<u64> = self.owned[shard].drain().collect();
@@ -807,15 +505,7 @@ impl RouterLoop {
                 Some(Pending::Forward {
                     client,
                     id_rendering,
-                    v,
-                }) => {
-                    let frame = shard_unavailable_frame(v, &id_rendering, shard);
-                    if let Some(conn) = self.clients.get_mut(&client) {
-                        let _ = conn.outbox.push_frame(json::to_string(&frame).as_bytes());
-                        conn.inflight = conn.inflight.saturating_sub(1);
-                    }
-                    self.service_client(client);
-                }
+                }) => reply_local(&client, &shard_unavailable_frame(&id_rendering, shard)),
                 Some(Pending::AggMember { agg, shard }) => self.agg_member_done(agg, shard, None),
                 Some(Pending::Discard) | None => {}
             }
@@ -826,9 +516,9 @@ impl RouterLoop {
     // Shard side
     // ------------------------------------------------------------------
 
-    fn shard_ready(&mut self, shard: usize, mask: u32) {
+    fn shard_ready(&mut self, poller: &Poller, shard: usize, mask: u32) {
         if mask & (EPOLLERR | EPOLLHUP) != 0 {
-            self.kill_shard(shard);
+            self.kill_shard(poller, shard);
             return;
         }
         let mut eof = false;
@@ -839,7 +529,7 @@ impl RouterLoop {
             match conn.reader.fill(&mut &conn.stream, &mut self.scratch) {
                 Ok(e) => eof = e,
                 Err(_) => {
-                    self.kill_shard(shard);
+                    self.kill_shard(poller, shard);
                     return;
                 }
             }
@@ -855,7 +545,7 @@ impl RouterLoop {
                     Ok(Some(payload)) => payload,
                     Ok(None) => break,
                     Err(_) => {
-                        self.kill_shard(shard);
+                        self.kill_shard(poller, shard);
                         return;
                     }
                 }
@@ -863,11 +553,11 @@ impl RouterLoop {
             self.handle_shard_reply(shard, &frame);
         }
         if eof {
-            self.kill_shard(shard);
+            self.kill_shard(poller, shard);
             return;
         }
         if mask & EPOLLOUT != 0 {
-            self.flush_shard(shard);
+            self.flush_shard(poller, shard);
         }
     }
 
@@ -882,60 +572,31 @@ impl RouterLoop {
             return;
         };
         let head = &text[..text.len().min(96)];
-        let terminal = !head.contains("\"stream\":\"sweep_item\"");
-        // Relay first (under a shared borrow of the ticket), then retire the
-        // ticket and run the follow-up pass.
-        enum After {
-            Relay { client: u64 },
-            Agg { agg: u64, member: usize },
-            Discard,
-            Nothing,
+        if head.contains("\"stream\":\"sweep_item\"") {
+            if let Some(Pending::Forward {
+                client,
+                id_rendering,
+            }) = self.pendings.get(&ticket)
+            {
+                let _ =
+                    client.send_bytes(splice_id(text, id_start, id_end, id_rendering).as_bytes());
+            }
+            return;
         }
-        let after = match self.pendings.get(&ticket) {
+        self.owned[shard].remove(&ticket);
+        match self.pendings.remove(&ticket) {
             Some(Pending::Forward {
                 client,
                 id_rendering,
-                ..
             }) => {
-                let client = *client;
-                let mut spliced = String::with_capacity(text.len() + id_rendering.len());
-                spliced.push_str(&text[..id_start]);
-                spliced.push_str(id_rendering);
-                spliced.push_str(&text[id_end..]);
-                if let Some(conn) = self.clients.get_mut(&client) {
-                    let _ = conn.outbox.push_frame(spliced.as_bytes());
-                }
-                After::Relay { client }
+                let _ =
+                    client.send_bytes(splice_id(text, id_start, id_end, &id_rendering).as_bytes());
+                client.release();
             }
-            Some(Pending::AggMember { agg, shard }) => After::Agg {
-                agg: *agg,
-                member: *shard,
-            },
-            Some(Pending::Discard) => After::Discard,
-            None => After::Nothing,
-        };
-        if terminal && !matches!(after, After::Nothing) {
-            self.pendings.remove(&ticket);
-            self.owned[shard].remove(&ticket);
-        }
-        match after {
-            After::Relay { client } => {
-                if terminal {
-                    if let Some(conn) = self.clients.get_mut(&client) {
-                        conn.inflight = conn.inflight.saturating_sub(1);
-                    }
-                    // May un-gate reads and decode more frames.
-                    self.service_client(client);
-                } else {
-                    self.flush_client(client);
-                }
+            Some(Pending::AggMember { agg, shard }) => {
+                self.agg_member_done(agg, shard, json::parse(text).ok());
             }
-            After::Agg { agg, member } => {
-                if terminal {
-                    self.agg_member_done(agg, member, json::parse(text).ok());
-                }
-            }
-            After::Discard | After::Nothing => {}
+            Some(Pending::Discard) | None => {}
         }
     }
 
@@ -947,29 +608,22 @@ impl RouterLoop {
     /// shard and merge the results into one fleet-wide reply. `reset: true`
     /// passes through inside the copies, so a fleet metrics reset clears
     /// every shard's window in one op.
-    fn handle_agg(&mut self, token: u64, v: u64, id: &Json, request: &Json) {
+    fn handle_agg(&mut self, poller: &Poller, client: &Arc<ConnWriter>, id: &Json, request: &Json) {
         let id_rendering = json::to_string(id);
         let members: Vec<usize> = (0..self.shards.len())
-            .filter(|&shard| self.ensure_shard(shard))
+            .filter(|&shard| self.ensure_shard(poller, shard))
             .collect();
         if members.is_empty() {
-            self.reply_local(token, &no_shard_frame(v, &id_rendering));
+            reply_local(client, &no_shard_frame(&id_rendering));
             return;
         }
         let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-        // Count the fan-out against the client's in-flight cap *before* the
-        // member loop: an all-members-fail fan-out completes synchronously
-        // inside it and releases the slot.
-        if let Some(client) = self.clients.get_mut(&token) {
-            client.inflight += 1;
-        }
         let agg_id = self.next_ticket;
         self.next_ticket += 1;
         self.aggs.insert(
             agg_id,
             Agg {
-                client: token,
-                v,
+                client: Arc::clone(client),
                 id_rendering,
                 waiting: members.len(),
                 successes: 0,
@@ -985,7 +639,7 @@ impl RouterLoop {
             self.next_ticket += 1;
             let mut copy = request.clone();
             set_field(&mut copy, "id", Json::num_u64(ticket));
-            if self.push_to_shard(shard, json::to_string(&copy).as_bytes()) {
+            if self.push_to_shard(poller, shard, json::to_string(&copy).as_bytes()) {
                 self.pendings
                     .insert(ticket, Pending::AggMember { agg: agg_id, shard });
                 self.owned[shard].insert(ticket);
@@ -1020,7 +674,6 @@ impl RouterLoop {
         let id = Json::Raw(agg.id_rendering.as_str().into());
         let frame = if agg.successes == 0 {
             error_response(
-                agg.v,
                 id,
                 wire_error_json(&WireError::new(
                     "shard_unavailable",
@@ -1033,46 +686,45 @@ impl RouterLoop {
                 AggAcc::Stats(acc) => render_stats(&acc),
                 AggAcc::Metrics(acc) => render_metrics(&acc),
             };
-            ok_response(agg.v, id, None, result)
+            ok_response(id, None, result)
         };
-        let client = agg.client;
-        if let Some(conn) = self.clients.get_mut(&client) {
-            let _ = conn.outbox.push_frame(json::to_string(&frame).as_bytes());
-            conn.inflight = conn.inflight.saturating_sub(1);
-        }
-        self.service_client(client);
+        reply_local(&agg.client, &frame);
     }
 
     /// `shutdown`: broadcast to every reachable shard (each stops and dumps
     /// its cache file), answer the client locally with the server's exact
-    /// reply shape, then stop the router once outboxes flush.
-    fn handle_shutdown(&mut self, token: u64, v: u64, id: Json, request: &Json) {
+    /// reply shape, then stop the router, which drains like a server.
+    fn handle_shutdown(&mut self, poller: &Poller, client: &ConnWriter, id: Json, request: &Json) {
         for shard in 0..self.shards.len() {
-            if !self.ensure_shard(shard) {
+            if !self.ensure_shard(poller, shard) {
                 continue;
             }
             let ticket = self.next_ticket;
             self.next_ticket += 1;
             let mut copy = request.clone();
             set_field(&mut copy, "id", Json::num_u64(ticket));
-            if self.push_to_shard(shard, json::to_string(&copy).as_bytes()) {
+            if self.push_to_shard(poller, shard, json::to_string(&copy).as_bytes()) {
                 self.pendings.insert(ticket, Pending::Discard);
                 self.owned[shard].insert(ticket);
             }
         }
-        self.reply_local(
-            token,
-            &ok_response(v, id, None, Json::obj().with("stopping", Json::Bool(true))),
+        reply_local(
+            client,
+            &ok_response(id, None, Json::obj().with("stopping", Json::Bool(true))),
         );
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.bell.stop();
     }
+}
+
+/// The poller token of shard `shard`'s connection.
+fn shard_token(shard: usize) -> u64 {
+    FIRST_HANDLER_TOKEN + shard as u64
 }
 
 /// The synthesized failure frame for a request owned by an unreachable
 /// shard. The client's original id rendering is spliced in verbatim.
-fn shard_unavailable_frame(v: u64, id_rendering: &str, shard: usize) -> Json {
+fn shard_unavailable_frame(id_rendering: &str, shard: usize) -> Json {
     error_response(
-        v,
         Json::Raw(id_rendering.into()),
         wire_error_json(&WireError::new(
             "shard_unavailable",
@@ -1083,9 +735,8 @@ fn shard_unavailable_frame(v: u64, id_rendering: &str, shard: usize) -> Json {
 }
 
 /// The failure frame for a fan-out that found no reachable shard at all.
-fn no_shard_frame(v: u64, id_rendering: &str) -> Json {
+fn no_shard_frame(id_rendering: &str) -> Json {
     error_response(
-        v,
         Json::Raw(id_rendering.into()),
         wire_error_json(&WireError::new(
             "shard_unavailable",
@@ -1093,6 +744,16 @@ fn no_shard_frame(v: u64, id_rendering: &str) -> Json {
         )),
         None,
     )
+}
+
+/// `text` with the bytes `start..end` (a ticket) replaced by the client's
+/// original id rendering.
+fn splice_id(text: &str, start: usize, end: usize, id_rendering: &str) -> String {
+    let mut spliced = String::with_capacity(text.len() + id_rendering.len());
+    spliced.push_str(&text[..start]);
+    spliced.push_str(id_rendering);
+    spliced.push_str(&text[end..]);
+    spliced
 }
 
 /// Replace (or insert) a top-level object field, preserving its position —

@@ -1,31 +1,28 @@
 //! The serving loop: a pipelined, multi-threaded TCP request handler over
 //! [`PrivacyEngine`] with sharded LRU response caches.
 //!
-//! # Connection anatomy (protocol v2)
+//! # Connection anatomy
 //!
-//! One **event-loop thread** owns every socket through an epoll-style
-//! readiness loop (the `sys` module's epoll wrapper): sockets are
-//! nonblocking, partial frames accumulate in a per-connection decoder (the
-//! `readiness` module's `FrameReader`) until a complete frame appears, and
-//! each decoded request is handed to a fixed, shared pool of **worker
-//! threads** (the compute budget). Completed responses are queued on the
-//! connection's **outbox** (`readiness::Outbox`) and pumped out as the socket turns
-//! writable, so frames never interleave mid-frame and no thread ever parks
-//! on a socket. Many requests from one connection can therefore be in flight
-//! at once, and replies may complete — and be written — **out of order**;
-//! clients match them by the request `id` they chose. v1 frames run through
-//! the same machinery and still behave as strict request/response because a
-//! v1 client only ever has one request in flight. A `v2` `sweep` streams:
-//! one `sweep_item` frame per completed α (completion order, each carrying
-//! its input `index`, via [`PrivacyEngine::sweep_with`]) and a terminal
-//! `sweep_done` frame with aggregate statistics.
+//! One **reactor thread** (the `readiness` module's `Reactor`) owns every
+//! socket: sockets are nonblocking, partial frames accumulate per
+//! connection until a complete frame appears, and the server's handler
+//! hands each decoded request to a fixed, shared pool of **worker threads**
+//! (the compute budget). Completed responses are queued on the connection's
+//! outbox and pumped out as the socket turns writable, so frames never
+//! interleave mid-frame and no thread ever parks on a socket. Many requests
+//! from one connection can therefore be in flight at once, and replies may
+//! complete — and be written — **out of order**; clients match them by the
+//! request `id` they chose. A `sweep` streams: one `sweep_item` frame per
+//! completed α (completion order, each carrying its input `index`, via
+//! [`PrivacyEngine::sweep_with`]) and a terminal `sweep_done` frame with
+//! aggregate statistics.
 //!
 //! Backpressure is **readiness gating**: at the per-connection in-flight cap
-//! ([`ServerConfig::max_inflight_per_conn`]) the loop drops the connection's
-//! read interest — the client's sends back up into the kernel's TCP receive
-//! window — and restores it as terminal frames retire. A peer that stops
-//! *reading* accumulates outbox bytes instead of wedging a worker on a
-//! blocking write; past `readiness::MAX_OUTBOX_BYTES` the
+//! ([`ServerConfig::max_inflight_per_conn`]) the reactor drops the
+//! connection's read interest — the client's sends back up into the
+//! kernel's TCP receive window — and restores it as terminal frames retire.
+//! A peer that stops *reading* accumulates outbox bytes instead of wedging a
+//! worker on a blocking write; past `readiness::MAX_OUTBOX_BYTES` the
 //! connection is torn down.
 //!
 //! # Caching
@@ -35,26 +32,23 @@
 //! composed with the operation and scalar tag, so a cached response is
 //! byte-identical to what an uncached solve of the same request would render
 //! — with [`ServerConfig::verify_hits`], the server re-solves on every hit
-//! and *asserts* that identity at runtime. A v2 streaming sweep shares its
-//! cache entry with the v1 monolithic form (the entry stores the monolithic
-//! rendering; a streaming hit replays it item by item), so the two protocol
-//! majors and both cache states render byte-identical `result` objects.
+//! and *asserts* that identity at runtime. A streaming sweep's cache entry
+//! is the monolithic rendering of all its solves; a hit replays it item by
+//! item, so cached and uncached streams carry byte-identical items.
 //! Deterministic **validation errors** are negatively cached under their own
 //! counters (see `PROTOCOL.md` § Negative caching), and
 //! [`ServerConfig::cache_file`] persists both caches across restarts as
 //! JSON Lines ([`crate::persist`]) — portable precisely because of the
 //! bit-identity contract.
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use privmech_core::{Mechanism, PrivacyEngine, PrivacyLevel, RequestFingerprint};
 use privmech_numerics::Rational;
@@ -64,12 +58,13 @@ use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::persist;
 use crate::proto::{
-    assemble_solves, is_validation_code, matrix_to_wire, mechanism_from_wire, render_interaction,
-    render_solve, stats_from_wire, stats_to_wire, CacheDisposition, CacheMode, ConsumerSpec,
-    WireError, WireScalar, PROTOCOL_V1, PROTOCOL_VERSION,
+    assemble_solves, decode_request, error_response, is_validation_code, matrix_to_wire,
+    mechanism_from_wire, ok_response, render_interaction, render_solve, stats_from_wire,
+    stats_to_wire, wire_error_json, CacheDisposition, CacheMode, ConsumerSpec, WireError,
+    WireScalar, PROTOCOL_VERSION,
 };
-use crate::readiness::{FrameReader, Outbox};
-use crate::sys::{EpollEvent, Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use crate::readiness::{ConnWriter, Doorbell, Handler, Reactor};
+use crate::sys::Poller;
 
 /// Configuration of a serving instance.
 #[derive(Debug, Clone)]
@@ -78,7 +73,7 @@ pub struct ServerConfig {
     /// [`ServerHandle::addr`]).
     pub addr: String,
     /// Worker threads — the number of requests *computed* concurrently
-    /// (connections are limited only by event-loop bookkeeping, not by this
+    /// (connections are limited only by reactor bookkeeping, not by this
     /// pool: an idle connection costs one epoll registration and two small
     /// buffers, no thread).
     pub worker_threads: usize,
@@ -102,7 +97,7 @@ pub struct ServerConfig {
     /// are portable by the bit-identity contract).
     pub cache_file: Option<PathBuf>,
     /// Per-connection bound on decoded requests in flight (queued for or
-    /// executing on the worker pool). At the cap the event loop drops the
+    /// executing on the worker pool). At the cap the reactor drops the
     /// connection's read interest — real backpressure through the kernel's
     /// TCP receive window — and restores it as terminal frames are written,
     /// so a client pipelining thousands of requests costs bounded server
@@ -123,35 +118,6 @@ impl Default for ServerConfig {
             cache_file: None,
             max_inflight_per_conn: 256,
         }
-    }
-}
-
-/// The event loop's doorbell: worker threads push the token of a connection
-/// whose outbox or in-flight count changed, then signal the eventfd to pull
-/// the loop out of `epoll_wait`.
-struct LoopNotify {
-    wake: WakeFd,
-    dirty: Mutex<Vec<u64>>,
-}
-
-impl LoopNotify {
-    fn new() -> io::Result<Self> {
-        Ok(LoopNotify {
-            wake: WakeFd::new()?,
-            dirty: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn push(&self, token: u64) {
-        self.dirty
-            .lock()
-            .expect("dirty token list poisoned")
-            .push(token);
-        self.wake.signal();
-    }
-
-    fn take(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.dirty.lock().expect("dirty token list poisoned"))
     }
 }
 
@@ -181,19 +147,15 @@ struct Shared {
     metrics: Metrics,
     verify_hits: bool,
     sweep_threads: usize,
-    stop: AtomicBool,
     addr: SocketAddr,
-    /// Wakes the event loop when workers finish writes or the server stops.
-    notify: LoopNotify,
+    /// Wakes and stops the reactor; also keeps the in-flight high-water
+    /// mark the `stats` op reports.
+    bell: Arc<Doorbell>,
     cache_file: Option<PathBuf>,
     dumped: AtomicBool,
     /// Per-connection in-flight cap ([`ServerConfig::max_inflight_per_conn`];
     /// 0 = unbounded).
     max_inflight: usize,
-    /// High-water mark of any single connection's in-flight depth since
-    /// startup — reported by the `stats` op so load harnesses can see how
-    /// close clients come to the backpressure cap.
-    inflight_peak: AtomicU64,
 }
 
 impl Shared {
@@ -213,64 +175,27 @@ impl Shared {
     }
 }
 
-/// One connection's write half, shared by every worker completing one of its
-/// requests. Workers never touch the socket: [`ConnWriter::send`] renders
-/// the frame into the outbox under a mutex (whole frames, so frames never
-/// interleave mid-frame; interleaving of frames *between* requests is what
-/// the `id` tag is for) and rings the event loop's doorbell to flush it.
-struct ConnWriter {
-    outbox: Mutex<Outbox>,
-    /// Set on the first unrecoverable failure (outbox overflow — the peer
-    /// stopped reading — or a socket error seen by the event loop): later
-    /// sends fail fast instead of queueing bytes that can never be
-    /// delivered.
-    dead: AtomicBool,
-    /// This connection's requests decoded but not yet answered with a
-    /// terminal frame. The event loop gates read interest at the configured
-    /// cap; workers decrement in [`run_job`] after the terminal write.
-    inflight: AtomicUsize,
-    /// The connection's event-loop token, for doorbell pushes.
-    token: u64,
-    notify: Arc<Shared>,
-}
-
-impl ConnWriter {
-    /// Whether the connection is unrecoverable.
-    fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Relaxed)
-    }
-
-    /// Return an in-flight slot (the request's terminal frame is written).
-    fn release(&self) {
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.notify.notify.push(self.token);
-    }
-
-    fn send(&self, frame: &Json) -> io::Result<()> {
-        if self.is_dead() {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "connection writer is dead",
-            ));
-        }
-        let bytes = json::to_string(frame);
-        let result = self
-            .outbox
-            .lock()
-            .expect("connection outbox poisoned")
-            .push_frame(bytes.as_bytes());
-        if result.is_err() {
-            self.dead.store(true, Ordering::Relaxed);
-        }
-        self.notify.notify.push(self.token);
-        result
-    }
-}
-
 /// One decoded request frame queued for the worker pool.
 struct Job {
     writer: Arc<ConnWriter>,
     payload: Vec<u8>,
+}
+
+/// The server's reactor handler: every decoded frame becomes a [`Job`].
+struct Dispatch {
+    jobs_tx: Sender<Job>,
+}
+
+impl Handler for Dispatch {
+    fn on_frame(&mut self, _: &Poller, writer: &Arc<ConnWriter>, payload: Vec<u8>) -> bool {
+        // A send can only fail if every worker died; the connection closes.
+        self.jobs_tx
+            .send(Job {
+                writer: Arc::clone(writer),
+                payload,
+            })
+            .is_ok()
+    }
 }
 
 /// A running server. Dropping the handle shuts the server down and joins its
@@ -300,7 +225,7 @@ impl ServerHandle {
         self.shared.neg_cache.stats()
     }
 
-    /// Signal the event loop to stop and join every thread. Also invoked on
+    /// Signal the reactor to stop and join every thread. Also invoked on
     /// drop; calling it explicitly surfaces the join.
     pub fn shutdown(mut self) {
         self.stop_and_join();
@@ -323,7 +248,7 @@ impl ServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        signal_stop(&self.shared);
+        self.shared.bell.stop();
         self.join_threads();
         self.shared.dump_cache_file();
     }
@@ -335,22 +260,10 @@ impl Drop for ServerHandle {
     }
 }
 
-fn signal_stop(shared: &Shared) {
-    shared.stop.store(true, Ordering::SeqCst);
-    shared.notify.wake.signal();
-}
-
 /// Bind and start serving; returns immediately with a handle. If a cache
 /// file is configured and present, both caches are pre-loaded from it.
 pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
-    let listener =
-        TcpListener::bind(
-            config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address")
-            })?,
-        )?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
+    let reactor = Reactor::bind(&config.addr, config.max_inflight_per_conn, 0)?;
     let shared = Arc::new(Shared {
         cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
         neg_cache: ShardedCache::new(config.neg_cache_capacity, config.cache_shards),
@@ -358,13 +271,11 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         metrics: Metrics::new(),
         verify_hits: config.verify_hits,
         sweep_threads: config.sweep_threads.max(1),
-        stop: AtomicBool::new(false),
-        addr,
-        notify: LoopNotify::new()?,
+        addr: reactor.local_addr()?,
+        bell: Arc::clone(reactor.doorbell()),
         cache_file: config.cache_file.clone(),
         dumped: AtomicBool::new(false),
         max_inflight: config.max_inflight_per_conn,
-        inflight_peak: AtomicU64::new(0),
     });
     if let Some(path) = &shared.cache_file {
         match persist::load(path, &shared.cache, &shared.neg_cache) {
@@ -396,36 +307,18 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
                 match job {
                     Ok(job) => {
                         if run_job(&shared, &job) {
-                            signal_stop(&shared);
+                            shared.bell.stop();
                         }
                     }
-                    Err(_) => break, // the event loop is gone
+                    Err(_) => break, // the reactor is gone
                 }
             })
         })
         .collect();
 
-    // Register the listener and doorbell before the loop thread starts so
-    // setup failures surface here, not in a detached thread.
-    let poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
-    poller.register(shared.notify.wake.as_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
-
-    let event = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            EventLoop {
-                shared,
-                poller,
-                listener,
-                conns: HashMap::new(),
-                jobs_tx,
-                next_token: FIRST_CONN_TOKEN,
-                scratch: vec![0u8; 64 * 1024],
-            }
-            .run();
-        })
-    };
+    // Dropping the handler's `jobs_tx` when the reactor returns lets the
+    // worker pool drain out.
+    let event = std::thread::spawn(move || reactor.run(&mut Dispatch { jobs_tx }));
 
     Ok(ServerHandle {
         shared,
@@ -434,295 +327,12 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// How long a stopping server keeps flushing outboxes and waiting for
-/// in-flight requests before force-closing what remains.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-/// One live connection's event-loop state. The per-connection frame state
-/// machine lives in `reader` (partial frames accumulate across readiness
-/// events) and `writer` (partially written frames drain across writability
-/// events).
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    writer: Arc<ConnWriter>,
-    /// The interest mask currently registered with the poller.
-    interest: u32,
-    /// Peer EOF seen (or reads retired by a server stop): buffered frames
-    /// still dispatch, but no more bytes arrive.
-    read_closed: bool,
-    /// Unrecoverable framing state: stop decoding, flush the outbox, close.
-    closing: bool,
-}
-
-impl Conn {
-    fn quiesced(&self) -> bool {
-        self.writer.inflight.load(Ordering::SeqCst) == 0
-            && self
-                .writer
-                .outbox
-                .lock()
-                .expect("connection outbox poisoned")
-                .is_empty()
-    }
-}
-
-/// The readiness loop: owns the listener, the poller and every connection.
-struct EventLoop {
-    shared: Arc<Shared>,
-    poller: Poller,
-    listener: TcpListener,
-    conns: HashMap<u64, Conn>,
-    jobs_tx: Sender<Job>,
-    next_token: u64,
-    scratch: Vec<u8>,
-}
-
-impl EventLoop {
-    fn run(mut self) {
-        let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-        let mut draining = false;
-        let mut drain_deadline = Instant::now();
-        loop {
-            let timeout = if draining { 20 } else { 500 };
-            let Ok(n) = self.poller.wait(&mut events, timeout) else {
-                break;
-            };
-            for event in &events[..n] {
-                let token = event.data;
-                let mask = event.events;
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.shared.notify.wake.drain(),
-                    token => self.conn_ready(token, mask),
-                }
-            }
-            for token in self.shared.notify.take() {
-                self.service(token);
-            }
-            if self.shared.stop.load(Ordering::SeqCst) {
-                if !draining {
-                    draining = true;
-                    drain_deadline = Instant::now() + DRAIN_GRACE;
-                    let _ = self.poller.deregister(self.listener.as_raw_fd());
-                    // Stop decoding new requests everywhere; in-flight ones
-                    // finish and their terminal frames flush below.
-                    let tokens: Vec<u64> = self.conns.keys().copied().collect();
-                    for token in tokens {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.read_closed = true;
-                            conn.closing = true;
-                        }
-                        self.service(token);
-                    }
-                }
-                let quiesced = self.conns.values().all(Conn::quiesced);
-                if quiesced || Instant::now() >= drain_deadline {
-                    break;
-                }
-            }
-        }
-        for (_, conn) in self.conns.drain() {
-            conn.writer.dead.store(true, Ordering::Relaxed);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        // Dropping `jobs_tx` (with `self`) lets the worker pool drain out.
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.stop.load(Ordering::SeqCst) {
-                        continue; // drop it; the loop is about to drain
-                    }
-                    // Pipelined responses are many small back-to-back
-                    // frames; leaving Nagle on would stall every frame after
-                    // the first behind a delayed ACK whenever the client
-                    // isn't writing.
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, EPOLLIN)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let writer = Arc::new(ConnWriter {
-                        outbox: Mutex::new(Outbox::new()),
-                        dead: AtomicBool::new(false),
-                        inflight: AtomicUsize::new(0),
-                        token,
-                        notify: Arc::clone(&self.shared),
-                    });
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            reader: FrameReader::new(),
-                            writer,
-                            interest: EPOLLIN,
-                            read_closed: false,
-                            closing: false,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// A readiness event on a connection: pull bytes in if readable, then
-    /// run the shared service pass (decode, dispatch, flush, re-gate).
-    fn conn_ready(&mut self, token: u64, mask: u32) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if mask & (EPOLLERR | EPOLLHUP) != 0 {
-            self.teardown(token);
-            return;
-        }
-        if mask & EPOLLIN != 0 && !conn.read_closed {
-            match conn.reader.fill(&mut &conn.stream, &mut self.scratch) {
-                Ok(eof) => conn.read_closed |= eof,
-                Err(_) => {
-                    self.teardown(token);
-                    return;
-                }
-            }
-        }
-        self.service(token);
-    }
-
-    /// The per-connection state machine advance: dispatch decodable frames
-    /// (gated by the in-flight cap), flush the outbox, update poller
-    /// interest, and tear the connection down once it is finished.
-    fn service(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.writer.is_dead() {
-            self.teardown(token);
-            return;
-        }
-        if !conn.closing {
-            dispatch_frames(conn, &self.shared, &self.jobs_tx);
-        }
-        let flushed = {
-            let mut outbox = conn
-                .writer
-                .outbox
-                .lock()
-                .expect("connection outbox poisoned");
-            match outbox.pump(&mut &conn.stream) {
-                Ok(emptied) => emptied,
-                Err(_) => {
-                    drop(outbox);
-                    self.teardown(token);
-                    return;
-                }
-            }
-        };
-        let at_cap = self.shared.max_inflight != 0
-            && conn.writer.inflight.load(Ordering::SeqCst) >= self.shared.max_inflight;
-        let readable = !conn.read_closed && !conn.closing && !at_cap;
-        let desired = if readable { EPOLLIN } else { 0 } | if flushed { 0 } else { EPOLLOUT };
-        if desired != conn.interest
-            && self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, desired)
-                .is_ok()
-        {
-            conn.interest = desired;
-        }
-        if (conn.closing || conn.read_closed) && flushed && conn.quiesced() {
-            self.teardown(token);
-        }
-    }
-
-    fn teardown(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            conn.writer.dead.store(true, Ordering::Relaxed);
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Decode and dispatch every complete buffered frame, stopping at the
-/// in-flight cap (readiness gating: the caller then drops read interest, so
-/// the client's sends back up into TCP flow control instead of server
-/// memory).
-fn dispatch_frames(conn: &mut Conn, shared: &Arc<Shared>, jobs_tx: &Sender<Job>) {
-    loop {
-        if shared.max_inflight != 0
-            && conn.writer.inflight.load(Ordering::SeqCst) >= shared.max_inflight
-        {
-            return;
-        }
-        match conn.reader.next_frame() {
-            Ok(Some(payload)) => {
-                let depth = conn.writer.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                shared
-                    .inflight_peak
-                    .fetch_max(depth as u64, Ordering::Relaxed);
-                let job = Job {
-                    writer: Arc::clone(&conn.writer),
-                    payload,
-                };
-                // A send can only fail if every worker died; close then.
-                if jobs_tx.send(job).is_err() {
-                    conn.closing = true;
-                    return;
-                }
-            }
-            Ok(None) => {
-                if conn.read_closed && conn.reader.has_partial() {
-                    // EOF mid-frame: framing is unrecoverable. Report if the
-                    // pipe still works, then close once everything flushes.
-                    let _ = conn.writer.send(&error_response(
-                        PROTOCOL_VERSION,
-                        Json::Null,
-                        wire_error_json(&WireError::new("malformed_frame", "unreadable frame")),
-                        None,
-                    ));
-                    conn.closing = true;
-                }
-                return;
-            }
-            Err(_) => {
-                // Oversized frame: report if the pipe still works, then drop
-                // the connection (framing is unrecoverable).
-                let _ = conn.writer.send(&error_response(
-                    PROTOCOL_VERSION,
-                    Json::Null,
-                    wire_error_json(&WireError::new("malformed_frame", "unreadable frame")),
-                    None,
-                ));
-                conn.closing = true;
-                return;
-            }
-        }
-    }
-}
-
 /// Handle one queued request on a worker thread; returns whether the server
 /// should stop afterwards.
 fn run_job(shared: &Arc<Shared>, job: &Job) -> bool {
     // A request whose connection writer is already dead (outbox overflow, or
-    // a socket error seen by the event loop) can never deliver a byte: skip
-    // the compute instead of burning a worker on it.
+    // a socket error seen by the reactor) can never deliver a byte: skip the
+    // compute instead of burning a worker on it.
     if job.writer.is_dead() {
         job.writer.release();
         return false;
@@ -736,22 +346,15 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> bool {
         handle_payload(shared, &job.writer, &job.payload)
     }));
     let (op, terminal, stop) = outcome.unwrap_or_else(|_| {
-        // Recover the request's v and id from the payload (parsing cannot
-        // panic) so a pipelined client can correlate the failure with its
-        // ticket instead of mistaking it for a connection-level error.
-        let (v, id) = std::str::from_utf8(&job.payload)
+        // Recover the request's id from the payload (parsing cannot panic)
+        // so a pipelined client can correlate the failure with its ticket
+        // instead of mistaking it for a connection-level error.
+        let id = std::str::from_utf8(&job.payload)
             .ok()
             .and_then(|text| json::parse(text).ok())
-            .map(|request| {
-                let v = match request.get("v").and_then(Json::as_u64) {
-                    Some(v @ (PROTOCOL_V1 | PROTOCOL_VERSION)) => v,
-                    _ => PROTOCOL_VERSION,
-                };
-                (v, request.get("id").cloned().unwrap_or(Json::Null))
-            })
-            .unwrap_or((PROTOCOL_VERSION, Json::Null));
+            .and_then(|request| request.get("id").cloned())
+            .unwrap_or(Json::Null);
         let frame = error_response(
-            v,
             id,
             wire_error_json(&WireError::new("internal", "request handler panicked")),
             None,
@@ -770,46 +373,10 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> bool {
     stop
 }
 
-pub(crate) fn ok_response(v: u64, id: Json, cache: Option<CacheDisposition>, result: Json) -> Json {
-    let mut obj = Json::obj()
-        .with("v", Json::num_u64(v))
-        .with("id", id)
-        .with("ok", Json::Bool(true));
-    if let Some(disposition) = cache {
-        obj = obj.with("cache", Json::str(disposition.as_wire()));
-    }
-    obj.with("result", result)
-}
-
-/// Render a [`WireError`] as the response's `error` object — also the exact
-/// form stored in the negative cache, so negative hits splice byte-identical
-/// bytes.
-pub(crate) fn wire_error_json(error: &WireError) -> Json {
-    Json::obj()
-        .with("code", Json::str(error.code))
-        .with("message", Json::str(error.message.clone()))
-}
-
-pub(crate) fn error_response(
-    v: u64,
-    id: Json,
-    error: Json,
-    cache: Option<CacheDisposition>,
-) -> Json {
-    let mut obj = Json::obj()
-        .with("v", Json::num_u64(v))
-        .with("id", id)
-        .with("ok", Json::Bool(false));
-    if let Some(disposition) = cache {
-        obj = obj.with("cache", Json::str(disposition.as_wire()));
-    }
-    obj.with("error", error)
-}
-
 /// A `sweep_item` stream frame: one completed α, tagged with its input index.
-fn sweep_item_frame(v: u64, id: &Json, index: usize, result: Json) -> Json {
+fn sweep_item_frame(id: &Json, index: usize, result: Json) -> Json {
     Json::obj()
-        .with("v", Json::num_u64(v))
+        .with("v", Json::num_u64(PROTOCOL_VERSION))
         .with("id", id.clone())
         .with("ok", Json::Bool(true))
         .with("stream", Json::str("sweep_item"))
@@ -818,9 +385,9 @@ fn sweep_item_frame(v: u64, id: &Json, index: usize, result: Json) -> Json {
 }
 
 /// The terminal `sweep_done` stream frame with aggregate statistics.
-fn sweep_done_frame(v: u64, id: &Json, cache: CacheDisposition, result: Json) -> Json {
+fn sweep_done_frame(id: &Json, cache: CacheDisposition, result: Json) -> Json {
     Json::obj()
-        .with("v", Json::num_u64(v))
+        .with("v", Json::num_u64(PROTOCOL_VERSION))
         .with("id", id.clone())
         .with("ok", Json::Bool(true))
         .with("stream", Json::str("sweep_done"))
@@ -845,7 +412,7 @@ impl From<WireError> for ComputeError {
 }
 
 /// Handle one raw frame payload, writing any *non-terminal* frames it
-/// produces (v2 `sweep_item`s); returns the op name (for metrics), the
+/// produces (`sweep_item`s); returns the op name (for metrics), the
 /// **terminal** response frame — written by the caller *after* recording
 /// metrics, so a client that has seen a request's terminal frame is
 /// guaranteed to observe its latency in a subsequent `metrics` call — and
@@ -855,84 +422,17 @@ fn handle_payload(
     writer: &Arc<ConnWriter>,
     payload: &[u8],
 ) -> (Option<&'static str>, Json, bool) {
-    let Ok(text) = std::str::from_utf8(payload) else {
-        let frame = error_response(
-            PROTOCOL_VERSION,
-            Json::Null,
-            wire_error_json(&WireError::new("malformed_json", "frame is not UTF-8")),
-            None,
-        );
-        return (None, frame, false);
+    let (request, id) = match decode_request(payload) {
+        Ok(decoded) => decoded,
+        Err(frame) => return (None, frame, false),
     };
-    let request = match json::parse(text) {
-        Ok(value) => value,
-        Err(e) => {
-            let frame = error_response(
-                PROTOCOL_VERSION,
-                Json::Null,
-                wire_error_json(&WireError::new("malformed_json", e.to_string())),
-                None,
-            );
-            return (None, frame, false);
-        }
-    };
-    let id = request.get("id").cloned().unwrap_or(Json::Null);
-    let v = match request.get("v").and_then(Json::as_u64) {
-        Some(v @ (PROTOCOL_V1 | PROTOCOL_VERSION)) => v,
-        got => {
-            let message = match got {
-                Some(v) => format!(
-                    "server speaks protocol v{PROTOCOL_V1} and v{PROTOCOL_VERSION}, request is v{v}"
-                ),
-                None => {
-                    format!("request needs an integer \"v\" ({PROTOCOL_V1} or {PROTOCOL_VERSION})")
-                }
-            };
-            let frame = error_response(
-                PROTOCOL_VERSION,
-                id,
-                wire_error_json(&WireError::new("unsupported_version", message)),
-                None,
-            );
-            return (None, frame, false);
-        }
-    };
-    if v == PROTOCOL_VERSION && id == Json::Null {
-        // v2 replies are matched by id, and many may be in flight — an
-        // untagged v2 request could never be correlated.
-        let frame = error_response(
-            v,
-            Json::Null,
-            wire_error_json(&WireError::bad_request(
-                "v2 requests must carry a client-chosen \"id\"",
-            )),
-            None,
-        );
-        return (None, frame, false);
-    }
     let op = request.get("op").and_then(Json::as_str).unwrap_or("");
     match op {
         "ping" => (
             Some("ping"),
-            ok_response(v, id, None, Json::obj().with("pong", Json::Bool(true))),
+            ok_response(id, None, Json::obj().with("pong", Json::Bool(true))),
             false,
         ),
-        "hello" => {
-            // The negotiation op: clients discover the freshest major the
-            // server speaks. Pre-v2 servers answer `unknown_op`, which is the
-            // negotiated fall-back-to-v1 signal.
-            let result = Json::obj()
-                .with("server", Json::str("privmech-serve"))
-                .with(
-                    "versions",
-                    Json::Arr(vec![
-                        Json::num_u64(PROTOCOL_V1),
-                        Json::num_u64(PROTOCOL_VERSION),
-                    ]),
-                )
-                .with("max", Json::num_u64(PROTOCOL_VERSION));
-            (Some("hello"), ok_response(v, id, None, result), false)
-        }
         "stats" => {
             let stats = shared.cache.stats();
             let neg = shared.neg_cache.stats();
@@ -949,11 +449,8 @@ fn handle_payload(
                 .with("neg_entries", Json::num_u64(neg.entries as u64))
                 .with("neg_capacity", Json::num_u64(neg.capacity as u64))
                 .with("max_inflight", Json::num_u64(shared.max_inflight as u64))
-                .with(
-                    "inflight_peak",
-                    Json::num_u64(shared.inflight_peak.load(Ordering::Relaxed)),
-                );
-            (Some("stats"), ok_response(v, id, None, result), false)
+                .with("inflight_peak", Json::num_u64(shared.bell.inflight_peak()));
+            (Some("stats"), ok_response(id, None, result), false)
         }
         "metrics" => {
             // `reset: true` returns the snapshot and zeroes the histograms
@@ -964,11 +461,11 @@ fn handle_payload(
             } else {
                 shared.metrics.to_wire()
             };
-            (Some("metrics"), ok_response(v, id, None, result), false)
+            (Some("metrics"), ok_response(id, None, result), false)
         }
         "shutdown" => (
             Some("shutdown"),
-            ok_response(v, id, None, Json::obj().with("stopping", Json::Bool(true))),
+            ok_response(id, None, Json::obj().with("stopping", Json::Bool(true))),
             true,
         ),
         "solve" | "sweep" | "interact" => {
@@ -979,9 +476,9 @@ fn handle_payload(
             };
             let outcome = match request.get("scalar").and_then(Json::as_str) {
                 Some("rational") | None => {
-                    handle_compute::<Rational>(shared, writer, op_name, v, &id, &request)
+                    handle_compute::<Rational>(shared, writer, op_name, &id, &request)
                 }
-                Some("f64") => handle_compute::<f64>(shared, writer, op_name, v, &id, &request),
+                Some("f64") => handle_compute::<f64>(shared, writer, op_name, &id, &request),
                 Some(other) => Err(ComputeError::from(WireError::new(
                     "unsupported_scalar",
                     format!("unknown scalar backend \"{other}\""),
@@ -989,7 +486,7 @@ fn handle_payload(
             };
             let terminal = match outcome {
                 Ok(frame) => frame,
-                Err(e) => error_response(v, id, e.error, e.cache),
+                Err(e) => error_response(id, e.error, e.cache),
             };
             (Some(op_name), terminal, false)
         }
@@ -1000,10 +497,8 @@ fn handle_payload(
                 "zoo_table"
             };
             let outcome = match request.get("scalar").and_then(Json::as_str) {
-                Some("rational") | None => {
-                    handle_zoo::<Rational>(shared, op_name, v, &id, &request)
-                }
-                Some("f64") => handle_zoo::<f64>(shared, op_name, v, &id, &request),
+                Some("rational") | None => handle_zoo::<Rational>(shared, op_name, &id, &request),
+                Some("f64") => handle_zoo::<f64>(shared, op_name, &id, &request),
                 Some(other) => Err(ComputeError::from(WireError::new(
                     "unsupported_scalar",
                     format!("unknown scalar backend \"{other}\""),
@@ -1011,14 +506,13 @@ fn handle_payload(
             };
             let terminal = match outcome {
                 Ok(frame) => frame,
-                Err(e) => error_response(v, id, e.error, e.cache),
+                Err(e) => error_response(id, e.error, e.cache),
             };
             (Some(op_name), terminal, false)
         }
         "" => (
             None,
             error_response(
-                v,
                 id,
                 wire_error_json(&WireError::bad_request("request needs an \"op\"")),
                 None,
@@ -1028,7 +522,6 @@ fn handle_payload(
         other => (
             None,
             error_response(
-                v,
                 id,
                 wire_error_json(&WireError::new(
                     "unknown_op",
@@ -1150,13 +643,12 @@ fn memo_key(op: &str, tag: &str, spec_canonical: &str, extra: &str) -> String {
     format!("key|{op}|{tag}|{spec_canonical}|{extra}")
 }
 
-/// One compute op, returning its **terminal** frame (non-terminal v2
+/// One compute op, returning its **terminal** frame (non-terminal
 /// `sweep_item` frames are written through `writer` as they complete).
 fn handle_compute<T: WireScalar>(
     shared: &Shared,
     writer: &Arc<ConnWriter>,
     op: &'static str,
-    v: u64,
     id: &Json,
     request: &Json,
 ) -> Result<Json, ComputeError> {
@@ -1184,7 +676,7 @@ fn handle_compute<T: WireScalar>(
                         Ok(render_solve(&solve))
                     })
                     .map_err(ComputeError::from)?;
-                    return Ok(ok_response(v, id.clone(), Some(cache), result));
+                    return Ok(ok_response(id.clone(), Some(cache), result));
                 }
             }
             let neg_key = neg_key_from(op, T::TAG, &spec_canonical, &alpha_canonical);
@@ -1202,9 +694,9 @@ fn handle_compute<T: WireScalar>(
                 Ok(render_solve(&solve))
             })
             .map_err(ComputeError::from)?;
-            Ok(ok_response(v, id.clone(), Some(cache), result))
+            Ok(ok_response(id.clone(), Some(cache), result))
         }
-        "sweep" => handle_sweep::<T>(shared, writer, v, id, request, mode, &spec),
+        "sweep" => handle_sweep::<T>(shared, writer, id, request, mode, &spec),
         "interact" => {
             let mechanism: Mechanism<T> = {
                 let wire_mech = request
@@ -1246,7 +738,7 @@ fn handle_compute<T: WireScalar>(
                 Ok(render_interaction(&interaction))
             })
             .map_err(ComputeError::from)?;
-            Ok(ok_response(v, id.clone(), Some(cache), result))
+            Ok(ok_response(id.clone(), Some(cache), result))
         }
         _ => unreachable!("dispatch covers every compute op"),
     }
@@ -1261,7 +753,6 @@ fn handle_compute<T: WireScalar>(
 fn handle_zoo<T: WireScalar>(
     shared: &Shared,
     op: &'static str,
-    v: u64,
     id: &Json,
     request: &Json,
 ) -> Result<Json, ComputeError> {
@@ -1277,18 +768,16 @@ fn handle_zoo<T: WireScalar>(
     );
     let (result, cache) = serve_cached(shared, &key, mode, move || validated.evaluate())
         .map_err(ComputeError::from)?;
-    Ok(ok_response(v, id.clone(), Some(cache), result))
+    Ok(ok_response(id.clone(), Some(cache), result))
 }
 
-/// The `sweep` op, in both protocol shapes: a monolithic v1 reply, or a v2
-/// stream of `sweep_item` frames (completion order, via
-/// [`PrivacyEngine::sweep_with`]) closed by `sweep_done`. Both shapes share
-/// one cache entry — the monolithic rendering — so v1 ≡ v2 ≡ cached ≡
-/// uncached, byte for byte, per solve.
+/// The `sweep` op: a stream of `sweep_item` frames (completion order, via
+/// [`PrivacyEngine::sweep_with`]) closed by `sweep_done`. The cache entry is
+/// the monolithic rendering of every solve, which a hit replays item by
+/// item, so cached ≡ uncached, byte for byte, per solve.
 fn handle_sweep<T: WireScalar>(
     shared: &Shared,
     writer: &Arc<ConnWriter>,
-    v: u64,
     id: &Json,
     request: &Json,
     mode: CacheMode,
@@ -1300,7 +789,6 @@ fn handle_sweep<T: WireScalar>(
         .ok_or_else(|| WireError::bad_request("sweep needs an \"alphas\" array"))
         .map_err(ComputeError::from)?;
     let alphas_key = json::to_string(&Json::Arr(alphas.to_vec()));
-    let streaming = v == PROTOCOL_VERSION;
 
     if alphas.is_empty() {
         // Nothing to compute or cache; report the disposition the client
@@ -1309,18 +797,10 @@ fn handle_sweep<T: WireScalar>(
             CacheMode::Bypass => CacheDisposition::Bypass,
             CacheMode::Use => CacheDisposition::Miss,
         };
-        if streaming {
-            let result = Json::obj()
-                .with("count", Json::num_u64(0))
-                .with("stats", stats_to_wire(&Default::default()));
-            return Ok(sweep_done_frame(v, id, disposition, result));
-        }
-        return Ok(ok_response(
-            v,
-            id.clone(),
-            Some(disposition),
-            Json::obj().with("solves", Json::Arr(Vec::new())),
-        ));
+        let result = Json::obj()
+            .with("count", Json::num_u64(0))
+            .with("stats", stats_to_wire(&Default::default()));
+        return Ok(sweep_done_frame(id, disposition, result));
     }
 
     let spec_canonical = json::to_string(&spec.encode_onto(Json::obj()));
@@ -1333,15 +813,7 @@ fn handle_sweep<T: WireScalar>(
         // miss — an overcount only in that rare window.
         if let Some(key) = shared.key_memo.get(&memo_key) {
             if let Some(cached) = shared.cache.get(&key) {
-                if !streaming {
-                    return Ok(ok_response(
-                        v,
-                        id.clone(),
-                        Some(CacheDisposition::Hit),
-                        Json::Raw(cached),
-                    ));
-                }
-                return replay_sweep_hit(writer, v, id, &cached);
+                return replay_sweep_hit(writer, id, &cached);
             }
         }
     }
@@ -1373,17 +845,7 @@ fn handle_sweep<T: WireScalar>(
     }
     let engine = PrivacyEngine::with_threads(shared.sweep_threads);
 
-    if !streaming {
-        let (result, cache) = serve_cached(shared, &key, mode, move || {
-            let solves = engine.sweep(&levels, &validated).map_err(WireError::from)?;
-            let items: Vec<String> = solves.iter().map(render_solve).collect();
-            Ok(assemble_solves(items.iter().map(String::as_str)))
-        })
-        .map_err(ComputeError::from)?;
-        return Ok(ok_response(v, id.clone(), Some(cache), result));
-    }
-
-    // v2 streaming. Cache hit: replay the monolithic entry item by item —
+    // Cache hit: replay the monolithic entry item by item —
     // each `sweep_item` is a lexical slice of the cached rendering, so it is
     // byte-identical to the frame the original miss streamed.
     if mode == CacheMode::Use {
@@ -1401,7 +863,7 @@ fn handle_sweep<T: WireScalar>(
                     )));
                 }
             }
-            return replay_sweep_hit(writer, v, id, &cached);
+            return replay_sweep_hit(writer, id, &cached);
         }
     }
 
@@ -1419,12 +881,7 @@ fn handle_sweep<T: WireScalar>(
                 Ok(solve) => {
                     *aggregate += &solve.stats;
                     let item: Arc<str> = render_solve(&solve).into();
-                    let _ = writer.send(&sweep_item_frame(
-                        v,
-                        id,
-                        index,
-                        Json::Raw(Arc::clone(&item)),
-                    ));
+                    let _ = writer.send(&sweep_item_frame(id, index, Json::Raw(Arc::clone(&item))));
                     rendered[index] = Some(item);
                 }
                 Err(e) => {
@@ -1457,10 +914,10 @@ fn handle_sweep<T: WireScalar>(
     let result = Json::obj()
         .with("count", Json::num_u64(levels.len() as u64))
         .with("stats", stats_to_wire(&aggregate));
-    Ok(sweep_done_frame(v, id, disposition, result))
+    Ok(sweep_done_frame(id, disposition, result))
 }
 
-/// Replay a cached monolithic sweep as a v2 stream. The cached entry is
+/// Replay a cached monolithic sweep as a stream. The cached entry is
 /// split lexically ([`crate::proto::split_solves`]) instead of parsed as a
 /// tree: per item the replay costs one slice copy into an `Arc<str>` plus a
 /// parse of the item's small trailing `"stats"` object (for the terminal
@@ -1468,7 +925,6 @@ fn handle_sweep<T: WireScalar>(
 /// is never parsed.
 fn replay_sweep_hit(
     writer: &Arc<ConnWriter>,
-    v: u64,
     id: &Json,
     cached: &Arc<str>,
 ) -> Result<Json, ComputeError> {
@@ -1479,12 +935,12 @@ fn replay_sweep_hit(
         if let Some(stats) = item_stats(item) {
             aggregate += &stats;
         }
-        let _ = writer.send(&sweep_item_frame(v, id, index, Json::Raw(Arc::from(*item))));
+        let _ = writer.send(&sweep_item_frame(id, index, Json::Raw(Arc::from(*item))));
     }
     let result = Json::obj()
         .with("count", Json::num_u64(items.len() as u64))
         .with("stats", stats_to_wire(&aggregate));
-    Ok(sweep_done_frame(v, id, CacheDisposition::Hit, result))
+    Ok(sweep_done_frame(id, CacheDisposition::Hit, result))
 }
 
 /// Parse just the trailing `"stats":{...}` object out of one cached solve

@@ -13,7 +13,9 @@
 //!   the surviving shard's replies stay byte-identical,
 //! * a restarted shard (fresh ephemeral port, same `--cache-file`) is
 //!   re-admitted via [`RouterHandle::update_shard`] and serves cache *hits*
-//!   for keys it solved before dying.
+//!   for keys it solved before dying,
+//! * a router stopped mid-request — by its handle or by a wire `shutdown`
+//!   on another connection — still delivers the replies already in flight.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -26,6 +28,7 @@ use privmech_serve::json::{self, Json};
 use privmech_serve::proto::{routing_key, ConsumerSpec, LossSpec, WireScalar};
 use privmech_serve::ring::ShardRing;
 use privmech_serve::router::{self, RouterConfig};
+use privmech_serve::server::{self, ServerConfig};
 
 /// A `privmech-serve` child process and the address it bound.
 struct Shard {
@@ -180,6 +183,20 @@ fn routed_replies_are_byte_identical_to_the_owning_shard() {
         parse(&via_router).get("ok").and_then(Json::as_bool),
         Some(false)
     );
+
+    // Frames rejected before any op is read — a retired major, a missing
+    // id — are answered by the router's own gate with the shard's bytes.
+    for body in [
+        Json::obj()
+            .with("v", Json::num_u64(1))
+            .with("id", Json::num_u64(3))
+            .with("op", Json::str("ping")),
+        Json::obj()
+            .with("v", Json::num_u64(2))
+            .with("op", Json::str("ping")),
+    ] {
+        assert_eq!(rpc(&routed, &body), rpc(&connect(&shards[0].addr), &body));
+    }
 
     // Routing is consistent: the same key goes to the same shard, so a
     // cached re-ask through the router hits that shard's warm cache.
@@ -356,4 +373,104 @@ fn restarted_shard_rejoins_with_its_cache_warm() {
         );
     }
     let _ = std::fs::remove_file(&cache_file);
+}
+
+/// An exact solve slow enough (n = 11, α = 5/9: about a quarter second in a
+/// debug build) to still be computing when the router is stopped.
+fn slow_solve_body(id: u64) -> Json {
+    ConsumerSpec::<Rational>::minimax(11, LossSpec::Absolute)
+        .encode_onto(
+            Json::obj()
+                .with("v", Json::num_u64(2))
+                .with("id", Json::num_u64(id))
+                .with("op", Json::str("solve"))
+                .with("cache", Json::str("use")),
+        )
+        .with("alpha", rat(5, 9).to_wire())
+}
+
+/// An in-process shard with a spare worker, so `stats` probes are answered
+/// while the slow solve computes.
+fn in_process_shard() -> server::ServerHandle {
+    server::spawn(ServerConfig {
+        worker_threads: 2,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server")
+}
+
+/// Send the slow solve through the router and return once the shard has
+/// started computing it: its cache miss is counted right before the solve
+/// runs. (`inflight_peak` cannot tell, because the probing `stats` request
+/// is itself in flight when it is answered.)
+fn start_slow_solve(router_addr: &str, shard_addr: &str) -> TcpStream {
+    let client = connect(router_addr);
+    let mut writer = BufWriter::new(client.try_clone().expect("clone"));
+    write_frame(&mut writer, json::to_string(&slow_solve_body(5)).as_bytes()).expect("write");
+    writer.flush().expect("flush");
+    let probe = connect(shard_addr);
+    for id in 0..10_000 {
+        let stats = parse(&rpc(
+            &probe,
+            &Json::obj()
+                .with("v", Json::num_u64(2))
+                .with("id", Json::num_u64(id))
+                .with("op", Json::str("stats")),
+        ));
+        let misses = stats.get("result").and_then(|r| r.get("misses"));
+        if misses.and_then(Json::as_u64) >= Some(1) {
+            return client;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("the slow solve never reached the shard");
+}
+
+/// The client must read the solve's full reply frame, not EOF.
+fn assert_solve_delivered(client: &TcpStream) {
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    let reply = read_frame(&mut reader)
+        .expect("read")
+        .expect("the in-flight reply, not EOF");
+    let reply = parse(&reply);
+    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(5));
+    assert!(
+        reply
+            .get("result")
+            .and_then(|r| r.get("mechanism"))
+            .is_some(),
+        "expected the solve's result: {}",
+        json::to_string(&reply)
+    );
+}
+
+#[test]
+fn router_stop_delivers_in_flight_replies() {
+    let shard = in_process_shard();
+    let handle =
+        router::spawn(RouterConfig::new(vec![shard.addr().to_string()])).expect("spawn router");
+    let client = start_slow_solve(&handle.addr().to_string(), &shard.addr().to_string());
+    handle.shutdown();
+    assert_solve_delivered(&client);
+    shard.shutdown();
+}
+
+#[test]
+fn router_shutdown_op_keeps_other_connections_in_flight_replies() {
+    let shard = in_process_shard();
+    let handle =
+        router::spawn(RouterConfig::new(vec![shard.addr().to_string()])).expect("spawn router");
+    let router_addr = handle.addr().to_string();
+    let client = start_slow_solve(&router_addr, &shard.addr().to_string());
+    let reply = rpc(
+        &connect(&router_addr),
+        &Json::obj()
+            .with("v", Json::num_u64(2))
+            .with("id", Json::num_u64(9))
+            .with("op", Json::str("shutdown")),
+    );
+    assert!(parse(&reply).get("result").is_some());
+    assert_solve_delivered(&client);
+    handle.join();
+    shard.join();
 }

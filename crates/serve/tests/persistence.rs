@@ -196,7 +196,6 @@ fn metrics_op_reports_per_op_latency_histograms() {
     assert_eq!(count_of("ping"), 2);
     assert_eq!(count_of("solve"), 2);
     assert_eq!(count_of("sweep"), 1);
-    assert!(count_of("hello") >= 1, "negotiation recorded");
     // Histograms carry bucketed latencies summing to the count.
     let solve = ops.get("solve").expect("solve histogram");
     let bucket_sum: u64 = solve

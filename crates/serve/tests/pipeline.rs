@@ -1,21 +1,27 @@
-//! Pipelining contracts of protocol v2, driven through a real TCP server:
-//! **N interleaved in-flight requests — mixed solve/sweep/interact, both
-//! scalar backends, valid and invalid — return byte-identical results to
-//! serial v1 request/response**, including under cache-eviction pressure
-//! (tiny cache) and out-of-order completion (several workers, shuffled
-//! waits).
+//! Pipelining contracts, driven through a real TCP server: **N interleaved
+//! in-flight requests — mixed solve/sweep/interact, both scalar backends,
+//! valid and invalid — return byte-identical results to serial
+//! request/response (one request in flight) and to an in-process rendering
+//! of the same ops**, including under cache-eviction pressure (tiny cache)
+//! and out-of-order completion (several workers, shuffled waits).
 //!
-//! The serial v1 pass runs first, so the pipelined v2 pass sees a mix of
-//! cache hits, misses (evicted under pressure) and negative-cache hits —
-//! byte identity must hold through all of them; that is exactly the cached ≡
-//! uncached ≡ v1 contract.
+//! The serial pass runs first, so the pipelined pass sees a mix of cache
+//! hits, misses (evicted under pressure) and negative-cache hits — byte
+//! identity must hold through all of them; that is exactly the cached ≡
+//! uncached contract. The in-process rendering calls the engine and the
+//! public renderers directly, so it is independent of the server's cache,
+//! key memo and stream assembly.
 
 use std::collections::HashMap;
 
+use privmech_core::{Mechanism, PrivacyEngine, PrivacyLevel};
 use privmech_numerics::{rat, Rational};
 use privmech_serve::client::{Client, ClientError, Event};
 use privmech_serve::json;
-use privmech_serve::proto::{CacheMode, ConsumerSpec, LossSpec, WireScalar};
+use privmech_serve::proto::{
+    assemble_solves, render_interaction, render_solve, CacheMode, ConsumerSpec, LossSpec,
+    WireError, WireScalar,
+};
 use privmech_serve::server::{self, ServerConfig};
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -102,10 +108,10 @@ impl BackendAlpha for f64 {
     }
 }
 
-/// Run the workload serially over strict v1 request/response.
-fn run_serial_v1<T: BackendAlpha>(addr: std::net::SocketAddr, ops: &[Op]) -> Vec<Outcome> {
-    let mut client = Client::connect_with_version(addr, 1).expect("connect v1");
-    assert_eq!(client.version(), 1);
+/// Run the workload serially: one request in flight at a time, through the
+/// client's blocking helpers.
+fn run_serial<T: BackendAlpha>(addr: std::net::SocketAddr, ops: &[Op]) -> Vec<Outcome> {
+    let mut client = Client::connect(addr).expect("connect");
     ops.iter()
         .map(|op| match op {
             Op::Solve { n, loss, alpha_num } => {
@@ -138,11 +144,57 @@ fn run_serial_v1<T: BackendAlpha>(addr: std::net::SocketAddr, ops: &[Op]) -> Vec
         .collect()
 }
 
-/// Run the workload pipelined over v2: submit everything first, then drain
+/// Render the workload in process: the engine and the public renderers, no
+/// server, no cache.
+fn run_in_process<T: BackendAlpha>(ops: &[Op]) -> Vec<Outcome> {
+    let engine = PrivacyEngine::with_threads(1);
+    let wire_err = |e: WireError| (e.code.to_string(), e.message);
+    ops.iter()
+        .map(|op| match op {
+            Op::Solve { n, loss, alpha_num } => {
+                let spec = ConsumerSpec::<T>::minimax(*n, loss_spec(*loss));
+                let validated = spec.to_request(T::alpha(*alpha_num)).map_err(wire_err)?;
+                let solve = engine.solve(&validated).map_err(|e| wire_err(e.into()))?;
+                Ok(render_solve(&solve))
+            }
+            Op::Sweep {
+                n,
+                loss,
+                alpha_nums,
+            } => {
+                let spec = ConsumerSpec::<T>::minimax(*n, loss_spec(*loss));
+                let levels = alpha_nums
+                    .iter()
+                    .map(|&k| PrivacyLevel::new(T::alpha(k)))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| wire_err(e.into()))?;
+                let validated = spec
+                    .to_request(levels[0].alpha().clone())
+                    .map_err(wire_err)?;
+                let solves = engine
+                    .sweep(&levels, &validated)
+                    .map_err(|e| wire_err(e.into()))?;
+                let items: Vec<String> = solves.iter().map(render_solve).collect();
+                Ok(assemble_solves(items.iter().map(String::as_str)))
+            }
+            Op::Interact { n, loss } => {
+                let spec = ConsumerSpec::<T>::minimax(*n, loss_spec(*loss));
+                let validated = spec.to_request(T::zero()).map_err(wire_err)?;
+                let mechanism =
+                    Mechanism::from_rows(uniform_rows::<T>(*n)).map_err(|e| wire_err(e.into()))?;
+                let interaction = engine
+                    .interact(&mechanism, &validated)
+                    .map_err(|e| wire_err(e.into()))?;
+                Ok(render_interaction(&interaction))
+            }
+        })
+        .collect()
+}
+
+/// Run the workload pipelined: submit everything first, then drain
 /// completions in whatever order the worker pool produces them.
-fn run_pipelined_v2<T: BackendAlpha>(addr: std::net::SocketAddr, ops: &[Op]) -> Vec<Outcome> {
+fn run_pipelined<T: BackendAlpha>(addr: std::net::SocketAddr, ops: &[Op]) -> Vec<Outcome> {
     let mut client = Client::connect(addr).expect("connect");
-    assert_eq!(client.version(), 2, "negotiation must land on v2");
 
     struct Sweep {
         slots: Vec<Option<String>>,
@@ -198,7 +250,7 @@ fn run_pipelined_v2<T: BackendAlpha>(addr: std::net::SocketAddr, ops: &[Op]) -> 
         match event {
             Event::Reply { response, .. } => {
                 if let Some(sweep) = sweeps.remove(&id) {
-                    // v2 sweeps stream; a plain reply here would be a bug.
+                    // Sweeps stream; a plain reply here would be a bug.
                     panic!(
                         "sweep answered monolithically after {} items",
                         sweep.received
@@ -254,8 +306,9 @@ fn run_pipelined_v2<T: BackendAlpha>(addr: std::net::SocketAddr, ops: &[Op]) -> 
 }
 
 fn check_backend<T: BackendAlpha>(rng_label: &str) {
-    // Tiny cache: eviction pressure is part of the property (a v2 request
-    // may miss where v1 hit and vice versa; bytes must match regardless).
+    // Tiny cache: eviction pressure is part of the property (a pipelined
+    // request may miss where its serial twin hit and vice versa; bytes must
+    // match regardless).
     let handle = server::spawn(ServerConfig {
         worker_threads: 4,
         cache_capacity: 4,
@@ -270,11 +323,13 @@ fn check_backend<T: BackendAlpha>(rng_label: &str) {
     let mut rng = TestRng::deterministic(rng_label);
     for _ in 0..3 {
         let ops = strategy.generate(&mut rng);
-        let serial = run_serial_v1::<T>(addr, &ops);
-        let pipelined = run_pipelined_v2::<T>(addr, &ops);
+        let serial = run_serial::<T>(addr, &ops);
+        let pipelined = run_pipelined::<T>(addr, &ops);
+        let reference = run_in_process::<T>(&ops);
         assert_eq!(serial.len(), pipelined.len());
-        for (k, (s, p)) in serial.iter().zip(&pipelined).enumerate() {
+        for (k, ((s, p), r)) in serial.iter().zip(&pipelined).zip(&reference).enumerate() {
             assert_eq!(s, p, "op {k} ({:?}) differs across transports", ops[k]);
+            assert_eq!(s, r, "op {k} ({:?}) differs from in-process", ops[k]);
         }
     }
     let stats = handle.cache_stats();
@@ -286,12 +341,12 @@ fn check_backend<T: BackendAlpha>(rng_label: &str) {
 }
 
 #[test]
-fn pipelined_v2_is_byte_identical_to_serial_v1_rational() {
+fn pipelined_is_byte_identical_to_serial_and_in_process_rational() {
     check_backend::<Rational>("pipeline::rational");
 }
 
 #[test]
-fn pipelined_v2_is_byte_identical_to_serial_v1_f64() {
+fn pipelined_is_byte_identical_to_serial_and_in_process_f64() {
     check_backend::<f64>("pipeline::f64");
 }
 

@@ -374,15 +374,28 @@ fn raw_protocol_rejections() {
         "missing v is rejected"
     );
 
-    let response = call(&mut stream, br#"{"v":1}"#);
+    // A retired major is rejected like any other.
+    let response = call(&mut stream, br#"{"v":1,"op":"ping"}"#);
+    assert_eq!(code(&response), "unsupported_version");
+    assert_eq!(
+        response
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str),
+        Some("server speaks protocol v2, request is v1")
+    );
+
+    let response = call(&mut stream, br#"{"v":2,"id":1}"#);
     assert_eq!(code(&response), "bad_request", "op is required");
+
+    // The version-negotiation op is gone.
+    let response = call(&mut stream, br#"{"v":2,"id":1,"op":"hello"}"#);
+    assert_eq!(code(&response), "unknown_op");
 
     let response = call(&mut stream, b"this is not json");
     assert_eq!(code(&response), "malformed_json");
 
-    // Both majors are accepted per frame; v2 requires a correlation id.
-    let response = call(&mut stream, br#"{"v":1,"op":"ping"}"#);
-    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    // Every request needs a correlation id.
     let response = call(&mut stream, br#"{"v":2,"op":"ping","id":7}"#);
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(response.get("id").and_then(Json::as_u64), Some(7));
@@ -392,7 +405,7 @@ fn raw_protocol_rejections() {
     // Unknown fields are ignored (forward compatibility within a major).
     let response = call(
         &mut stream,
-        br#"{"v":1,"op":"ping","future_field":{"x":[1,2,3]}}"#,
+        br#"{"v":2,"id":8,"op":"ping","future_field":{"x":[1,2,3]}}"#,
     );
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
 
@@ -412,7 +425,7 @@ fn shutdown_op_stops_the_server() {
     // first use).
     let refused = match std::net::TcpStream::connect(addr) {
         Err(_) => true,
-        Ok(mut stream) => write_frame(&mut stream, br#"{"v":1,"op":"ping"}"#)
+        Ok(mut stream) => write_frame(&mut stream, br#"{"v":2,"id":1,"op":"ping"}"#)
             .and_then(|()| read_frame(&mut stream))
             .map(|frame| frame.is_none())
             .unwrap_or(true),

@@ -80,10 +80,10 @@
 //!   ([`ValidatedRequest::fingerprint`](crate::core::ValidatedRequest::fingerprint))
 //!   — one cached solve answers every consumer asking the same question
 //!   (that sharing is exactly Theorem 1's universality made operational).
-//!   Since PR 5 the protocol (v2) supports **tagged multi-in-flight
-//!   requests** on one connection and **streaming sweeps** (one frame per
-//!   completed α), with v1 clients still served via per-frame version
-//!   negotiation. Wire format: `crates/serve/PROTOCOL.md`; demos:
+//!   The protocol (v2) supports **tagged multi-in-flight requests** on one
+//!   connection and **streaming sweeps** (one frame per completed α); frames
+//!   of any other version are rejected. Wire format:
+//!   `crates/serve/PROTOCOL.md`; demos:
 //!   `examples/serving.rs`, `examples/pipelining.rs`.
 //! * **Map the theorem's limits.** The [`zoo`] module generalizes the
 //!   tailored LP beyond counts (sum/median query classes), builds
