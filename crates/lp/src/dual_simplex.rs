@@ -21,14 +21,14 @@
 //! 1. **Leaving row**: pick a position `r` with `x_B[r] < 0` (none → the
 //!    basis is primal feasible too, hence optimal).
 //! 2. **Pivot row**: recover `α_r = (B⁻¹A)_r` by a unit BTRAN plus the row
-//!    product `ρᵀA` — the same kernel ([`crate::pivot_row`]) the primal
-//!    revised iteration uses.
+//!    product `ρᵀA` — the fraction-free kernel ([`crate::pivot_row`]) the
+//!    primal revised iteration prices from.
 //! 3. **Entering column**: among `j` with `α_rj < 0`, minimize the ratio
 //!    `d_j / (−α_rj)` (none → the row proves `Ax = b, x ≥ 0` unsatisfiable:
 //!    the LP is infeasible). The min-ratio choice is exactly what keeps
 //!    `d ≥ 0` through the update.
-//! 4. **Pivot**: identical algebra to the primal pivot — FTRAN the entering
-//!    column, update `x_B` and `d` by the shared recurrences (`d_j ← d_j −
+//! 4. **Pivot**: FTRAN the entering column, update `x_B` by the primal
+//!    pivot's recurrence and `d` over the pivot row (`d_j ← d_j −
 //!    (d_q/α_rq)·α_rj`), append the basis-change to the factorization.
 //!
 //! Anti-cycling mirrors the primal solver's policy: a streak of degenerate
@@ -123,7 +123,7 @@ pub(crate) fn warm_reoptimize<T: Scalar>(
     lu.btran_dense(&mut rho, &cb);
     let num_cols = sf.num_cols;
     let mut row = vec![T::zero(); num_cols];
-    let mut product = RowProduct::new(&sf.matrix);
+    let mut product = RowProduct::new(&sf.matrix, &sf.costs);
     product.compute(&sf.matrix, &rho, &mut row);
     let mut d: Vec<T> = sf
         .costs

@@ -1,21 +1,30 @@
 //! The row product `ρᵀA` of the exact simplex forms, computed fraction-free.
 //!
-//! Every revised or dual simplex pivot recovers its tableau row as `ρᵀA`
-//! (`ρ` from a unit BTRAN), and every phase-2 pricing rebuild computes
-//! `c − ρᵀA`. Summed term by term over `Rational`, each constraint nonzero
-//! costs one fused `add_mul` with its gcd reductions. [`RowProduct`] instead
-//! works on an integer view of the constraint store, built once per solve:
+//! Two products run over the constraint matrix: the revised form prices
+//! every iteration from the simplex multipliers, `d = c − yᵀA`, and the
+//! dual simplex (and the revised form's drive-out pivots) recovers its
+//! tableau row as `ρᵀA` (`ρ` from a unit BTRAN). Summed term by
+//! term over `Rational`, each constraint nonzero costs one fused `add_mul`
+//! with its gcd reductions. [`RowProduct`] instead works on an integer view
+//! of the constraint store, built once per solve:
 //!
 //! * per column `j`, the common denominator `E_j`: the lcm of the column's
-//!   entry denominators;
+//!   entry denominators and of its cost's, so `c_j·E_j` is an integer too;
 //! * per nonzero, the integer numerator `N_ij = a_ij·E_j`, stored flat and
 //!   aligned with the CSR values.
 //!
 //! A product brings `ρ` to one denominator `Q` (the lcm of its nonzero
-//! denominators), accumulates `acc_j = Σ_i (ρ_i·Q)·N_ij` in integers with no
-//! gcd, and normalizes once per column: `r_j = acc_j / (Q·E_j)`. Rationals
-//! are canonical, so `r_j` is the identical value the term-by-term sum
-//! produces, and pivot sequences and solutions cannot change.
+//! denominators) and accumulates `acc_j = Σ_i (ρ_i·Q)·N_ij` in integers with
+//! no gcd. The tableau row normalizes once per column:
+//! `r_j = acc_j / (Q·E_j)`. Rationals are canonical, so `r_j` is the
+//! identical value the term-by-term sum produces, and pivot sequences and
+//! solutions cannot change. Pricing normalizes nothing: it keeps
+//! `d_j = (c_j·E_j·Q − acc_j) / (Q·E_j)` as an integer numerator over the
+//! positive denominator `Q·E_j` ([`ScaledCosts`]), which is all the
+//! entering rules need — signs, and exact comparisons by cross
+//! multiplication, in which the common `Q` cancels. Two consecutive
+//! pricings also give the revised form's devex weight update its pivot
+//! row ([`ScaledCosts::change_to`]).
 //!
 //! Accumulators are `i128` lanes while every term is an `i64 × i64` product
 //! (the common case); a lane that would overflow spills into a per-column
@@ -24,9 +33,73 @@
 //! something spills. Only exact scalars run the revised and dual forms, and
 //! those are backed by a [`Rational`] ([`Scalar::as_rational`]).
 
+use std::cmp::Ordering;
+
 use privmech_linalg::sparse::Csr;
 use privmech_linalg::Scalar;
 use privmech_numerics::{BigInt, Rational};
+
+use crate::pricing::ReducedCosts;
+
+/// An exact integer, kept in an `i128` while it fits (`Wide` only holds
+/// values outside `i128`).
+#[derive(Clone)]
+pub(crate) enum Int {
+    Word(i128),
+    Wide(BigInt),
+}
+
+impl Int {
+    fn from_big(v: BigInt) -> Int {
+        match v.to_i128() {
+            Some(w) => Int::Word(w),
+            None => Int::Wide(v),
+        }
+    }
+
+    fn to_big(&self) -> BigInt {
+        match self {
+            Int::Word(w) => BigInt::from(*w),
+            Int::Wide(v) => v.clone(),
+        }
+    }
+
+    fn is_zero(&self) -> bool {
+        matches!(self, Int::Word(0))
+    }
+
+    fn is_negative(&self) -> bool {
+        match self {
+            Int::Word(w) => *w < 0,
+            Int::Wide(v) => v.is_negative(),
+        }
+    }
+
+    fn mul(&self, other: &Int) -> Int {
+        if let (Int::Word(a), Int::Word(b)) = (self, other) {
+            if let Some(p) = a.checked_mul(*b) {
+                return Int::Word(p);
+            }
+        }
+        Int::from_big(&self.to_big() * &other.to_big())
+    }
+
+    fn sub(&self, other: &Int) -> Int {
+        if let (Int::Word(a), Int::Word(b)) = (self, other) {
+            if let Some(d) = a.checked_sub(*b) {
+                return Int::Word(d);
+            }
+        }
+        Int::from_big(&self.to_big() - &other.to_big())
+    }
+
+    fn cmp(&self, other: &Int) -> Ordering {
+        match (self, other) {
+            (Int::Word(a), Int::Word(b)) => a.cmp(b),
+            _ => self.to_big().cmp(&other.to_big()),
+        }
+    }
+}
 
 /// `ρᵀA` over the columns of one constraint store: the store's integer view
 /// plus the accumulators each product reuses.
@@ -43,6 +116,81 @@ pub(crate) struct RowProduct {
     /// Per-column overflow accumulators, zero between products; empty
     /// until the first spill.
     spill: Vec<BigInt>,
+}
+
+/// Reduced costs `d = c − yᵀA` priced from the multipliers `y` and never
+/// normalized: `d_j = num_j / (Q·E_j)` with `Q > 0` common to all columns.
+/// Columns past the constraint store's are unit columns (the revised form's
+/// artificials), with `E_j = 1`.
+pub(crate) struct ScaledCosts {
+    /// `d_j·Q·E_j` by column.
+    num: Vec<Int>,
+    /// `E_j` by column.
+    den: Vec<Int>,
+    /// The last product's `Q`.
+    q: BigInt,
+}
+
+impl ScaledCosts {
+    /// An all-zero view over `product`'s columns plus `units` unit columns.
+    pub(crate) fn new(product: &RowProduct, units: usize) -> ScaledCosts {
+        let mut den: Vec<Int> = product.col_den.iter().cloned().map(Int::from_big).collect();
+        den.resize(den.len() + units, Int::Word(1));
+        ScaledCosts {
+            num: vec![Int::Word(0); den.len()],
+            den,
+            q: BigInt::one(),
+        }
+    }
+
+    /// The canonical `d_j`.
+    pub(crate) fn value(&self, j: usize) -> Rational {
+        Rational::new(self.num[j].to_big(), &self.q * &self.den[j].to_big())
+    }
+
+    /// `scale·(d_j − d'_j)` as a canonical rational, by column, from these
+    /// reduced costs to `later` ones of the same columns.
+    pub(crate) fn change_to<'a>(
+        &'a self,
+        later: &'a ScaledCosts,
+        scale: &Rational,
+    ) -> impl Fn(usize) -> Rational + 'a {
+        // With Q = g·a and Q' = g·b, d_j − d'_j = (num_j·b − num'_j·a) / (g·a·b·E_j),
+        // so the change is (num_j·b − num'_j·a)·f / E_j for f = scale / (g·a·b).
+        let g = self.q.gcd(&later.q);
+        let (a, b) = (&self.q / &g, &later.q / &g);
+        let f = scale / &Rational::from(&(&g * &a) * &b);
+        let (a, b) = (Int::from_big(a), Int::from_big(b));
+        let f_num = Int::from_big(f.numer().clone());
+        let f_den = Int::from_big(f.denom().clone());
+        move |j| {
+            let diff = self.num[j].mul(&b).sub(&later.num[j].mul(&a));
+            if diff.is_zero() {
+                return Rational::zero();
+            }
+            Rational::new(diff.mul(&f_num).to_big(), f_den.mul(&self.den[j]).to_big())
+        }
+    }
+}
+
+impl ReducedCosts for ScaledCosts {
+    fn is_negative(&self, j: usize) -> bool {
+        self.num[j].is_negative()
+    }
+
+    /// `d_a < d_b` iff `num_a·E_b < num_b·E_a`: both denominators are
+    /// positive and share the factor `Q`.
+    fn less(&self, a: usize, b: usize) -> bool {
+        let lhs = self.num[a].mul(&self.den[b]);
+        let rhs = self.num[b].mul(&self.den[a]);
+        lhs.cmp(&rhs) == Ordering::Less
+    }
+
+    /// The canonical `d_j`'s conversion, so devex scores are the ones the
+    /// dense objective row gives.
+    fn to_f64(&self, j: usize) -> f64 {
+        self.value(j).to_f64()
+    }
 }
 
 /// The rational behind an exact scalar.
@@ -74,12 +222,13 @@ fn spill_at(spill: &mut Vec<BigInt>, num_cols: usize, j: usize) -> &mut BigInt {
 }
 
 impl RowProduct {
-    /// Build the integer view of `rows`.
-    pub(crate) fn new<T: Scalar>(rows: &Csr<T>) -> RowProduct {
+    /// Build the integer view of `rows`, whose columns cost `costs`.
+    pub(crate) fn new<T: Scalar>(rows: &Csr<T>, costs: &[T]) -> RowProduct {
         let cols = rows.col_indices();
         let values = rows.csr_values();
         let mut col_den = vec![BigInt::one(); rows.num_cols()];
-        for (&j, v) in cols.iter().zip(values) {
+        let entries = cols.iter().copied().zip(values);
+        for (j, v) in entries.chain(costs.iter().enumerate()) {
             let den = rational(v).denom();
             if !den.is_one() {
                 col_den[j] = lcm(&col_den[j], den);
@@ -106,9 +255,22 @@ impl RowProduct {
         }
     }
 
-    /// Overwrite `out[j]` with `(ρᵀA)_j` for every column `j` of `rows`, the
-    /// store this product was built from (`rho` has one entry per row).
-    pub(crate) fn compute<T: Scalar>(&mut self, rows: &Csr<T>, rho: &[T], out: &mut [T]) {
+    /// `c_j·E_j` by column: a phase's costs on the product's scale, for
+    /// [`RowProduct::reduced_costs`]. `costs` runs over the store's columns
+    /// and then over the unit columns, whose costs must be integers.
+    pub(crate) fn scale_costs<T: Scalar>(&self, costs: &[T]) -> Vec<Int> {
+        let one = BigInt::one();
+        costs
+            .iter()
+            .enumerate()
+            .map(|(j, c)| Int::from_big(rescale(rational(c), self.col_den.get(j).unwrap_or(&one))))
+            .collect()
+    }
+
+    /// Accumulate `acc_j = Σ_i (ρ_i·Q)·N_ij` into the lanes and spills and
+    /// return `Q` (`rho` has one entry per row of `rows`, the store this
+    /// product was built from).
+    fn accumulate<T: Scalar>(&mut self, rows: &Csr<T>, rho: &[T]) -> BigInt {
         debug_assert_eq!(self.nums.len(), rows.nnz(), "view built from another store");
         let num_cols = self.col_den.len();
         self.lanes.resize(num_cols, 0);
@@ -157,19 +319,56 @@ impl RowProduct {
                 *spill_at(spill, num_cols, col_idx[*k]) += &(&w * n);
             }
         }
+        q
+    }
 
-        for (j, out_j) in out[..num_cols].iter_mut().enumerate() {
-            let lane = BigInt::from(std::mem::take(&mut lanes[j]));
-            let acc = match spill.get_mut(j) {
-                Some(spilled) if !spilled.is_zero() => &std::mem::take(spilled) + &lane,
-                _ => lane,
-            };
-            *out_j = if acc.is_zero() {
-                T::zero()
-            } else {
-                T::from_rational(Rational::new(acc, &q * &self.col_den[j]))
+    /// Column `j`'s accumulated `acc_j`, leaving its accumulators zero.
+    fn take(&mut self, j: usize) -> Int {
+        let lane = std::mem::take(&mut self.lanes[j]);
+        match self.spill.get_mut(j) {
+            Some(spilled) if !spilled.is_zero() => {
+                Int::from_big(&std::mem::take(spilled) + &BigInt::from(lane))
+            }
+            _ => Int::Word(lane),
+        }
+    }
+
+    /// Overwrite `out[j]` with `(ρᵀA)_j` for every column `j` of `rows`, the
+    /// store this product was built from (`rho` has one entry per row).
+    pub(crate) fn compute<T: Scalar>(&mut self, rows: &Csr<T>, rho: &[T], out: &mut [T]) {
+        let q = self.accumulate(rows, rho);
+        for (j, out_j) in out[..self.col_den.len()].iter_mut().enumerate() {
+            *out_j = match self.take(j) {
+                Int::Word(0) => T::zero(),
+                acc => T::from_rational(Rational::new(acc.to_big(), &q * &self.col_den[j])),
             };
         }
+    }
+
+    /// Price `out` from the multipliers `y`: `d_j = c_j − (yᵀA)_j` for every
+    /// column of `rows` (the store this product was built from) and of the
+    /// unit columns at `unit_rows`, whose `(yᵀA)_j` is `y` at their row.
+    /// `costs` is the phase's [`RowProduct::scale_costs`].
+    pub(crate) fn reduced_costs<T: Scalar>(
+        &mut self,
+        rows: &Csr<T>,
+        y: &[T],
+        costs: &[Int],
+        unit_rows: &[usize],
+        out: &mut ScaledCosts,
+    ) {
+        let q = self.accumulate(rows, y);
+        let q_int = Int::from_big(q.clone());
+        let price = |c: &Int, acc: &Int| c.mul(&q_int).sub(acc);
+        let num_cols = self.col_den.len();
+        for (j, (num, c)) in out.num[..num_cols].iter_mut().zip(costs).enumerate() {
+            *num = price(c, &self.take(j));
+        }
+        for (k, &r) in unit_rows.iter().enumerate() {
+            let acc = Int::from_big(rescale(rational(&y[r]), &q));
+            out.num[num_cols + k] = price(&costs[num_cols + k], &acc);
+        }
+        out.q = q;
     }
 }
 
@@ -181,7 +380,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    use super::RowProduct;
+    use super::{RowProduct, ScaledCosts};
+    use crate::pricing::ReducedCosts;
 
     /// The term-by-term sweep the integer product replaces.
     fn reference(rows: &Csr<Rational>, rho: &[Rational]) -> Vec<Rational> {
@@ -264,7 +464,7 @@ mod tests {
             let wide = case % 3 == 2;
             let (m, n) = (rng.gen_range(1usize..9), rng.gen_range(1usize..14));
             let store = random_store(&mut rng, m, n, wide);
-            let mut product = RowProduct::new(&store);
+            let mut product = RowProduct::new(&store, &[]);
             let mut out = vec![Rational::from_ratio(7, 3); n];
             for _ in 0..4 {
                 let wide_rho = wide || rng.gen_bool(0.2);
@@ -275,6 +475,90 @@ mod tests {
             let zeros = vec![Rational::zero(); m];
             product.compute(&store, &zeros, &mut out);
             assert!(out.iter().all(Rational::is_zero), "all-zero ρ");
+        }
+    }
+
+    /// Pricing from the multipliers: the unnormalized reduced costs equal
+    /// `c − yᵀA` from the `add_mul` sweep, unit columns included, and the
+    /// view answers every sign, order and `f64` question as the canonical
+    /// rationals do — on small values and on multi-limb ones, whose
+    /// products and comparisons leave `i128`.
+    #[test]
+    fn reduced_costs_match_the_add_mul_sweep() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0019);
+        for case in 0..60 {
+            let wide = case % 3 == 2;
+            let (m, n) = (rng.gen_range(1usize..9), rng.gen_range(1usize..14));
+            let store = random_store(&mut rng, m, n, wide);
+            let units: Vec<usize> = (0..m).filter(|_| rng.gen_bool(0.3)).collect();
+            let mut costs: Vec<Rational> = (0..n)
+                .map(|_| match rng.gen_range(0u32..3) {
+                    0 => Rational::zero(),
+                    _ if wide => {
+                        let den = BigInt::from(rng.gen_range(1i64..40));
+                        entry(&mut rng, den)
+                    }
+                    _ => Rational::from_ratio(rng.gen_range(-9i64..10), rng.gen_range(1i64..12)),
+                })
+                .collect();
+            costs.extend(
+                units
+                    .iter()
+                    .map(|_| Rational::from_int(rng.gen_range(0i64..2))),
+            );
+            let mut product = RowProduct::new(&store, &costs[..n]);
+            let scaled = product.scale_costs(&costs);
+            let mut out = ScaledCosts::new(&product, units.len());
+            for _ in 0..4 {
+                let wide_y = wide || rng.gen_bool(0.2);
+                let y = random_rho(&mut rng, m, wide_y);
+                product.reduced_costs(&store, &y, &scaled, &units, &mut out);
+                let mut expected = costs.clone();
+                for (d, r) in expected.iter_mut().zip(reference(&store, &y)) {
+                    *d -= &r;
+                }
+                for (d, &r) in expected[n..].iter_mut().zip(&units) {
+                    *d -= &y[r];
+                }
+                let got: Vec<Rational> = (0..costs.len()).map(|j| out.value(j)).collect();
+                assert_eq!(got, expected, "case {case}");
+                for (a, d_a) in expected.iter().enumerate() {
+                    assert_eq!(out.is_negative(a), d_a.is_negative(), "case {case}");
+                    assert_eq!(out.to_f64(a), d_a.to_f64(), "case {case}");
+                    for (b, d_b) in expected.iter().enumerate() {
+                        assert_eq!(out.less(a, b), d_a < d_b, "case {case}: {a} < {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `change_to` between two pricings of the same costs from different
+    /// multipliers is `scale·(d_j − d'_j)` exactly, column by column.
+    #[test]
+    fn change_between_pricings_is_exact() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0119);
+        for case in 0..40 {
+            let wide = case % 4 == 3;
+            let (m, n) = (rng.gen_range(1usize..8), rng.gen_range(1usize..12));
+            let store = random_store(&mut rng, m, n, wide);
+            let costs: Vec<Rational> = (0..n)
+                .map(|_| Rational::from_ratio(rng.gen_range(-5i64..6), rng.gen_range(1i64..7)))
+                .collect();
+            let mut product = RowProduct::new(&store, &costs);
+            let scaled = product.scale_costs(&costs);
+            let mut before = ScaledCosts::new(&product, 0);
+            let mut after = ScaledCosts::new(&product, 0);
+            let y = random_rho(&mut rng, m, wide);
+            product.reduced_costs(&store, &y, &scaled, &[], &mut before);
+            let y = random_rho(&mut rng, m, wide);
+            product.reduced_costs(&store, &y, &scaled, &[], &mut after);
+            let scale = Rational::from_ratio(rng.gen_range(-9i64..10), rng.gen_range(1i64..9));
+            let change = before.change_to(&after, &scale);
+            for j in 0..n {
+                let expected = &scale * &(&before.value(j) - &after.value(j));
+                assert_eq!(change(j), expected, "case {case}, column {j}");
+            }
         }
     }
 
@@ -296,7 +580,7 @@ mod tests {
         );
         let rho: Vec<Rational> = (0..6).map(|_| Rational::from_int(big)).collect();
         let mut out = vec![Rational::zero(); 2];
-        RowProduct::new(&store).compute(&store, &rho, &mut out);
+        RowProduct::new(&store, &[]).compute(&store, &rho, &mut out);
         assert_eq!(out, reference(&store, &rho));
     }
 
@@ -320,7 +604,7 @@ mod tests {
             .map(|i| Rational::from_ratio(i - 5, 3 * i + 1))
             .collect();
         let mut out = vec![Rational::zero(); n + 1];
-        RowProduct::new(&store).compute(&store, &rho, &mut out);
+        RowProduct::new(&store, &[]).compute(&store, &rho, &mut out);
         assert_eq!(out, reference(&store, &rho));
     }
 }

@@ -1,14 +1,17 @@
 //! Entering-column pricing: the first stage of a simplex iteration.
 //!
-//! Both solver forms — the dense tableau and the revised simplex — price
-//! entering columns from a dense vector of reduced costs. The dense tableau
-//! maintains that vector as its objective row; the revised solver maintains
-//! it incrementally from BTRAN'd pivot rows. Because the vectors hold the
-//! *same exact values* on exact scalars and this module is the single
-//! implementation of the entering rules, the two forms select the same
-//! entering column at every iteration — one half of the dense ≡ revised
-//! pivot-sequence contract (`crates/lp/SOLVER.md`; the other half is the
-//! shared ratio test in [`crate::ratio`]).
+//! Both solver forms price entering columns from the same exact reduced
+//! costs `d = c − c_Bᵀ B⁻¹ A`, read through the [`ReducedCosts`] view. The
+//! dense tableau keeps `d` as its objective row (a `&[T]` slice); the
+//! revised solver recomputes it every iteration from the simplex
+//! multipliers and keeps it unnormalized over a common scale
+//! ([`crate::pivot_row::ScaledCosts`]). Both views answer the three
+//! questions the rules ask — the sign of `d_j`, the exact order of two
+//! entries, and `d_j` in `f64` — with the same values, and this module is
+//! the single implementation of the entering rules, so the two forms
+//! select the same entering column at every iteration: one half of the
+//! dense ≡ revised pivot-sequence contract (`crates/lp/SOLVER.md`; the
+//! other half is the shared ratio test in [`crate::ratio`]).
 //!
 //! The rules themselves, and the Dantzig ↔ Bland fallback state machine,
 //! are documented on [`PricingRule`] and in the `crate::simplex` module docs.
@@ -17,32 +20,56 @@ use privmech_linalg::Scalar;
 
 use crate::simplex::{PivotStats, PricingRule, SolverOptions};
 
+/// The reduced costs of the current phase, by column, as the entering
+/// rules read them.
+pub(crate) trait ReducedCosts {
+    /// Whether `d_j` is negative (under the scalar's tolerance).
+    fn is_negative(&self, j: usize) -> bool;
+    /// Whether `d_a < d_b`.
+    fn less(&self, a: usize, b: usize) -> bool;
+    /// `d_j` as an `f64` (the devex score).
+    fn to_f64(&self, j: usize) -> f64;
+}
+
+/// The dense form's objective row.
+impl<T: Scalar> ReducedCosts for [T] {
+    fn is_negative(&self, j: usize) -> bool {
+        self[j].is_negative_approx()
+    }
+    fn less(&self, a: usize, b: usize) -> bool {
+        self[a] < self[b]
+    }
+    fn to_f64(&self, j: usize) -> f64 {
+        self[j].to_f64()
+    }
+}
+
 /// Entering column under Bland's rule: smallest index with a negative
 /// reduced cost, skipping banned columns.
-pub(crate) fn entering_bland<T: Scalar>(
-    reduced: &[T],
+fn entering_bland<R: ReducedCosts + ?Sized>(
+    reduced: &R,
     banned: &[bool],
     cols: usize,
 ) -> Option<usize> {
-    (0..cols).find(|&j| !banned[j] && reduced[j].is_negative_approx())
+    (0..cols).find(|&j| !banned[j] && reduced.is_negative(j))
 }
 
 /// Entering column under Dantzig pricing: most negative reduced cost (ties
 /// broken towards the smaller index), skipping banned columns.
-pub(crate) fn entering_dantzig<T: Scalar>(
-    reduced: &[T],
+fn entering_dantzig<R: ReducedCosts + ?Sized>(
+    reduced: &R,
     banned: &[bool],
     cols: usize,
 ) -> Option<usize> {
     let mut best: Option<usize> = None;
-    for j in 0..cols {
-        if banned[j] || !reduced[j].is_negative_approx() {
+    for (j, &ban) in banned[..cols].iter().enumerate() {
+        if ban || !reduced.is_negative(j) {
             continue;
         }
         match best {
             None => best = Some(j),
             Some(b) => {
-                if reduced[j] < reduced[b] {
+                if reduced.less(j, b) {
                     best = Some(j);
                 }
             }
@@ -62,18 +89,18 @@ pub(crate) fn entering_dantzig<T: Scalar>(
 /// solution is asserted by the exact optimality certificate
 /// ([`crate::certificate`]); termination by the same Bland fallback that
 /// guards Dantzig pricing.
-pub(crate) fn entering_devex<T: Scalar>(
-    reduced: &[T],
+fn entering_devex<R: ReducedCosts + ?Sized>(
+    reduced: &R,
     banned: &[bool],
     cols: usize,
     weights: &[f64],
 ) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for j in 0..cols {
-        if banned[j] || !reduced[j].is_negative_approx() {
+        if banned[j] || !reduced.is_negative(j) {
             continue;
         }
-        let d = reduced[j].to_f64();
+        let d = reduced.to_f64(j);
         let score = d * d / weights[j].max(1.0);
         match best {
             Some((_, s)) if score <= s => {}
@@ -125,10 +152,16 @@ impl FallbackState {
         self.bland_mode
     }
 
+    /// Whether devex is the configured rule: its weight update after every
+    /// pivot, Bland-mode ones included, reads the pivot row.
+    pub(crate) fn uses_devex(&self) -> bool {
+        self.devex_weights.is_some()
+    }
+
     /// Select the entering column under the current mode.
-    pub(crate) fn select<T: Scalar>(
+    pub(crate) fn select<R: ReducedCosts + ?Sized>(
         &mut self,
-        reduced: &[T],
+        reduced: &R,
         banned: &[bool],
         cols: usize,
     ) -> Option<usize> {

@@ -11,30 +11,34 @@
 //! * the basis factorization ([`LuFactors`]: sparse LU with Forrest–Tomlin
 //!   updates, see [`crate::lu`]),
 //! * the current basic solution `x_B`,
-//! * the current reduced-cost vector `d` and phase objective value,
 //!
-//! and performs per pivot: one sparse **FTRAN** of the entering column (the
-//! ratio-test / pivot-column stage), one **unit BTRAN** of the leaving
-//! position followed by the row product `ρᵀA` (recovering the pivot row of
-//! the tableau without storing any tableau; computed fraction-free, see
-//! [`crate::pivot_row`]), the reduced-cost update over that row, and one
-//! basis update on the spike the FTRAN kept. On the paper's LPs — thousands of rows touching 2–4
-//! structural columns each — this replaces the dense update's full-matrix
-//! pass with work proportional to the factorization's actual nonzeros.
+//! and performs per iteration: one **BTRAN** of the phase's basic costs for
+//! the simplex multipliers `y = c_Bᵀ B⁻¹`, and the product `yᵀA`
+//! accumulated in integers and never normalized, which prices every column
+//! as `d = c − yᵀA` (see [`crate::pivot_row`]); one sparse **FTRAN** of
+//! the entering column (the ratio-test / pivot-column stage); and one basis
+//! update on the spike the FTRAN kept. The pivot row itself (a unit BTRAN
+//! and a normalized row product) is recovered only for the drive-out pivots
+//! after phase 1; the devex weight update reads it off two consecutive
+//! pricings ([`DevexStep`]). On the paper's LPs — thousands of rows touching 2–4 structural columns
+//! each — this replaces the dense update's full-matrix pass with work
+//! proportional to the factorization's actual nonzeros.
 //!
 //! # Why the pivot sequence is identical to the dense form
 //!
 //! The three decisions a simplex iteration makes — entering column, leaving
 //! position, degeneracy of the step — are functions of the reduced costs
-//! `d`, the pivot column `B⁻¹a_q`, and the basic solution `x_B`. This module
-//! maintains `d` by a recurrence *exactly equal* to the one the dense form
-//! applies to its objective row: the dense form computes
-//! `d_j ← d_j − d_q·(r_j/r_q)`, this form `d_j ← d_j − (d_q/r_q)·r_j` over
-//! the BTRAN'd pivot row — one division per pivot instead of one per column,
-//! and the same value in an exact field. It obtains the pivot column
-//! exactly via FTRAN and updates `x_B` by the dense form's right-hand-side
-//! recurrence. Over an exact field equal recurrences from equal starting
-//! points stay equal forever, and the
+//! `d`, the pivot column `B⁻¹a_q`, and the basic solution `x_B`. The dense
+//! form maintains `d` as its objective row by a recurrence; this form
+//! recomputes it from the multipliers at every iteration. Over an exact
+//! field both are the one value `c − c_Bᵀ B⁻¹ A` of the current basis, and
+//! the pricing view compares it exactly (the unnormalized numerators and
+//! denominators give the same signs and the same order as the canonical
+//! rationals, and the devex score converts the canonical value). The phase-1
+//! verdict reads the same objective, `c_Bᵀ x_B`: the artificials' remaining
+//! mass. This form obtains the pivot column exactly via FTRAN and updates
+//! `x_B` by the dense form's right-hand-side recurrence. Over an exact field
+//! equal recurrences from equal starting points stay equal forever, and the
 //! decisions are made by the *shared* stage implementations
 //! ([`crate::pricing`], [`crate::ratio`]) — so every entering/leaving choice
 //! coincides with the dense form's, phases included. The contract is
@@ -46,10 +50,11 @@
 use privmech_linalg::sparse;
 use privmech_linalg::sparse::{Csr, SparseVec};
 use privmech_linalg::Scalar;
+use privmech_numerics::Rational;
 
 use crate::lu::LuFactors;
 use crate::model::LpError;
-use crate::pivot_row::RowProduct;
+use crate::pivot_row::{Int, RowProduct, ScaledCosts};
 use crate::pricing::FallbackState;
 use crate::ratio::choose_leaving;
 use crate::simplex::{record, ColumnSolution, PivotStats, SolverOptions, TracePhase, TraceSink};
@@ -59,8 +64,8 @@ use crate::standard::StandardForm;
 /// solve: the standard form's CSR store (row view, borrowed) plus its
 /// transpose (column view, built once per solve). Artificial columns are
 /// never materialized — they are unit vectors synthesized on demand by
-/// [`Matrix::col`] / appended last by [`Matrix::row_entries`], matching the
-/// historical ordering of the copied sparse views exactly.
+/// [`Matrix::col`] and priced as the unit columns of their rows by
+/// [`RowProduct::reduced_costs`].
 struct Matrix<'a, T: Scalar> {
     /// Row-major view: the constraint store itself.
     rows: &'a Csr<T>,
@@ -73,8 +78,6 @@ struct Matrix<'a, T: Scalar> {
     first_artificial: usize,
     /// Row of artificial `k` (column `first_artificial + k`).
     art_rows: Vec<usize>,
-    /// Row → its artificial column, `usize::MAX` when the row has none.
-    row_art: Vec<usize>,
     /// The artificials' single stored value, borrowed by [`Matrix::col`].
     one: T,
 }
@@ -83,17 +86,12 @@ impl<'a, T: Scalar> Matrix<'a, T> {
     fn build(sf: &'a StandardForm<T>, artificial_rows: &[usize]) -> Self {
         let first_artificial = sf.num_cols;
         let total_cols = sf.num_cols + artificial_rows.len();
-        let mut row_art = vec![usize::MAX; sf.num_rows()];
-        for (k, &row) in artificial_rows.iter().enumerate() {
-            row_art[row] = first_artificial + k;
-        }
         Matrix {
             rows: &sf.matrix,
             cols: sf.matrix.transpose(),
             total_cols,
             first_artificial,
             art_rows: artificial_rows.to_vec(),
-            row_art,
             one: T::one(),
         }
     }
@@ -112,98 +110,117 @@ impl<'a, T: Scalar> Matrix<'a, T> {
         }
     }
 
-    /// Row `r`'s entries in increasing column order, the row's artificial
-    /// (largest column index, if any) last.
-    fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, &T)> + '_ {
-        let art = self.row_art[r];
-        self.rows
-            .row(r)
-            .iter()
-            .chain((art != usize::MAX).then_some((art, &self.one)))
-    }
-
     fn is_artificial(&self, col: usize) -> bool {
         col >= self.first_artificial
     }
+}
 
-    /// `out ← ρᵀA` over every column, by `product` (built from this
-    /// matrix's row view). An artificial column is the unit vector of its
-    /// row, so its entry is that row's `ρ`.
-    fn row_product(&self, product: &mut RowProduct, rho: &[T], out: &mut [T]) {
-        let (real, artificial) = out.split_at_mut(self.first_artificial);
-        product.compute(self.rows, rho, real);
-        for (out, &r) in artificial.iter_mut().zip(&self.art_rows) {
-            *out = rho[r].clone();
+/// One phase's objective: the cost of every column, artificials included,
+/// the same costs on the row product's integer scale, and the columns
+/// banned from entering.
+struct Objective<T: Scalar> {
+    costs: Vec<T>,
+    scaled: Vec<Int>,
+    banned: Vec<bool>,
+}
+
+impl<T: Scalar> Objective<T> {
+    fn new(product: &RowProduct, costs: Vec<T>, banned: Vec<bool>) -> Self {
+        let scaled = product.scale_costs(&costs);
+        Objective {
+            costs,
+            scaled,
+            banned,
         }
     }
 }
 
+/// A pivot's devex reference-weight update, applied at the next pricing.
+///
+/// The update reads the pivot row `α_p = e_pᵀB⁻¹A`, normalized by the pivot
+/// element, and the next pricing yields it without a BTRAN: the reduced
+/// costs after the pivot are `d' = d − (d_q/α_pq)·α_p`, so
+/// `α_pj = (α_pq/d_q)·(d_j − d'_j)` exactly — the same canonical value the
+/// dense form's normalized row holds, hence the same `f64` ratios.
+struct DevexStep {
+    entering: usize,
+    leaving_col: usize,
+    /// `α_pq` in `f64`.
+    pivot_element: f64,
+    /// `α_pq / d_q`.
+    scale: Rational,
+}
+
 /// Mutable iteration state of one revised solve.
 struct State<T: Scalar> {
-    /// The row product `ρᵀA` over the real columns: the constraint store's
-    /// integer view and the product's accumulators.
+    /// The products over the real columns, `yᵀA` and `ρᵀA`: the constraint
+    /// store's integer view and the products' accumulators.
     product: RowProduct,
     lu: LuFactors<T>,
     /// Basic column per position.
     basis: Vec<usize>,
     /// Current basic solution (`x_B`), by position.
     x_b: Vec<T>,
-    /// Reduced costs of the current phase, by column.
-    d: Vec<T>,
-    /// Current phase objective value (read for the phase-1 feasibility
-    /// verdict).
-    obj_val: T,
+    /// The reduced costs of the current iteration, by column.
+    reduced: ScaledCosts,
+    /// Dense scratch, position space: the basic costs `c_B`.
+    cb: Vec<T>,
     /// Dense scratch, internal-row space: FTRAN results.
     work: Vec<T>,
     /// Dense scratch, internal-row space: BTRAN results.
     rho: Vec<T>,
-    /// Dense scratch, column space: the BTRAN'd pivot row.
+    /// Dense scratch, real-column space: the recovered pivot row.
     row: Vec<T>,
 }
 
 impl<T: Scalar> State<T> {
-    /// Recover tableau row `position` into `self.row`: a unit BTRAN
-    /// followed by the row product.
+    fn new(sf: &StandardForm<T>, matrix: &Matrix<'_, T>, basis: Vec<usize>, x_b: Vec<T>) -> Self {
+        let m = sf.num_rows();
+        let product = RowProduct::new(&sf.matrix, &sf.costs);
+        let reduced = ScaledCosts::new(&product, matrix.art_rows.len());
+        State {
+            product,
+            lu: LuFactors::identity(m),
+            basis,
+            x_b,
+            reduced,
+            cb: vec![T::zero(); m],
+            work: vec![T::zero(); m],
+            rho: vec![T::zero(); m],
+            row: vec![T::zero(); sf.num_cols],
+        }
+    }
+
+    /// Recover tableau row `position` over the real columns into
+    /// `self.row`: a unit BTRAN followed by the row product.
     fn compute_pivot_row(&mut self, matrix: &Matrix<'_, T>, position: usize) {
         sparse::clear(&mut self.rho);
         self.lu.btran_unit(&mut self.rho, position);
-        matrix.row_product(&mut self.product, &self.rho, &mut self.row);
+        self.product.compute(matrix.rows, &self.rho, &mut self.row);
     }
 
-    /// Price the real objective from scratch: `d = c − (c_Bᵀ B⁻¹) A` from
-    /// one dense BTRAN and one row product, basic columns at exactly zero,
-    /// and the objective value `c_Bᵀ x_B`. `costs` has one entry per column,
-    /// artificials included.
-    fn price(&mut self, matrix: &Matrix<'_, T>, costs: &[T]) {
-        let cb: Vec<T> = self.basis.iter().map(|&b| costs[b].clone()).collect();
+    /// Price every column for `objective` into `self.reduced`: the
+    /// multipliers `y = c_Bᵀ B⁻¹` from one BTRAN, then `d = c − yᵀA`.
+    /// Basic columns price to exactly zero.
+    fn price_from_multipliers(&mut self, matrix: &Matrix<'_, T>, objective: &Objective<T>) {
+        for (cb, &b) in self.cb.iter_mut().zip(&self.basis) {
+            cb.clone_from(&objective.costs[b]);
+        }
         sparse::clear(&mut self.rho);
-        self.lu.btran_dense(&mut self.rho, &cb);
-        matrix.row_product(&mut self.product, &self.rho, &mut self.row);
-        for ((d_j, c_j), r_j) in self.d.iter_mut().zip(costs).zip(&self.row) {
-            *d_j = c_j.sub_ref(r_j);
-        }
-        for &b in &self.basis {
-            self.d[b] = T::zero();
-        }
-        self.obj_val = T::zero();
-        for (c, &b) in self.basis.iter().enumerate() {
-            self.obj_val.add_mul_assign(&costs[b], &self.x_b[c]);
-        }
+        self.lu.btran_dense(&mut self.rho, &self.cb);
+        self.product.reduced_costs(
+            matrix.rows,
+            &self.rho,
+            &objective.scaled,
+            &matrix.art_rows,
+            &mut self.reduced,
+        );
     }
 
     /// Execute the pivot at (`position`, `entering`): update `x_B`, the
-    /// reduced costs (a recurrence exactly equal to the dense objective-row
-    /// update, over the BTRAN'd pivot row — skipped with `update_costs: false` for drive-out pivots,
-    /// whose stale phase-1 costs the phase-2 rebuild discards anyway), the
     /// factorization and the basis. `self.work` must hold the entering
     /// column's FTRAN result.
-    fn pivot(
-        &mut self,
-        matrix: &Matrix<'_, T>,
-        position: usize,
-        entering: usize,
-        update_costs: bool,
-    ) {
+    fn pivot(&mut self, position: usize, entering: usize) {
         let pivot_value = self.work[self.lu.row_of(position)].clone();
         let theta = self.x_b[position].div_ref(&pivot_value);
 
@@ -220,24 +237,6 @@ impl<T: Scalar> State<T> {
             if !theta.is_exactly_zero() {
                 self.x_b[c].sub_mul_assign(t, &theta);
             }
-        }
-
-        // Reduced costs: d_j ← d_j − (d_q / r_q)·r_j over the recovered
-        // pivot row — exactly equal to the dense form's objective-row
-        // recurrence d_j − d_q·(r_j / r_q), with one division per pivot —
-        // plus the objective value's matching update.
-        let d_q = self.d[entering].clone();
-        if update_costs && !d_q.is_exactly_zero() {
-            self.compute_pivot_row(matrix, position);
-            let step = d_q.div_ref(&pivot_value);
-            for (j, r_j) in self.row.iter().enumerate() {
-                if j == entering || r_j.is_exactly_zero() {
-                    continue;
-                }
-                self.d[j].sub_mul_assign(&step, r_j);
-            }
-            self.d[entering] = T::zero();
-            self.obj_val.add_mul_assign(&d_q, &theta);
         }
 
         self.lu.push_pivot(position);
@@ -268,7 +267,7 @@ impl<T: Scalar> State<T> {
     fn optimize(
         &mut self,
         matrix: &Matrix<'_, T>,
-        banned: &[bool],
+        objective: &Objective<T>,
         phase1: bool,
         options: &SolverOptions,
         stats: &mut PivotStats,
@@ -277,9 +276,27 @@ impl<T: Scalar> State<T> {
         let m = self.lu.dim();
         let max_iters = 50_000usize.max(100 * (matrix.total_cols + m));
         let mut pricing = FallbackState::new::<T>(options);
+        // Devex keeps the previous iteration's reduced costs for its weight
+        // update ([`DevexStep`]).
+        let mut previous = pricing
+            .uses_devex()
+            .then(|| ScaledCosts::new(&self.product, matrix.art_rows.len()));
+        let mut devex_step: Option<DevexStep> = None;
 
         for _ in 0..max_iters {
-            let Some(entering) = pricing.select(&self.d, banned, matrix.total_cols) else {
+            self.price_from_multipliers(matrix, objective);
+            if let (Some(step), Some(previous)) = (devex_step.take(), &previous) {
+                let pivot_row = previous.change_to(&self.reduced, &step.scale);
+                pricing.update_devex_weights(
+                    step.entering,
+                    step.leaving_col,
+                    step.pivot_element,
+                    |j| pivot_row(j).to_f64() / step.pivot_element,
+                );
+            }
+            let Some(entering) =
+                pricing.select(&self.reduced, &objective.banned, matrix.total_cols)
+            else {
                 return Ok(());
             };
             sparse::clear(&mut self.work);
@@ -298,17 +315,20 @@ impl<T: Scalar> State<T> {
                 return Err(LpError::Unbounded);
             };
             let leaving_col = self.basis[position];
-            let pivot_element = self.work[self.lu.row_of(position)].to_f64();
-            self.pivot(matrix, position, entering, true);
-            // Devex reference-weight maintenance (no-op for other rules):
-            // `self.row` still holds the raw BTRAN'd pivot row computed by
-            // the reduced-cost update, so normalizing by the pivot element
-            // yields the same α_rj/α_rq ratios the dense form reads off its
-            // normalized row.
-            let pivot_row = &self.row;
-            pricing.update_devex_weights(entering, leaving_col, pivot_element, |j| {
-                pivot_row[j].to_f64() / pivot_element
-            });
+            if let Some(previous) = &mut previous {
+                let pivot_value = &self.work[self.lu.row_of(position)];
+                let alpha_pq = pivot_value
+                    .as_rational()
+                    .expect("the revised form runs on exact scalars");
+                devex_step = Some(DevexStep {
+                    entering,
+                    leaving_col,
+                    pivot_element: pivot_value.to_f64(),
+                    scale: alpha_pq / &self.reduced.value(entering),
+                });
+                std::mem::swap(&mut self.reduced, previous);
+            }
+            self.pivot(position, entering);
             record(
                 trace,
                 if phase1 {
@@ -362,37 +382,27 @@ pub(crate) fn solve_revised<T: Scalar>(
     }
     let matrix = Matrix::build(&sf, &artificial_rows);
 
-    let mut state = State {
-        product: RowProduct::new(&sf.matrix),
-        lu: LuFactors::identity(m),
-        basis,
-        x_b: sf.rhs.clone(),
-        d: vec![T::zero(); matrix.total_cols],
-        obj_val: T::zero(),
-        work: vec![T::zero(); m],
-        rho: vec![T::zero(); m],
-        row: vec![T::zero(); matrix.total_cols],
-    };
+    let mut state = State::new(&sf, &matrix, basis, sf.rhs.clone());
 
     // -------------------------- Phase 1 --------------------------
     if !artificial_rows.is_empty() {
-        // Phase-1 reduced costs: c1 = 1 on artificials, minus every
-        // artificially-seeded row (B = I, so the basis inverse is trivial
-        // here); the phase objective starts at the artificials' total mass.
-        for j in matrix.first_artificial..matrix.total_cols {
-            state.d[j] = T::one();
+        // Phase-1 objective: the sum of the artificials.
+        let mut costs = vec![T::zero(); matrix.total_cols];
+        for c in &mut costs[matrix.first_artificial..] {
+            *c = T::one();
         }
-        for &i in &artificial_rows {
-            for (j, a) in matrix.row_entries(i) {
-                state.d[j].sub_assign_ref(a);
-            }
-            state.obj_val.add_assign_ref(&sf.rhs[i]);
-        }
-
         let banned = vec![false; matrix.total_cols];
-        state.optimize(&matrix, &banned, true, options, stats, trace)?;
+        let objective = Objective::new(&state.product, costs, banned);
+        state.optimize(&matrix, &objective, true, options, stats, trace)?;
 
-        if state.obj_val.is_positive_approx() {
+        // The phase-1 optimum `c_Bᵀ x_B`: the artificials' remaining mass.
+        let mut mass = T::zero();
+        for (&b, x) in state.basis.iter().zip(&state.x_b) {
+            if matrix.is_artificial(b) {
+                mass.add_assign_ref(x);
+            }
+        }
+        if mass.is_positive_approx() {
             return Err(LpError::Infeasible);
         }
 
@@ -411,7 +421,7 @@ pub(crate) fn solve_revised<T: Scalar>(
             if let Some(col) = replacement {
                 sparse::clear(&mut state.work);
                 state.lu.ftran(&mut state.work, matrix.col(col));
-                state.pivot(&matrix, position, col, false);
+                state.pivot(position, col);
                 record(trace, TracePhase::DriveOut, col, position);
             }
             // A row with no replacement is redundant; the artificial stays
@@ -420,16 +430,14 @@ pub(crate) fn solve_revised<T: Scalar>(
     }
 
     // -------------------------- Phase 2 --------------------------
-    // Reduced costs of the real objective, artificial columns banned from
-    // entering.
-    let mut costs_full = sf.costs.clone();
-    costs_full.resize(matrix.total_cols, T::zero());
-    state.price(&matrix, &costs_full);
-
+    // The real objective, artificial columns banned from entering.
+    let mut costs = sf.costs.clone();
+    costs.resize(matrix.total_cols, T::zero());
     let banned: Vec<bool> = (0..matrix.total_cols)
         .map(|j| matrix.is_artificial(j))
         .collect();
-    state.optimize(&matrix, &banned, false, options, stats, trace)?;
+    let objective = Objective::new(&state.product, costs, banned);
+    state.optimize(&matrix, &objective, false, options, stats, trace)?;
 
     // ----------------------- Extract solution -----------------------
     let mut column_values = vec![T::zero(); matrix.total_cols];
@@ -465,17 +473,7 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
     debug_assert!(basis.iter().all(|&b| b < sf.num_cols));
     let matrix = Matrix::build(&sf, &[]);
 
-    let mut state = State {
-        product: RowProduct::new(&sf.matrix),
-        lu: LuFactors::identity(m),
-        basis,
-        x_b: vec![T::zero(); m],
-        d: vec![T::zero(); matrix.total_cols],
-        obj_val: T::zero(),
-        work: vec![T::zero(); m],
-        rho: vec![T::zero(); m],
-        row: vec![T::zero(); matrix.total_cols],
-    };
+    let mut state = State::new(&sf, &matrix, basis, vec![T::zero(); m]);
     {
         let basis = &state.basis;
         state.lu.refactorize(|c| matrix.col(basis[c]))?;
@@ -497,12 +495,11 @@ pub(crate) fn reoptimize_primal<T: Scalar>(
         state.x_b[c] = state.work[state.lu.row_of(c)].clone();
     }
 
-    // Reduced costs and objective — the phase-2 rebuild of `solve_revised`,
-    // with no artificial columns to ban.
-    state.price(&matrix, &sf.costs);
-
+    // The real objective — phase 2 of `solve_revised`, with no artificial
+    // columns to ban.
     let banned = vec![false; matrix.total_cols];
-    state.optimize(&matrix, &banned, false, options, stats, &mut None)?;
+    let objective = Objective::new(&state.product, sf.costs.clone(), banned);
+    state.optimize(&matrix, &objective, false, options, stats, &mut None)?;
 
     let mut column_values = vec![T::zero(); matrix.total_cols];
     for (c, &b) in state.basis.iter().enumerate() {
@@ -523,14 +520,14 @@ mod tests {
 
     use super::Matrix;
     use crate::model::{LinExpr, Model, Relation, Sense, VarBound};
-    use crate::pivot_row::RowProduct;
+    use crate::pivot_row::{RowProduct, ScaledCosts};
     use crate::standard::build_standard_form;
 
-    /// The row product over a matrix with artificial columns equals the
-    /// column-by-column dot product `a_jᵀρ` that synthesizes each
-    /// artificial as a unit vector.
+    /// Pricing over a matrix with artificial columns equals
+    /// `c_j − a_jᵀy` column by column, each artificial synthesized as the
+    /// unit vector of its row.
     #[test]
-    fn row_product_covers_artificial_columns() {
+    fn reduced_costs_cover_artificial_columns() {
         let mut m: Model<Rational> = Model::new();
         let x = m.add_var("x", VarBound::NonNegative);
         let y = m.add_var("y", VarBound::NonNegative);
@@ -556,15 +553,17 @@ mod tests {
             "the == and >= rows need artificials"
         );
         let matrix = Matrix::build(&sf, &artificial_rows);
-        let mut product = RowProduct::new(&sf.matrix);
+        let mut product = RowProduct::new(&sf.matrix, &sf.costs);
+        let mut costs = sf.costs.clone();
+        costs.resize(matrix.total_cols, rat(1, 1));
+        let scaled = product.scale_costs(&costs);
+        let mut reduced = ScaledCosts::new(&product, artificial_rows.len());
         let weights = [rat(-3, 7), rat(0, 1), rat(5, 2), rat(1, 14)];
-        for rho in [weights.to_vec(), vec![Rational::zero(); 4]] {
-            let mut out = vec![rat(9, 1); matrix.total_cols];
-            matrix.row_product(&mut product, &rho, &mut out);
-            let expected: Vec<Rational> = (0..matrix.total_cols)
-                .map(|j| matrix.col(j).dot(&rho))
-                .collect();
-            assert_eq!(out, expected);
+        for y in [weights.to_vec(), vec![Rational::zero(); 4]] {
+            product.reduced_costs(&sf.matrix, &y, &scaled, &artificial_rows, &mut reduced);
+            for (j, c) in costs.iter().enumerate() {
+                assert_eq!(reduced.value(j), c - &matrix.col(j).dot(&y), "column {j}");
+            }
         }
     }
 }

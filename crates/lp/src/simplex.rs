@@ -341,7 +341,7 @@ impl<T: Scalar> Tableau<'_, T> {
         let mut pricing = FallbackState::new::<T>(self.options);
 
         for _ in 0..max_iters {
-            let Some(col) = pricing.select(&self.obj, &self.banned, self.cols) else {
+            let Some(col) = pricing.select(self.obj.as_slice(), &self.banned, self.cols) else {
                 return Ok(());
             };
             let Some((row, degenerate)) = choose_leaving(

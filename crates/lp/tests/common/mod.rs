@@ -11,7 +11,10 @@
 //!   cumulative loads), the minimax objective's footprint;
 //! * **seeded random sparsity** — rows with 1–3 nonzeros at random columns,
 //!   mixed relations, negative and zero right-hand sides;
-//! * **degenerate vertices**: Beale's classic cycling LP.
+//! * **degenerate vertices**: Beale's classic cycling LP;
+//! * **wide coefficients**: numerators and denominators past 2⁶³ in the
+//!   matrix, the right-hand sides and several costs, which push the revised
+//!   form's integer products and pricing comparisons off machine words.
 //!
 //! Everything is deterministic: random models take an explicit `u64` seed
 //! (xoshiro via the vendored `rand` shim), so a failing corpus entry can be
@@ -23,7 +26,7 @@
 
 use privmech_linalg::Scalar;
 use privmech_lp::{LinExpr, Model, Relation, Sense, VarBound};
-use privmech_numerics::{rat, Rational};
+use privmech_numerics::{rat, BigInt, Rational};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A random small LP mixing `<=`/`>=`/`==` rows, negative right-hand sides
@@ -214,6 +217,82 @@ pub fn beale_degenerate_model() -> Model<Rational> {
     m
 }
 
+/// `±(2^64 + δ)` or `±(2^128 + δ)` now and then, else a small `±δ`, over a
+/// denominator that is small or, now and then, `2^64 + d`: values whose
+/// numerators or denominators do not fit `i64`.
+pub fn wide_entry(rng: &mut StdRng) -> Rational {
+    let delta = BigInt::from(rng.gen_range(1i64..100));
+    let magnitude = match rng.gen_range(0u32..6) {
+        0 => &BigInt::one().shl_bits(64) + &delta,
+        1 => &BigInt::one().shl_bits(128) + &delta,
+        _ => delta,
+    };
+    let small_den = BigInt::from([1i64, 2, 3, 7, 9][rng.gen_range(0usize..5)]);
+    let den = match rng.gen_range(0u32..5) {
+        0 => &BigInt::one().shl_bits(64) + &small_den,
+        _ => small_den,
+    };
+    let num = if rng.gen_bool(0.5) {
+        -magnitude
+    } else {
+        magnitude
+    };
+    Rational::new(num, den)
+}
+
+/// Seeded LP over `vars` non-negative variables with [`wide_entry`]
+/// coefficients: `rows` constraints of 2–3 nonzeros with mixed relations,
+/// feasible by construction (each right-hand side is set off a fixed
+/// positive point, tight on `==` rows and on some inequalities), a budget
+/// row `Σ x_k <= 2^70` that keeps it bounded, and a nonzero wide cost on
+/// every variable. Deterministic in `seed`.
+pub fn wide_coefficient_model(seed: u64, vars: usize, rows: usize) -> Model<Rational> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut m: Model<Rational> = Model::new();
+    let xs = m.add_nonneg_vars("x", vars);
+    let point: Vec<Rational> = (0..vars).map(|_| rat(rng.gen_range(1i64..5), 1)).collect();
+    for _ in 0..rows {
+        let nnz = rng.gen_range(2..=3usize.min(vars));
+        let mut cols: Vec<usize> = Vec::new();
+        while cols.len() < nnz {
+            let c = rng.gen_range(0..vars);
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        let mut e = LinExpr::new();
+        let mut at_point = Rational::zero();
+        for &c in &cols {
+            let a = wide_entry(&mut rng);
+            at_point += &a * &point[c];
+            e.add_term(xs[c], a);
+        }
+        let margin = if rng.gen_bool(0.5) {
+            Rational::zero()
+        } else {
+            wide_entry(&mut rng).abs()
+        };
+        let (relation, rhs) = match rng.gen_range(0..3u32) {
+            0 => (Relation::Ge, &at_point - &margin),
+            1 => (Relation::Le, &at_point + &margin),
+            _ => (Relation::Eq, at_point),
+        };
+        m.add_constraint(e, relation, rhs).unwrap();
+    }
+    let mut budget = LinExpr::new();
+    for &x in &xs {
+        budget.add_term(x, rat(1, 1));
+    }
+    let cap = Rational::new(BigInt::one().shl_bits(70), BigInt::one());
+    m.add_constraint(budget, Relation::Le, cap).unwrap();
+    let mut obj = LinExpr::new();
+    for &x in &xs {
+        obj.add_term(x, wide_entry(&mut rng));
+    }
+    m.set_objective(Sense::Minimize, obj).unwrap();
+    m
+}
+
 /// The full structured corpus for a given seed: every paper shape plus a
 /// handful of seeded random-sparsity instances. Entry names are stable so a
 /// failure report identifies the model without dumping it.
@@ -236,6 +315,13 @@ pub fn structured_corpus(seed: u64) -> Vec<(String, Model<Rational>)> {
         corpus.push((
             format!("random_sparse_seed_{s}"),
             random_sparse_model(s, 4, 5),
+        ));
+    }
+    for k in 0..6u64 {
+        let s = seed.wrapping_mul(6).wrapping_add(k);
+        corpus.push((
+            format!("wide_coefficient_seed_{s}"),
+            wide_coefficient_model(s, 5, 5),
         ));
     }
     corpus

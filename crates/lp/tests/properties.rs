@@ -412,3 +412,144 @@ fn structured_corpus_f64_shapes_match_dense_oracle() {
         }
     }
 }
+
+/// The wide-coefficient corpus entries (numerators and denominators past
+/// 2⁶³ in matrix, right-hand sides and costs) must reach both phases, so
+/// that the revised form's wide integer paths are what the dense oracle
+/// checks in `structured_corpus_csr_revised_matches_dense_oracle`.
+#[test]
+fn wide_coefficient_corpus_pivots_in_both_phases() {
+    use privmech_lp::TracePhase;
+    let (mut phase1, mut phase2) = (0, 0);
+    for (name, m) in structured_corpus(0xC5B8) {
+        if !name.starts_with("wide_coefficient") {
+            continue;
+        }
+        if let Ok((_, trace)) = solve_model_traced(&m, &SolverOptions::default()) {
+            phase1 += trace
+                .iter()
+                .filter(|r| r.phase == TracePhase::Phase1)
+                .count();
+            phase2 += trace
+                .iter()
+                .filter(|r| r.phase == TracePhase::Phase2)
+                .count();
+        }
+    }
+    assert!(
+        phase1 > 0 && phase2 > 0,
+        "phase 1: {phase1}, phase 2: {phase2} pivots"
+    );
+}
+
+/// A column whose entries are thirds (`E_j = 3`) and one whose entries are
+/// integers (`E_j = 1`), in either order, tied in phase 1: the `==` rows
+/// `(2/3)·t + u = 1` and `(1/3)·t + (1/2)·w = 1` give both `t` and `u` the
+/// phase-1 reduced cost `−1`.
+fn phase1_tie_model(thirds_first: bool) -> Model<Rational> {
+    let mut m: Model<Rational> = Model::new();
+    let (t, u) = if thirds_first {
+        let t = m.add_var("t", VarBound::NonNegative);
+        (t, m.add_var("u", VarBound::NonNegative))
+    } else {
+        let u = m.add_var("u", VarBound::NonNegative);
+        (m.add_var("t", VarBound::NonNegative), u)
+    };
+    let w = m.add_var("w", VarBound::NonNegative);
+    m.add_constraint(
+        LinExpr::term(t, rat(2, 3)).plus(u, rat(1, 1)),
+        Relation::Eq,
+        rat(1, 1),
+    )
+    .unwrap();
+    m.add_constraint(
+        LinExpr::term(t, rat(1, 3)).plus(w, rat(1, 2)),
+        Relation::Eq,
+        rat(1, 1),
+    )
+    .unwrap();
+    m.set_objective(
+        Sense::Minimize,
+        LinExpr::term(t, rat(1, 1))
+            .plus(u, rat(2, 1))
+            .plus(w, rat(1, 1)),
+    )
+    .unwrap();
+    m
+}
+
+/// The same pair tied in phase 2 (slack seeds only, so no phase 1): both
+/// cost `−1`, `t`'s entries are thirds and `u`'s integers.
+fn phase2_tie_model(thirds_first: bool) -> Model<Rational> {
+    let mut m: Model<Rational> = Model::new();
+    let (t, u) = if thirds_first {
+        let t = m.add_var("t", VarBound::NonNegative);
+        (t, m.add_var("u", VarBound::NonNegative))
+    } else {
+        let u = m.add_var("u", VarBound::NonNegative);
+        (m.add_var("t", VarBound::NonNegative), u)
+    };
+    m.add_constraint(
+        LinExpr::term(t, rat(1, 3)).plus(u, rat(1, 1)),
+        Relation::Le,
+        rat(4, 1),
+    )
+    .unwrap();
+    m.add_constraint(LinExpr::term(t, rat(4, 3)), Relation::Le, rat(8, 1))
+        .unwrap();
+    m.add_constraint(LinExpr::term(u, rat(1, 1)), Relation::Le, rat(3, 1))
+        .unwrap();
+    m.set_objective(
+        Sense::Minimize,
+        LinExpr::term(t, rat(-1, 1)).plus(u, rat(-1, 1)),
+    )
+    .unwrap();
+    m
+}
+
+/// Exact ties between equal reduced costs written over different column
+/// denominators `E_j`: the revised form compares them by cross
+/// multiplication, the dense form as canonical rationals, and both must
+/// enter the smaller index — column 0, whichever of the pair it is — in
+/// phase 1 and phase 2, under Dantzig pricing and under Bland's rule, with
+/// identical traces throughout.
+#[test]
+fn exact_ties_across_column_denominators_enter_the_smaller_index() {
+    use privmech_lp::{PricingRule, TracePhase};
+    let models = [
+        (
+            TracePhase::Phase1,
+            phase1_tie_model as fn(bool) -> Model<Rational>,
+        ),
+        (TracePhase::Phase2, phase2_tie_model),
+    ];
+    for (phase, build) in models {
+        for thirds_first in [false, true] {
+            let m = build(thirds_first);
+            for pricing in [PricingRule::DantzigWithBlandFallback, PricingRule::Bland] {
+                let options = SolverOptions {
+                    pricing,
+                    ..SolverOptions::default()
+                };
+                let dense = solve_model_traced(
+                    &m,
+                    &SolverOptions {
+                        form: SolverForm::Dense,
+                        ..options
+                    },
+                );
+                let revised = solve_model_traced(&m, &options);
+                assert_eq!(
+                    dense, revised,
+                    "{phase:?}, thirds first {thirds_first}, {pricing:?}"
+                );
+                let (_, trace) = revised.unwrap();
+                let first = trace.iter().find(|r| r.phase == phase).unwrap();
+                assert_eq!(
+                    first.entering, 0,
+                    "{phase:?}, thirds first {thirds_first}, {pricing:?}"
+                );
+            }
+        }
+    }
+}

@@ -326,10 +326,11 @@ proptest! {
 
     #[test]
     fn gcd_fast_and_slow_paths_agree(a in arb_u64_boundary(), b in arb_u64_boundary(), k in 1usize..=140) {
-        // gcd(a·2^k, b·2^k) = gcd(a, b)·2^k: with k >= 1 the left side runs
-        // the two-limb word path or, past 2^128, the multi-limb in-place
-        // binary loop whenever a or b is large, while the right side runs the
-        // u64 fast path.
+        // gcd(a·2^k, b·2^k) = gcd(a, b)·2^k: with k >= 1 the left side's
+        // operands outgrow one limb whenever a or b is large, so it runs one
+        // remainder step into the u128/u64 gcd (smaller operand within two
+        // limbs) or, once both pass 2^128, Lehmer's algorithm, while the
+        // right side runs the u64 fast path.
         let g_shifted = BigInt::from(a).shl_bits(k).gcd(&BigInt::from(b).shl_bits(k));
         let g_small = BigInt::from(a).gcd(&BigInt::from(b)).shl_bits(k);
         prop_assert_eq!(g_shifted, g_small);
