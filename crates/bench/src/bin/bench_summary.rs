@@ -28,11 +28,11 @@
 //! exact solve at `compare-n` run under both the dense tableau and the
 //! revised simplex ([`privmech_lp::SolverForm`]), runtime-asserting the
 //! bit-identity contract (equal mechanism, loss and pivot statistics) and
-//! recording the revised-over-dense speedup, plus — since PR 6 — a
-//! devex-priced solve and a small dual-simplex warm-started sweep, both
-//! certificate-verified inside the solver and asserted to land on the
-//! default path's optimal loss. CI runs this on every push so both tiers of
-//! the correctness contract are exercised outside the unit suites too.
+//! recording the revised-over-dense speedup, plus a small dual-simplex
+//! warm-started sweep, certificate-verified inside the solver and asserted
+//! to land on the cold optimal losses. CI runs this on every push so both
+//! tiers of the correctness contract are exercised outside the unit suites
+//! too.
 //!
 //! `--sweep-mem` appends a sweep peak-memory record instead: the same exact
 //! α-sweep solved sequentially under the dense tableau and under the
@@ -72,21 +72,12 @@ struct RunResult {
     stats: PivotStats,
 }
 
-/// Time `f` adaptively: slow workloads run once, fast ones `reps` times; the
-/// median is reported.
+/// Time `f` over `reps` runs (at least one) and report the median.
 fn time_workload<F: FnMut() -> PivotStats>(reps: usize, mut f: F) -> (u128, usize, PivotStats) {
     let start = Instant::now();
     let stats = f();
-    let first = start.elapsed().as_nanos();
-    // Re-running a multi-second exact solve several times buys no precision
-    // worth its wall-clock cost.
-    let extra = if first > 2_000_000_000 {
-        0
-    } else {
-        reps.saturating_sub(1)
-    };
-    let mut times = vec![first];
-    for _ in 0..extra {
+    let mut times = vec![start.elapsed().as_nanos()];
+    for _ in 1..reps {
         let start = Instant::now();
         f();
         times.push(start.elapsed().as_nanos());
@@ -110,30 +101,6 @@ fn run_exact(n: usize, reps: usize) -> RunResult {
         time_workload(reps, || engine.solve(&request).expect("solvable LP").stats);
     RunResult {
         name: format!("exact_full_S/{n}"),
-        scalar: "rational",
-        n,
-        median_ns,
-        samples,
-        stats,
-    }
-}
-
-/// Same exact ladder entry under devex pricing. Devex changes the pivot
-/// sequence, so each timed solve includes the engine's per-solve exact
-/// optimality certificate — the reported time is the certified fast path,
-/// not an unchecked one.
-fn run_exact_devex(n: usize, reps: usize) -> RunResult {
-    use privmech_lp::{PricingRule, SolverOptions};
-    let engine = PrivacyEngine::with_threads(1);
-    let level: PrivacyLevel<Rational> = PrivacyLevel::new(rat(1, 4)).expect("valid alpha");
-    let request = direct_request(level, bench_consumer(n)).with_options(SolverOptions {
-        pricing: PricingRule::Devex,
-        ..SolverOptions::default()
-    });
-    let (median_ns, samples, stats) =
-        time_workload(reps, || engine.solve(&request).expect("solvable LP").stats);
-    RunResult {
-        name: format!("exact_full_S_devex/{n}"),
         scalar: "rational",
         n,
         median_ns,
@@ -297,14 +264,12 @@ fn run_sweep(n: usize, points: usize, threads: usize) -> String {
 /// counts are the visible consequence of the identical pivot *sequence*) —
 /// and recording the revised-over-dense speedup.
 ///
-/// Since PR 6 this smoke also covers the *certificate-verified* tier of the
-/// contract: a devex-priced solve (every devex solve is checked against the
-/// exact optimality certificate inside the solver before it is released) and
-/// a small dual-simplex warm-started α-sweep (every warm reoptimization is
-/// certificate-checked the same way), both asserted to land on the default
-/// path's optimal loss.
+/// The smoke also covers the *certificate-verified* tier of the contract: a
+/// small dual-simplex warm-started α-sweep (every warm reoptimization is
+/// checked against the exact optimality certificate inside the solver before
+/// it is released), asserted to land on the cold optimal losses.
 fn run_compare_forms(n: usize) -> String {
-    use privmech_lp::{PricingRule, SolverForm, SolverOptions, WarmStartMode};
+    use privmech_lp::{SolverForm, SolverOptions, WarmStartMode};
     let engine = PrivacyEngine::with_threads(1);
     let level: PrivacyLevel<Rational> = PrivacyLevel::new(rat(1, 4)).expect("valid alpha");
     let with_form = |form: SolverForm| {
@@ -341,27 +306,7 @@ fn run_compare_forms(n: usize) -> String {
         "dense ≡ revised: identical pivot sequences imply identical stats"
     );
 
-    // Certificate tier 1: devex pricing. A different pivot sequence, so
-    // equality is at the solution level — the internal certificate proves
-    // optimality, loss equality proves it is *the* optimum.
-    eprintln!("compare-forms: devex-priced (certificate-verified) exact solve at n = {n} ...");
-    let start = Instant::now();
-    let devex = engine
-        .solve(
-            &direct_request(level.clone(), bench_consumer(n)).with_options(SolverOptions {
-                pricing: PricingRule::Devex,
-                ..SolverOptions::default()
-            }),
-        )
-        .expect("solvable LP");
-    let devex_ns = start.elapsed().as_nanos();
-    assert_eq!(
-        dense.loss, devex.loss,
-        "devex optimum must match the default-path optimal loss"
-    );
-    assert!(devex.stats.devex_pivots > 0, "devex pricing must engage");
-
-    // Certificate tier 2: a small dual-simplex warm-started sweep. Each warm
+    // Certificate tier: a small dual-simplex warm-started sweep. Each warm
     // reoptimization is certificate-checked inside the solver; each level's
     // loss must equal an independent cold solve's.
     let warm_points = 4usize;
@@ -391,10 +336,9 @@ fn run_compare_forms(n: usize) -> String {
 
     let speedup = dense_ns as f64 / revised_ns as f64;
     eprintln!(
-        "dense: {:.3}s | revised: {:.3}s ({speedup:.2}x) | devex: {:.3}s | pivots {} (identical)",
+        "dense: {:.3}s | revised: {:.3}s ({speedup:.2}x) | pivots {} (identical)",
         dense_ns as f64 / 1e9,
         revised_ns as f64 / 1e9,
-        devex_ns as f64 / 1e9,
         dense.stats.total_pivots(),
     );
 
@@ -402,7 +346,6 @@ fn run_compare_forms(n: usize) -> String {
         "\"compare_forms\": {{\"n\": {n}, \"scalar\": \"rational\", \
          \"dense_ns\": {dense_ns}, \"revised_ns\": {revised_ns}, \
          \"speedup_revised\": {speedup:.4}, \"pivots\": {}, \"bit_identical\": true, \
-         \"devex_ns\": {devex_ns}, \"devex_loss_identical\": true, \
          \"warm_sweep_points\": {warm_points}, \"warm_losses_identical\": true, \
          \"certified\": true}}",
         dense.stats.total_pivots()
@@ -768,8 +711,6 @@ fn main() {
             }
             eprintln!("running exact_full_S/{n} ...");
             results.push(run_exact(n, reps));
-            eprintln!("running exact_full_S_devex/{n} ...");
-            results.push(run_exact_devex(n, reps));
         }
 
         for r in &results {

@@ -95,7 +95,6 @@ fn push_options(out: &mut String, options: &SolverOptions) {
     let pricing = match options.pricing {
         PricingRule::DantzigWithBlandFallback => "dantzig-bland",
         PricingRule::Bland => "bland",
-        PricingRule::Devex => "devex",
     };
     let _ = write!(
         out,

@@ -244,7 +244,7 @@ fn solver_form_and_refactor_interval_do_not_split_the_fingerprint() {
 
 #[test]
 fn pr6_option_fields_leave_pre_existing_cache_keys_intact() {
-    use privmech_lp::{PricingRule, SolverOptions, WarmStartMode};
+    use privmech_lp::{SolverOptions, WarmStartMode};
     let base = || {
         SolveRequest::<Rational>::minimax()
             .loss(Arc::new(AbsoluteError))
@@ -274,16 +274,4 @@ fn pr6_option_fields_leave_pre_existing_cache_keys_intact() {
         .unwrap()
         .fingerprint();
     assert_ne!(reference, warm, "warm starts are result-relevant");
-
-    // Devex (pre-existing field, new value) splits the key like any
-    // non-default pricing rule.
-    let devex = base()
-        .solver_options(SolverOptions {
-            pricing: PricingRule::Devex,
-            ..SolverOptions::default()
-        })
-        .validate()
-        .unwrap()
-        .fingerprint();
-    assert_ne!(reference, devex);
 }

@@ -4,10 +4,10 @@
 //! The default configuration is covered by the *pivot-identity* tier: dense
 //! and revised forms provably follow the same pivot sequence, so their
 //! results are bit-identical and one property suite covers both. A
-//! non-default pricing rule (devex) or a dual-simplex warm start changes the
-//! pivot sequence — possibly even the optimal vertex reached — so pivot
-//! identity cannot certify it. This module provides the stronger,
-//! representation-independent check those paths use instead: a complete
+//! dual-simplex warm start changes the pivot sequence — possibly even the
+//! optimal vertex reached — so pivot identity cannot certify it. This module
+//! provides the stronger, representation-independent check that path uses
+//! instead: a complete
 //! **weak-duality optimality proof** of the returned solution, evaluated in
 //! the solver's own (exact, for `Rational`) arithmetic.
 //!

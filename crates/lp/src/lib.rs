@@ -12,19 +12,19 @@
 //!   constraints, minimize/maximize objectives, and the
 //!   [`Model::minimize_max`] epigraph helper),
 //! * a two-phase simplex solver with Dantzig (most-negative reduced
-//!   cost) pricing, optional devex pricing, and an automatic Bland
-//!   anti-cycling fallback, instantiable with exact
+//!   cost) pricing and an automatic Bland anti-cycling fallback (pure
+//!   Bland on `f64`), instantiable with exact
 //!   [`privmech_numerics::Rational`] pivoting (the source of truth for every
 //!   theorem-level claim) or `f64` (for speed), in two interchangeable
 //!   forms: a **revised simplex** over a sparse LU basis factorization with
 //!   Forrest–Tomlin updates (the [`SolverForm::Auto`] default for exact
-//!   scalars) and the classic **dense tableau** (always used by `f64`). The correctness contract has two tiers: on the default
-//!   configuration the two forms follow the identical pivot sequence and
-//!   return bit-identical solutions; non-default configurations — devex
-//!   pricing, dual-simplex warm starts ([`WarmStartMode`]) — are instead
-//!   verified per solve by an exact optimality [`certificate`]. Contract,
-//!   factorization lifecycle and standard-form construction are documented
-//!   end to end in
+//!   scalars) and the classic **dense tableau** (always used by `f64`). The
+//!   correctness contract has two tiers: cold solves follow the identical
+//!   pivot sequence in both forms and return bit-identical solutions;
+//!   dual-simplex warm starts ([`WarmStartMode`]) change the pivot sequence
+//!   and are instead verified per solve by an exact optimality
+//!   [`certificate`]. Contract, factorization lifecycle and standard-form
+//!   construction are documented end to end in
 //!   [`SOLVER.md`](https://github.com/privmech/privmech/blob/main/crates/lp/SOLVER.md)
 //!   (in-tree: `crates/lp/SOLVER.md`). Every solve reports [`PivotStats`] on
 //!   its [`Solution`]; [`solve_model_traced`] additionally exposes the pivot

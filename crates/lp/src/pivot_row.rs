@@ -22,9 +22,7 @@
 //! `d_j = (c_j·E_j·Q − acc_j) / (Q·E_j)` as an integer numerator over the
 //! positive denominator `Q·E_j` ([`ScaledCosts`]), which is all the
 //! entering rules need — signs, and exact comparisons by cross
-//! multiplication, in which the common `Q` cancels. Two consecutive
-//! pricings also give the revised form's devex weight update its pivot
-//! row ([`ScaledCosts::change_to`]).
+//! multiplication, in which the common `Q` cancels.
 //!
 //! Accumulators are `i128` lanes while every term is an `i64 × i64` product
 //! (the common case); a lane that would overflow spills into a per-column
@@ -62,10 +60,6 @@ impl Int {
             Int::Word(w) => BigInt::from(*w),
             Int::Wide(v) => v.clone(),
         }
-    }
-
-    fn is_zero(&self) -> bool {
-        matches!(self, Int::Word(0))
     }
 
     fn is_negative(&self) -> bool {
@@ -127,7 +121,8 @@ pub(crate) struct ScaledCosts {
     num: Vec<Int>,
     /// `E_j` by column.
     den: Vec<Int>,
-    /// The last product's `Q`.
+    /// The last product's `Q`, read only by the tests' canonical values.
+    #[cfg(test)]
     q: BigInt,
 }
 
@@ -139,37 +134,15 @@ impl ScaledCosts {
         ScaledCosts {
             num: vec![Int::Word(0); den.len()],
             den,
+            #[cfg(test)]
             q: BigInt::one(),
         }
     }
 
     /// The canonical `d_j`.
+    #[cfg(test)]
     pub(crate) fn value(&self, j: usize) -> Rational {
         Rational::new(self.num[j].to_big(), &self.q * &self.den[j].to_big())
-    }
-
-    /// `scale·(d_j − d'_j)` as a canonical rational, by column, from these
-    /// reduced costs to `later` ones of the same columns.
-    pub(crate) fn change_to<'a>(
-        &'a self,
-        later: &'a ScaledCosts,
-        scale: &Rational,
-    ) -> impl Fn(usize) -> Rational + 'a {
-        // With Q = g·a and Q' = g·b, d_j − d'_j = (num_j·b − num'_j·a) / (g·a·b·E_j),
-        // so the change is (num_j·b − num'_j·a)·f / E_j for f = scale / (g·a·b).
-        let g = self.q.gcd(&later.q);
-        let (a, b) = (&self.q / &g, &later.q / &g);
-        let f = scale / &Rational::from(&(&g * &a) * &b);
-        let (a, b) = (Int::from_big(a), Int::from_big(b));
-        let f_num = Int::from_big(f.numer().clone());
-        let f_den = Int::from_big(f.denom().clone());
-        move |j| {
-            let diff = self.num[j].mul(&b).sub(&later.num[j].mul(&a));
-            if diff.is_zero() {
-                return Rational::zero();
-            }
-            Rational::new(diff.mul(&f_num).to_big(), f_den.mul(&self.den[j]).to_big())
-        }
     }
 }
 
@@ -184,12 +157,6 @@ impl ReducedCosts for ScaledCosts {
         let lhs = self.num[a].mul(&self.den[b]);
         let rhs = self.num[b].mul(&self.den[a]);
         lhs.cmp(&rhs) == Ordering::Less
-    }
-
-    /// The canonical `d_j`'s conversion, so devex scores are the ones the
-    /// dense objective row gives.
-    fn to_f64(&self, j: usize) -> f64 {
-        self.value(j).to_f64()
     }
 }
 
@@ -368,7 +335,10 @@ impl RowProduct {
             let acc = Int::from_big(rescale(rational(&y[r]), &q));
             out.num[num_cols + k] = price(&costs[num_cols + k], &acc);
         }
-        out.q = q;
+        #[cfg(test)]
+        {
+            out.q = q;
+        }
     }
 }
 
@@ -480,7 +450,7 @@ mod tests {
 
     /// Pricing from the multipliers: the unnormalized reduced costs equal
     /// `c − yᵀA` from the `add_mul` sweep, unit columns included, and the
-    /// view answers every sign, order and `f64` question as the canonical
+    /// view answers every sign and order question as the canonical
     /// rationals do — on small values and on multi-limb ones, whose
     /// products and comparisons leave `i128`.
     #[test]
@@ -524,40 +494,10 @@ mod tests {
                 assert_eq!(got, expected, "case {case}");
                 for (a, d_a) in expected.iter().enumerate() {
                     assert_eq!(out.is_negative(a), d_a.is_negative(), "case {case}");
-                    assert_eq!(out.to_f64(a), d_a.to_f64(), "case {case}");
                     for (b, d_b) in expected.iter().enumerate() {
                         assert_eq!(out.less(a, b), d_a < d_b, "case {case}: {a} < {b}");
                     }
                 }
-            }
-        }
-    }
-
-    /// `change_to` between two pricings of the same costs from different
-    /// multipliers is `scale·(d_j − d'_j)` exactly, column by column.
-    #[test]
-    fn change_between_pricings_is_exact() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_0119);
-        for case in 0..40 {
-            let wide = case % 4 == 3;
-            let (m, n) = (rng.gen_range(1usize..8), rng.gen_range(1usize..12));
-            let store = random_store(&mut rng, m, n, wide);
-            let costs: Vec<Rational> = (0..n)
-                .map(|_| Rational::from_ratio(rng.gen_range(-5i64..6), rng.gen_range(1i64..7)))
-                .collect();
-            let mut product = RowProduct::new(&store, &costs);
-            let scaled = product.scale_costs(&costs);
-            let mut before = ScaledCosts::new(&product, 0);
-            let mut after = ScaledCosts::new(&product, 0);
-            let y = random_rho(&mut rng, m, wide);
-            product.reduced_costs(&store, &y, &scaled, &[], &mut before);
-            let y = random_rho(&mut rng, m, wide);
-            product.reduced_costs(&store, &y, &scaled, &[], &mut after);
-            let scale = Rational::from_ratio(rng.gen_range(-9i64..10), rng.gen_range(1i64..9));
-            let change = before.change_to(&after, &scale);
-            for j in 0..n {
-                let expected = &scale * &(&before.value(j) - &after.value(j));
-                assert_eq!(change(j), expected, "case {case}, column {j}");
             }
         }
     }

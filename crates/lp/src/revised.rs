@@ -19,10 +19,9 @@
 //! the entering column (the ratio-test / pivot-column stage); and one basis
 //! update on the spike the FTRAN kept. The pivot row itself (a unit BTRAN
 //! and a normalized row product) is recovered only for the drive-out pivots
-//! after phase 1; the devex weight update reads it off two consecutive
-//! pricings ([`DevexStep`]). On the paper's LPs — thousands of rows touching 2–4 structural columns
-//! each — this replaces the dense update's full-matrix pass with work
-//! proportional to the factorization's actual nonzeros.
+//! after phase 1. On the paper's LPs — thousands of rows touching 2–4
+//! structural columns each — this replaces the dense update's full-matrix
+//! pass with work proportional to the factorization's actual nonzeros.
 //!
 //! # Why the pivot sequence is identical to the dense form
 //!
@@ -34,7 +33,7 @@
 //! field both are the one value `c − c_Bᵀ B⁻¹ A` of the current basis, and
 //! the pricing view compares it exactly (the unnormalized numerators and
 //! denominators give the same signs and the same order as the canonical
-//! rationals, and the devex score converts the canonical value). The phase-1
+//! rationals). The phase-1
 //! verdict reads the same objective, `c_Bᵀ x_B`: the artificials' remaining
 //! mass. This form obtains the pivot column exactly via FTRAN and updates
 //! `x_B` by the dense form's right-hand-side recurrence. Over an exact field
@@ -50,7 +49,6 @@
 use privmech_linalg::sparse;
 use privmech_linalg::sparse::{Csr, SparseVec};
 use privmech_linalg::Scalar;
-use privmech_numerics::Rational;
 
 use crate::lu::LuFactors;
 use crate::model::LpError;
@@ -133,22 +131,6 @@ impl<T: Scalar> Objective<T> {
             banned,
         }
     }
-}
-
-/// A pivot's devex reference-weight update, applied at the next pricing.
-///
-/// The update reads the pivot row `α_p = e_pᵀB⁻¹A`, normalized by the pivot
-/// element, and the next pricing yields it without a BTRAN: the reduced
-/// costs after the pivot are `d' = d − (d_q/α_pq)·α_p`, so
-/// `α_pj = (α_pq/d_q)·(d_j − d'_j)` exactly — the same canonical value the
-/// dense form's normalized row holds, hence the same `f64` ratios.
-struct DevexStep {
-    entering: usize,
-    leaving_col: usize,
-    /// `α_pq` in `f64`.
-    pivot_element: f64,
-    /// `α_pq / d_q`.
-    scale: Rational,
 }
 
 /// Mutable iteration state of one revised solve.
@@ -276,24 +258,9 @@ impl<T: Scalar> State<T> {
         let m = self.lu.dim();
         let max_iters = 50_000usize.max(100 * (matrix.total_cols + m));
         let mut pricing = FallbackState::new::<T>(options);
-        // Devex keeps the previous iteration's reduced costs for its weight
-        // update ([`DevexStep`]).
-        let mut previous = pricing
-            .uses_devex()
-            .then(|| ScaledCosts::new(&self.product, matrix.art_rows.len()));
-        let mut devex_step: Option<DevexStep> = None;
 
         for _ in 0..max_iters {
             self.price_from_multipliers(matrix, objective);
-            if let (Some(step), Some(previous)) = (devex_step.take(), &previous) {
-                let pivot_row = previous.change_to(&self.reduced, &step.scale);
-                pricing.update_devex_weights(
-                    step.entering,
-                    step.leaving_col,
-                    step.pivot_element,
-                    |j| pivot_row(j).to_f64() / step.pivot_element,
-                );
-            }
             let Some(entering) =
                 pricing.select(&self.reduced, &objective.banned, matrix.total_cols)
             else {
@@ -314,20 +281,6 @@ impl<T: Scalar> State<T> {
             ) else {
                 return Err(LpError::Unbounded);
             };
-            let leaving_col = self.basis[position];
-            if let Some(previous) = &mut previous {
-                let pivot_value = &self.work[self.lu.row_of(position)];
-                let alpha_pq = pivot_value
-                    .as_rational()
-                    .expect("the revised form runs on exact scalars");
-                devex_step = Some(DevexStep {
-                    entering,
-                    leaving_col,
-                    pivot_element: pivot_value.to_f64(),
-                    scale: alpha_pq / &self.reduced.value(entering),
-                });
-                std::mem::swap(&mut self.reduced, previous);
-            }
             self.pivot(position, entering);
             record(
                 trace,

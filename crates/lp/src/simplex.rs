@@ -17,9 +17,9 @@
 //! * **Revised simplex** (what [`SolverForm::Auto`], the default, runs for
 //!   exact scalars): the basis is kept as sparse LU factors with
 //!   Forrest–Tomlin updates (`crate::lu`), entering columns are FTRAN'd
-//!   against the original sparse constraint columns, and the reduced-cost
-//!   row is maintained from BTRAN'd pivot rows — each iteration prices from
-//!   the factorization instead of rewriting the tableau.
+//!   against the original sparse constraint columns, and every iteration
+//!   prices all columns afresh from the simplex multipliers (one BTRAN of
+//!   the basic costs, then `d = c − yᵀA`) instead of rewriting the tableau.
 //!
 //! **Identity contract**: on exact scalars both forms follow the *identical*
 //! pivot sequence (same entering column and leaving position at every
@@ -93,16 +93,6 @@ pub enum PricingRule {
     DantzigWithBlandFallback,
     /// Bland's smallest-index anti-cycling rule throughout.
     Bland,
-    /// Devex pricing (Harris 1973): approximate steepest-edge reference
-    /// weights, selecting the column maximizing `d_j² / w_j`. Weights are
-    /// maintained in `f64` even on exact backends — the weight only *ranks*
-    /// candidates among the exactly-negative reduced costs, so an inexact
-    /// weight can never admit a non-improving column. Falls back to Bland on
-    /// degeneracy streaks exactly like Dantzig. Changes the pivot sequence
-    /// (and possibly the optimal vertex reached), so it is fingerprint- and
-    /// cache-relevant; solutions are asserted through the exact optimality
-    /// certificate ([`crate::certificate`]) instead of pivot identity.
-    Devex,
 }
 
 /// Which simplex implementation executes the solve. Both forms follow the
@@ -191,8 +181,6 @@ pub struct PivotStats {
     pub degenerate_pivots: usize,
     /// Pivots chosen by Dantzig (most-negative reduced cost) pricing.
     pub dantzig_pivots: usize,
-    /// Pivots chosen by devex (reference-weight) pricing.
-    pub devex_pivots: usize,
     /// Pivots chosen by Bland's smallest-index rule.
     pub bland_pivots: usize,
     /// Dual-simplex pivots performed by a cross-parameter warm start
@@ -212,7 +200,6 @@ impl std::ops::AddAssign<&PivotStats> for PivotStats {
         self.phase2_pivots += rhs.phase2_pivots;
         self.degenerate_pivots += rhs.degenerate_pivots;
         self.dantzig_pivots += rhs.dantzig_pivots;
-        self.devex_pivots += rhs.devex_pivots;
         self.bland_pivots += rhs.bland_pivots;
         self.dual_pivots += rhs.dual_pivots;
         self.fallback_activations += rhs.fallback_activations;
@@ -353,15 +340,7 @@ impl<T: Scalar> Tableau<'_, T> {
             ) else {
                 return Err(LpError::Unbounded);
             };
-            let leaving_col = self.basis[row];
-            let pivot_element = self.body[row][col].to_f64();
             self.pivot(row, col);
-            // Devex reference-weight maintenance (no-op for other rules):
-            // after the pivot the row is normalized, so its entries are
-            // exactly the α_rj/α_rq ratios the update needs.
-            let pivot_row = &self.body[row];
-            pricing
-                .update_devex_weights(col, leaving_col, pivot_element, |j| pivot_row[j].to_f64());
             record(
                 trace,
                 if phase1 {
@@ -490,20 +469,11 @@ pub(crate) fn solve_warm<T: Scalar>(
             // Form dispatch: the revised simplex requires exact arithmetic
             // for its identity contract (module docs), so inexact backends
             // always run the dense tableau.
-            let values = if T::is_exact() && options.form != SolverForm::Dense {
+            if T::is_exact() && options.form != SolverForm::Dense {
                 crate::revised::solve_revised(sf, options, &mut stats, &mut trace)?
             } else {
                 solve_dense(sf, options, &mut stats, &mut trace)?
-            };
-            // Two-tier contract: the default pricing rule is covered by the
-            // dense ≡ revised pivot-identity property tests; a non-default
-            // rule changes the pivot sequence, so each of its solves is
-            // instead verified against the exact optimality certificate
-            // before the result is released.
-            if options.pricing == PricingRule::Devex {
-                crate::certificate::certify_column_solution(&values)?;
             }
-            values
         }
     };
     let extracted = values.extract(model);
@@ -687,9 +657,11 @@ fn solve_dense<T: Scalar>(
 
 #[cfg(test)]
 mod tests {
-    use super::{PivotStats, PricingRule, SolverOptions};
+    use super::{ColumnSolution, PivotStats, PricingRule, SolverOptions};
     use crate::model::{LinExpr, LpError, Model, Relation, Sense, VarBound};
     use privmech_numerics::{rat, Rational};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn maximize_two_variable_example() {
@@ -1004,76 +976,89 @@ mod tests {
         )));
     }
 
-    #[test]
-    fn devex_pricing_reaches_the_same_optimum_in_both_forms() {
-        // Devex may follow a different pivot path than Dantzig, so the pivot
-        // traces need not agree — the solution-level contract applies instead:
-        // every devex solve runs the exact optimality certificate internally
-        // (a certificate failure would surface as `LpError::Internal` here).
-        use super::SolverForm;
-        let m = beale_cycling_model();
-        let default = m.solve().unwrap();
-        for form in [SolverForm::Dense, SolverForm::Auto] {
-            let devex = crate::simplex::solve_model_with(
-                &m,
-                &SolverOptions {
-                    pricing: PricingRule::Devex,
-                    form,
-                    ..SolverOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(devex.objective, default.objective, "form {form:?}");
-            // Beale's optimum is unique, so values must match bit-for-bit too.
-            assert_eq!(devex.values, default.values, "form {form:?}");
-            assert!(
-                devex.stats.devex_pivots > 0,
-                "devex pricing should drive the pivots (form {form:?})"
-            );
-            assert_eq!(devex.stats.dantzig_pivots, 0, "form {form:?}");
-        }
+    /// A default revised solve of `m`, audited by the exact optimality
+    /// certificate the warm-start paths run on every result.
+    fn certify_default_solve(m: &Model<Rational>) -> Result<ColumnSolution<Rational>, LpError> {
+        let sf = crate::standard::build_standard_form(m)?;
+        let mut stats = PivotStats::default();
+        let options = SolverOptions::default();
+        let sol = crate::revised::solve_revised(sf, &options, &mut stats, &mut None)?;
+        crate::certificate::certify_column_solution(&sol)?;
+        Ok(sol)
     }
 
     #[test]
-    fn devex_pricing_matches_default_on_a_phase1_model() {
-        // Equality rows force phase-1 artificials, exercising the certificate
-        // with artificial columns still (degenerately) in the final basis.
+    fn default_solves_carry_an_optimality_certificate() {
+        certify_default_solve(&beale_cycling_model()).unwrap();
+
+        // Equality rows force phase-1 artificials; the third row repeats the
+        // second, so one artificial stays basic at zero and the certificate
+        // prices it as the unit column of its position.
         let mut m: Model<Rational> = Model::new();
         let x = m.add_var("x", VarBound::NonNegative);
         let y = m.add_var("y", VarBound::NonNegative);
         let z = m.add_var("z", VarBound::Free);
-        m.add_constraint(
-            LinExpr::term(z, rat(1, 1)).plus(x, rat(-1, 1)),
-            Relation::Eq,
-            rat(-2, 1),
-        )
-        .unwrap();
-        m.add_constraint(
-            LinExpr::term(x, rat(1, 1)).plus(y, rat(1, 1)),
-            Relation::Eq,
-            rat(5, 1),
-        )
-        .unwrap();
+        let rows = [
+            (LinExpr::term(z, rat(1, 1)).plus(x, rat(-1, 1)), rat(-2, 1)),
+            (LinExpr::term(x, rat(1, 1)).plus(y, rat(1, 1)), rat(5, 1)),
+            (LinExpr::term(x, rat(2, 1)).plus(y, rat(2, 1)), rat(10, 1)),
+        ];
+        for (expr, rhs) in rows {
+            m.add_constraint(expr, Relation::Eq, rhs).unwrap();
+        }
         m.set_objective(Sense::Minimize, LinExpr::term(z, rat(1, 1)))
             .unwrap();
-        let default = m.solve().unwrap();
-        let devex = crate::simplex::solve_model_with(
-            &m,
-            &SolverOptions {
-                pricing: PricingRule::Devex,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(devex.objective, default.objective);
-        assert_eq!(devex.objective, rat(-2, 1));
+        let sol = certify_default_solve(&m).unwrap();
+        assert!(
+            sol.basis.iter().any(|&b| b >= sol.sf.num_cols),
+            "the redundant row keeps its artificial basic"
+        );
+
+        // A seeded corpus of small mixed-relation LPs with free variables and
+        // negative right-hand sides; infeasible and unbounded ones carry no
+        // certificate.
+        let mut rng = StdRng::seed_from_u64(0x5eed_0020);
+        let mut certified = 0;
+        for case in 0..200 {
+            let mut m: Model<Rational> = Model::new();
+            let xs: Vec<_> = (0..3)
+                .map(|k| {
+                    let bound = if k == 0 && rng.gen_bool(0.3) {
+                        VarBound::Free
+                    } else {
+                        VarBound::NonNegative
+                    };
+                    m.add_var(format!("x{k}"), bound)
+                })
+                .collect();
+            for i in 0..rng.gen_range(1usize..6) {
+                let mut e = LinExpr::new();
+                for &x in &xs {
+                    e.add_term(x, rat(rng.gen_range(-4i64..5), 1));
+                }
+                let relation = [Relation::Le, Relation::Ge, Relation::Eq][i % 3];
+                m.add_constraint(e, relation, rat(rng.gen_range(-6i64..7), 1))
+                    .unwrap();
+            }
+            let mut obj = LinExpr::new();
+            for &x in &xs {
+                obj.add_term(x, rat(rng.gen_range(-3i64..6), 1));
+            }
+            m.set_objective(Sense::Minimize, obj).unwrap();
+            match certify_default_solve(&m) {
+                Ok(_) => certified += 1,
+                Err(LpError::Infeasible | LpError::Unbounded) => {}
+                Err(e) => panic!("case {case}: {e}"),
+            }
+        }
+        assert!(certified >= 40, "only {certified} of 200 cases solved");
     }
 
     #[test]
-    fn devex_on_f64_falls_back_to_bland() {
-        // Aggressive pricing engages only for exact scalars: on f64 the
-        // fallback state pins Bland's rule from the start (same policy as
-        // Dantzig; see FallbackState::new).
+    fn f64_prices_by_bland_throughout() {
+        // Dantzig pricing engages only for exact scalars: on f64 the
+        // fallback state pins Bland's rule from the start (see
+        // FallbackState::new).
         let mut m: Model<f64> = Model::new();
         let x = m.add_var("x", VarBound::NonNegative);
         let y = m.add_var("y", VarBound::NonNegative);
@@ -1081,16 +1066,9 @@ mod tests {
             .unwrap();
         m.set_objective(Sense::Maximize, LinExpr::term(x, 1.0).plus(y, 2.0))
             .unwrap();
-        let sol = crate::simplex::solve_model_with(
-            &m,
-            &SolverOptions {
-                pricing: PricingRule::Devex,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
+        let sol = m.solve().unwrap();
         assert!((sol.objective - 20.0).abs() < 1e-9);
-        assert_eq!(sol.stats.devex_pivots, 0);
+        assert_eq!(sol.stats.dantzig_pivots, 0);
         assert!(sol.stats.bland_pivots > 0);
     }
 }

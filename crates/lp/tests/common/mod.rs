@@ -1,7 +1,8 @@
 //! Shared structured-LP test generator: one corpus of paper-shaped models
-//! that every differential suite (dense ≡ revised/CSR, warm-start, devex
-//! certificates) draws from, so the solvers are proven against the *same*
-//! problems rather than each test file inventing its own.
+//! that every differential suite (dense ≡ revised/CSR, refactorization
+//! schedules, warm-start certificates) draws from, so the solvers are proven
+//! against the *same* problems rather than each test file inventing its
+//! own.
 //!
 //! The corpus covers the shapes the paper's mechanisms actually produce:
 //!

@@ -249,10 +249,12 @@ proptest! {
     }
 
     /// Refactorization-interval boundary sweep for the LU/Forrest–Tomlin
-    /// factorization (the only basis representation): every interval must
-    /// reproduce the default run's pivot trace, and the optimum they agree
-    /// on must survive the exact optimality certificate (solved again under
-    /// devex pricing, whose every solve is certificate-verified).
+    /// factorization (the only basis representation): these models take a
+    /// handful of pivots, so intervals 1 through 8 put a refactorization
+    /// boundary after every pivot position, and each must reproduce the
+    /// never-refactorized run's pivot trace. (The optimum itself is
+    /// certificate-checked by the lp unit test
+    /// `default_solves_carry_an_optimality_certificate`.)
     #[test]
     fn factorization_kind_is_unobservable_at_every_refactor_boundary(
         coeffs in prop::collection::vec(-4i64..=4, 9),
@@ -261,24 +263,16 @@ proptest! {
         free_var in any::<bool>(),
     ) {
         let m = random_model(&coeffs, &rhs, &costs, free_var);
-        let reference = solve_model_traced(&m, &SolverOptions::default());
-        for interval in [1, 64, SolverOptions::NEVER_REFACTOR] {
+        let reference = solve_model_traced(&m, &SolverOptions {
+            refactor_interval: SolverOptions::NEVER_REFACTOR,
+            ..SolverOptions::default()
+        });
+        for interval in 1..=8 {
             let run = solve_model_traced(&m, &SolverOptions {
                 refactor_interval: interval,
                 ..SolverOptions::default()
             });
             prop_assert_eq!(&reference, &run, "interval {} diverged", interval);
-        }
-        // Certificate cross-check: devex solves are verified against the
-        // exact optimality certificate before release, so agreement on the
-        // objective proves the traced optimum certificate-identical.
-        if let Ok((sol, _)) = reference {
-            let devex = privmech_lp::solve_model_with(&m, &SolverOptions {
-                pricing: privmech_lp::PricingRule::Devex,
-                ..SolverOptions::default()
-            });
-            let devex = devex.expect("devex must solve whatever the default solved");
-            prop_assert_eq!(sol.objective, devex.objective);
         }
     }
 

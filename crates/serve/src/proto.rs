@@ -787,11 +787,11 @@ pub fn split_solves(monolithic: &str) -> Option<Vec<&str>> {
 
 /// Encode [`PivotStats`] as a response object.
 ///
-/// The devex and dual-simplex counters are emitted **only when nonzero**:
-/// they can only be nonzero under non-default solver options (which carry a
-/// different request fingerprint), so every default-path response keeps the
-/// exact byte shape it had before those counters existed — cache entries
-/// persisted by older servers still verify byte-for-byte.
+/// The dual-simplex counter is emitted **only when nonzero**: it can only
+/// be nonzero under a warm-started sweep (whose options carry a different
+/// request fingerprint), so every default-path response keeps the exact
+/// byte shape it had before that counter existed — cache entries persisted
+/// by older servers still verify byte-for-byte.
 #[must_use]
 pub fn stats_to_wire(stats: &PivotStats) -> Json {
     let mut json = Json::obj()
@@ -801,11 +801,8 @@ pub fn stats_to_wire(stats: &PivotStats) -> Json {
             "degenerate_pivots",
             Json::num_u64(stats.degenerate_pivots as u64),
         )
-        .with("dantzig_pivots", Json::num_u64(stats.dantzig_pivots as u64));
-    if stats.devex_pivots > 0 {
-        json = json.with("devex_pivots", Json::num_u64(stats.devex_pivots as u64));
-    }
-    json = json.with("bland_pivots", Json::num_u64(stats.bland_pivots as u64));
+        .with("dantzig_pivots", Json::num_u64(stats.dantzig_pivots as u64))
+        .with("bland_pivots", Json::num_u64(stats.bland_pivots as u64));
     if stats.dual_pivots > 0 {
         json = json.with("dual_pivots", Json::num_u64(stats.dual_pivots as u64));
     }
@@ -815,8 +812,8 @@ pub fn stats_to_wire(stats: &PivotStats) -> Json {
     )
 }
 
-/// Decode a response stats object (the optional counters of
-/// [`stats_to_wire`] default to zero when absent).
+/// Decode a response stats object (the optional counter of
+/// [`stats_to_wire`] defaults to zero when absent).
 #[must_use]
 pub fn stats_from_wire(value: &Json) -> Option<PivotStats> {
     Some(PivotStats {
@@ -824,10 +821,6 @@ pub fn stats_from_wire(value: &Json) -> Option<PivotStats> {
         phase2_pivots: value.get("phase2_pivots")?.as_usize()?,
         degenerate_pivots: value.get("degenerate_pivots")?.as_usize()?,
         dantzig_pivots: value.get("dantzig_pivots")?.as_usize()?,
-        devex_pivots: value
-            .get("devex_pivots")
-            .and_then(Json::as_usize)
-            .unwrap_or(0),
         bland_pivots: value.get("bland_pivots")?.as_usize()?,
         dual_pivots: value
             .get("dual_pivots")
@@ -1138,20 +1131,17 @@ mod tests {
             phase2_pivots: 5,
             degenerate_pivots: 1,
             dantzig_pivots: 7,
-            devex_pivots: 0,
             bland_pivots: 1,
             dual_pivots: 0,
             fallback_activations: 1,
         };
         assert_eq!(stats_from_wire(&stats_to_wire(&stats)), Some(stats));
-        // The zero-valued optional counters stay off the wire, so default
+        // The zero-valued optional counter stays off the wire, so default
         // solves keep the pre-existing byte shape (old cache entries still
-        // verify); nonzero values round-trip.
+        // verify); a nonzero value round-trips.
         let encoded = crate::json::to_string(&stats_to_wire(&stats));
-        assert!(!encoded.contains("devex_pivots"));
         assert!(!encoded.contains("dual_pivots"));
         let nonzero = PivotStats {
-            devex_pivots: 4,
             dual_pivots: 2,
             ..stats
         };

@@ -19,7 +19,7 @@
 
 use privmech_core::{
     randomized_response, Mechanism, MinimaxConsumer, PrivacyEngine, PrivacyLevel, Result,
-    SolverOptions, ValidatedRequest,
+    ValidatedRequest,
 };
 use privmech_linalg::Scalar;
 
@@ -73,7 +73,6 @@ pub fn regret_table<T: Scalar + Send + Sync>(
     class.validate()?;
     let bound = class.result_bound();
     let engine = PrivacyEngine::with_threads(1);
-    let options = SolverOptions::default();
     let is_count = matches!(class, QueryClass::Count { .. });
 
     // Column benchmarks and the tailored candidate rows.
@@ -85,7 +84,7 @@ pub fn regret_table<T: Scalar + Send + Sync>(
             let solve = engine.solve(&request)?;
             (solve.mechanism, solve.loss)
         } else {
-            let t = tailored_optimum(class, consumer, level, &options)?;
+            let t = tailored_optimum(class, consumer, level)?;
             (t.mechanism, t.loss)
         };
         opt.push(loss);

@@ -56,7 +56,8 @@ pub struct TailoredOptimum<T: Scalar> {
     pub stats: PivotStats,
 }
 
-/// Solve the generalized tailored LP for `consumer` at `level`.
+/// Solve the generalized tailored LP for `consumer` at `level`, under the
+/// solver's default options (the configuration every served answer uses).
 ///
 /// The consumer's side information must live over the class's result space
 /// (`consumer.side_information().n() == class.result_bound()`).
@@ -64,7 +65,6 @@ pub fn tailored_optimum<T: Scalar>(
     class: &QueryClass,
     consumer: &MinimaxConsumer<T>,
     level: &PrivacyLevel<T>,
-    options: &SolverOptions,
 ) -> Result<TailoredOptimum<T>> {
     class.validate()?;
     let bound = class.result_bound();
@@ -81,8 +81,9 @@ pub fn tailored_optimum<T: Scalar>(
     let losses = tabulate_loss(consumer.loss(), size);
     let members = consumer.side_information().members();
 
+    let options = SolverOptions::default();
     let mut built = build_template::<T>(class, size, members, &losses)?;
-    let (matrix, stats) = match built.template.solve_at(level.alpha(), options) {
+    let (matrix, stats) = match built.template.solve_at(level.alpha(), &options) {
         Ok(solution) => (
             Matrix::from_fn(size, size, |i, r| {
                 solution.value(built.x_vars[i][r]).clone()
@@ -101,7 +102,7 @@ pub fn tailored_optimum<T: Scalar>(
             let mut exact = build_template::<Rational>(class, size, members, &exact_losses)?;
             let solution = exact
                 .template
-                .solve_at(&exact_alpha, options)
+                .solve_at(&exact_alpha, &options)
                 .map_err(CoreError::from)?;
             (
                 Matrix::from_fn(size, size, |i, r| {
@@ -257,7 +258,7 @@ mod tests {
         let level = PrivacyLevel::new(rat(1, 4)).unwrap();
         let class = QueryClass::Count { n: 3 };
         let c = consumer(3);
-        let zoo = tailored_optimum(&class, &c, &level, &SolverOptions::default()).unwrap();
+        let zoo = tailored_optimum(&class, &c, &level).unwrap();
         let engine_solve = PrivacyEngine::new()
             .solve(
                 &SolveRequest::minimax()
@@ -281,18 +282,12 @@ mod tests {
         let level = PrivacyLevel::new(rat(1, 3)).unwrap();
         let class = QueryClass::Median { rows: 3, domain: 3 };
         let c = consumer(3);
-        let zoo = tailored_optimum(&class, &c, &level, &SolverOptions::default()).unwrap();
+        let zoo = tailored_optimum(&class, &c, &level).unwrap();
         assert!(is_private_for_class(&zoo.mechanism, &class, &level));
         // The complete graph strictly contains the path graph, so the
         // median optimum can be no better than the count optimum — and for
         // absolute loss it is strictly worse.
-        let count = tailored_optimum(
-            &QueryClass::Count { n: 3 },
-            &c,
-            &level,
-            &SolverOptions::default(),
-        )
-        .unwrap();
+        let count = tailored_optimum(&QueryClass::Count { n: 3 }, &c, &level).unwrap();
         assert!(zoo.loss > count.loss);
     }
 
@@ -327,7 +322,7 @@ mod tests {
             per_row: 2,
         };
         let c = consumer(3); // class result space is {0..4}
-        let err = tailored_optimum(&class, &c, &level, &SolverOptions::default());
+        let err = tailored_optimum(&class, &c, &level);
         assert!(matches!(err, Err(CoreError::InvalidSideInformation { .. })));
     }
 
@@ -340,7 +335,7 @@ mod tests {
         let class = QueryClass::Median { rows: 3, domain: 2 };
         let c =
             MinimaxConsumer::new("zo", Arc::new(ZeroOneError), SideInformation::full(2)).unwrap();
-        let zoo = tailored_optimum(&class, &c, &level, &SolverOptions::default()).unwrap();
+        let zoo = tailored_optimum(&class, &c, &level).unwrap();
         let rr = privmech_core::randomized_response(2, &level).unwrap();
         assert_eq!(zoo.loss, c.disutility(&rr).unwrap());
     }
