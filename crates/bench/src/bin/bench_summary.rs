@@ -1,10 +1,10 @@
 //! Perf-trajectory tool: run the LP benchmark workloads in quick mode and
 //! append one JSON record to `BENCH_lp.json`.
 //!
-//! Unlike the Criterion suite this drives the engine directly, so it can
-//! record the solver's [`PivotStats`] next to each wall time — a perf
-//! regression then decomposes into "more pivots" (pricing/algorithmic) vs
-//! "slower pivots" (arithmetic/kernel).
+//! It drives the engine directly, so it can record the solver's
+//! [`PivotStats`] next to each wall time — a perf regression then
+//! decomposes into "more pivots" (pricing/algorithmic) vs "slower pivots"
+//! (arithmetic/kernel).
 //!
 //! Usage:
 //!
@@ -12,14 +12,13 @@
 //! bench-summary [--label <label>] [--output <path>] [--max-n <n>] [--reps <k>]
 //!               [--sweep] [--sweep-n <n>] [--sweep-points <k>] [--sweep-threads <t>]
 //!               [--compare-forms] [--compare-n <n>]
-//!               [--warm-sweep] [--warm-n <n>] [--warm-points <k>]
 //!               [--sweep-mem] [--sweep-mem-n <n>] [--sweep-mem-points <k>]
 //! ```
 //!
 //! `--sweep` appends an α-sweep comparison record instead of the per-size
 //! solve record: a 16-point exact α-sweep solved (a) cold, by sequential
 //! per-α `DirectLp` engine solves each rebuilding the Section 2.5 LP, (b) by
-//! the warm-started `engine.sweep` on the same Section 2.5 LP (strategy
+//! the templated `engine.sweep` on the same Section 2.5 LP (strategy
 //! DirectLp — results asserted bit-identical to the cold baseline), and (c)
 //! by the engine's default Theorem-1 factorization strategy (losses asserted
 //! bit-identical; mechanisms optimal and derivable by construction).
@@ -28,11 +27,8 @@
 //! exact solve at `compare-n` run under both the dense tableau and the
 //! revised simplex ([`privmech_lp::SolverForm`]), runtime-asserting the
 //! bit-identity contract (equal mechanism, loss and pivot statistics) and
-//! recording the revised-over-dense speedup, plus a small dual-simplex
-//! warm-started sweep, certificate-verified inside the solver and asserted
-//! to land on the cold optimal losses. CI runs this on every push so both
-//! tiers of the correctness contract are exercised outside the unit suites
-//! too.
+//! recording the revised-over-dense speedup. CI runs this on every push so
+//! the dense ≡ revised contract is exercised outside the unit suites too.
 //!
 //! `--sweep-mem` appends a sweep peak-memory record instead: the same exact
 //! α-sweep solved sequentially under the dense tableau and under the
@@ -40,13 +36,6 @@
 //! between passes via `/proc/self/clear_refs` where supported) recorded and
 //! the losses asserted bit-identical — the tracked number behind the PR 8
 //! claim that the CSR store shrinks sweep memory, not just wall-clock.
-//!
-//! `--warm-sweep` appends a warm-start acceptance record instead: a
-//! `warm-points`-α exact sweep at `warm-n` timed cold (sequential per-α
-//! solves from scratch) against the dual-simplex warm-started engine sweep,
-//! with per-α pivot counts recorded and every level's warm loss asserted
-//! equal to the cold optimum. Honors `PRIVMECH_SWEEP_QUICK=1` (CI smoke
-//! size).
 //!
 //! The output file is JSON Lines: one self-contained record per invocation,
 //! so successive PRs build up a comparable history. Every record carries its
@@ -200,7 +189,7 @@ fn run_sweep(n: usize, points: usize, threads: usize) -> String {
         .collect();
     let cold_ns = start.elapsed().as_nanos();
 
-    // (b) Warm-started engine sweep on the same Section 2.5 LP.
+    // (b) Templated engine sweep on the same Section 2.5 LP.
     eprintln!("sweep direct: engine.sweep (DirectLp template, {threads} threads) ...");
     let engine = PrivacyEngine::with_threads(threads);
     let direct_req = direct_request(levels[0].clone(), consumer.clone());
@@ -263,13 +252,8 @@ fn run_sweep(n: usize, points: usize, threads: usize) -> String {
 /// bit-identical mechanism, loss and pivot statistics (identical pivot
 /// counts are the visible consequence of the identical pivot *sequence*) —
 /// and recording the revised-over-dense speedup.
-///
-/// The smoke also covers the *certificate-verified* tier of the contract: a
-/// small dual-simplex warm-started α-sweep (every warm reoptimization is
-/// checked against the exact optimality certificate inside the solver before
-/// it is released), asserted to land on the cold optimal losses.
 fn run_compare_forms(n: usize) -> String {
-    use privmech_lp::{SolverForm, SolverOptions, WarmStartMode};
+    use privmech_lp::{SolverForm, SolverOptions};
     let engine = PrivacyEngine::with_threads(1);
     let level: PrivacyLevel<Rational> = PrivacyLevel::new(rat(1, 4)).expect("valid alpha");
     let with_form = |form: SolverForm| {
@@ -306,34 +290,6 @@ fn run_compare_forms(n: usize) -> String {
         "dense ≡ revised: identical pivot sequences imply identical stats"
     );
 
-    // Certificate tier: a small dual-simplex warm-started sweep. Each warm
-    // reoptimization is certificate-checked inside the solver; each level's
-    // loss must equal an independent cold solve's.
-    let warm_points = 4usize;
-    eprintln!("compare-forms: {warm_points}-α dual-simplex warm sweep (certificate-verified) ...");
-    let warm_levels: Vec<PrivacyLevel<Rational>> = (1..=warm_points)
-        .map(|k| PrivacyLevel::new(rat(k as i64, warm_points as i64 + 1)).expect("alpha in (0,1)"))
-        .collect();
-    let warm_req =
-        direct_request(warm_levels[0].clone(), bench_consumer(n)).with_options(SolverOptions {
-            warm_start: WarmStartMode::DualSimplex,
-            ..SolverOptions::default()
-        });
-    let warm = engine.sweep(&warm_levels, &warm_req).expect("sweepable LP");
-    for (warm_level, w) in warm_levels.iter().zip(&warm) {
-        let cold = engine
-            .solve(&direct_request(warm_level.clone(), bench_consumer(n)))
-            .expect("solvable LP");
-        assert_eq!(
-            cold.loss, w.loss,
-            "warm-started sweep must match cold optima at the solution level"
-        );
-        assert!(
-            w.mechanism.is_differentially_private(warm_level),
-            "warm sweep mechanism must be α-DP"
-        );
-    }
-
     let speedup = dense_ns as f64 / revised_ns as f64;
     eprintln!(
         "dense: {:.3}s | revised: {:.3}s ({speedup:.2}x) | pivots {} (identical)",
@@ -345,137 +301,8 @@ fn run_compare_forms(n: usize) -> String {
     format!(
         "\"compare_forms\": {{\"n\": {n}, \"scalar\": \"rational\", \
          \"dense_ns\": {dense_ns}, \"revised_ns\": {revised_ns}, \
-         \"speedup_revised\": {speedup:.4}, \"pivots\": {}, \"bit_identical\": true, \
-         \"warm_sweep_points\": {warm_points}, \"warm_losses_identical\": true, \
-         \"certified\": true}}",
+         \"speedup_revised\": {speedup:.4}, \"pivots\": {}, \"bit_identical\": true}}",
         dense.stats.total_pivots()
-    )
-}
-
-/// The warm-start acceptance benchmark: a `points`-α exact sweep at size `n`
-/// solved (a) cold — sequential per-α `DirectLp` engine solves, each starting
-/// from scratch — and (b) by the same engine's sweep with
-/// [`privmech_lp::WarmStartMode::DualSimplex`], which chains each α's final
-/// basis into the next solve. Both passes run `reps` times and report the
-/// median total. Every warm reoptimization is certificate-verified inside the
-/// solver; on top of that each level's warm loss is asserted equal to the
-/// cold optimum (the solution-level sweep ≡ solve guarantee), and the per-α
-/// pivot counts go into the record so it shows *where* the warm path
-/// reoptimized instead of re-solving. `PRIVMECH_SWEEP_QUICK=1` shrinks the
-/// workload to CI smoke size.
-fn run_warm_sweep(n: usize, points: usize, reps: usize) -> String {
-    use privmech_lp::{SolverOptions, WarmStartMode};
-    let quick = std::env::var("PRIVMECH_SWEEP_QUICK").is_ok_and(|v| v == "1");
-    let (n, points, reps) = if quick {
-        (4, 6, 1)
-    } else {
-        (n, points, reps.max(1))
-    };
-    let levels: Vec<PrivacyLevel<Rational>> = (1..=points)
-        .map(|k| PrivacyLevel::new(rat(k as i64, points as i64 + 1)).expect("alpha in (0,1)"))
-        .collect();
-    let consumer: MinimaxConsumer<Rational> = bench_consumer(n);
-    // One worker: warm starts chain along the α axis, so the comparison is
-    // sequential-vs-sequential and isolates the reoptimization saving.
-    let engine = PrivacyEngine::with_threads(1);
-
-    eprintln!("warm-sweep cold: {reps}x {points} sequential cold DirectLp solves at n = {n} ...");
-    let mut cold_totals = Vec::with_capacity(reps);
-    let mut cold_results = Vec::new();
-    for rep in 0..reps {
-        let start = Instant::now();
-        let results: Vec<_> = levels
-            .iter()
-            .map(|level| {
-                engine
-                    .solve(&direct_request(level.clone(), consumer.clone()))
-                    .expect("solvable LP")
-            })
-            .collect();
-        cold_totals.push(start.elapsed().as_nanos());
-        if rep == 0 {
-            cold_results = results;
-        }
-    }
-    cold_totals.sort_unstable();
-    let cold_ns = cold_totals[cold_totals.len() / 2];
-
-    eprintln!("warm-sweep warm: {reps}x engine.sweep with dual-simplex warm starts ...");
-    let warm_req =
-        direct_request(levels[0].clone(), consumer.clone()).with_options(SolverOptions {
-            warm_start: WarmStartMode::DualSimplex,
-            ..SolverOptions::default()
-        });
-    let mut warm_totals = Vec::with_capacity(reps);
-    let mut warm_results = Vec::new();
-    for rep in 0..reps {
-        let start = Instant::now();
-        let results = engine.sweep(&levels, &warm_req).expect("sweepable LP");
-        warm_totals.push(start.elapsed().as_nanos());
-        if rep == 0 {
-            warm_results = results;
-        }
-    }
-    warm_totals.sort_unstable();
-    let warm_ns = warm_totals[warm_totals.len() / 2];
-
-    // Solution-level sweep ≡ solve: equal optimal losses, α-DP mechanisms.
-    // (The optimal vertex itself may differ under degeneracy — that is the
-    // documented weakening of the warm-start guarantee; each warm solve was
-    // already certificate-verified inside the solver.)
-    let mut per_alpha = String::new();
-    let mut warm_hits = 0usize;
-    for (k, ((level, c), w)) in levels
-        .iter()
-        .zip(&cold_results)
-        .zip(&warm_results)
-        .enumerate()
-    {
-        assert_eq!(
-            c.loss,
-            w.loss,
-            "warm sweep must match the cold optimum at alpha {}",
-            level.alpha()
-        );
-        assert!(
-            w.mechanism.is_differentially_private(level),
-            "warm sweep mechanism must be α-DP"
-        );
-        // A warm hit skipped phase 1 entirely (no artificials, no rebuild).
-        if w.stats.phase1_pivots == 0 {
-            warm_hits += 1;
-        }
-        if k > 0 {
-            per_alpha.push_str(", ");
-        }
-        per_alpha.push_str(&format!(
-            "{{\"alpha\": \"{}\", \"cold_pivots\": {}, \"warm_pivots\": {}, \
-             \"warm_dual_pivots\": {}}}",
-            level.alpha(),
-            c.stats.total_pivots(),
-            w.stats.total_pivots(),
-            w.stats.dual_pivots,
-        ));
-    }
-    assert!(
-        warm_hits > 0,
-        "at least one level must actually reoptimize from the previous basis"
-    );
-
-    let speedup = cold_ns as f64 / warm_ns as f64;
-    eprintln!(
-        "cold sequential: {:.3}s | warm sweep: {:.3}s ({speedup:.2}x) | \
-         {warm_hits}/{points} levels warm-started",
-        cold_ns as f64 / 1e9,
-        warm_ns as f64 / 1e9,
-    );
-
-    format!(
-        "\"warm_sweep\": {{\"n\": {n}, \"points\": {points}, \
-         \"reps\": {reps}, \"scalar\": \"rational\", \
-         \"cold_sequential_ns\": {cold_ns}, \"warm_sweep_ns\": {warm_ns}, \
-         \"speedup_warm\": {speedup:.4}, \"warm_started_levels\": {warm_hits}, \
-         \"losses_identical\": true, \"per_alpha\": [{per_alpha}]}}"
     )
 }
 
@@ -584,9 +411,6 @@ fn main() {
     let mut sweep_mem_points = 4usize;
     let mut compare_forms = false;
     let mut compare_n = 8usize;
-    let mut warm_sweep = false;
-    let mut warm_n = 8usize;
-    let mut warm_points = 16usize;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -645,21 +469,6 @@ fn main() {
                     .expect("--sweep-mem-points needs an integer")
             }
             "--compare-forms" => compare_forms = true,
-            "--warm-sweep" => warm_sweep = true,
-            "--warm-n" => {
-                warm_n = args
-                    .next()
-                    .expect("--warm-n needs a value")
-                    .parse()
-                    .expect("--warm-n needs an integer")
-            }
-            "--warm-points" => {
-                warm_points = args
-                    .next()
-                    .expect("--warm-points needs a value")
-                    .parse()
-                    .expect("--warm-points needs an integer")
-            }
             "--compare-n" => {
                 compare_n = args
                     .next()
@@ -673,7 +482,6 @@ fn main() {
                     "usage: bench-summary [--label L] [--output PATH] [--max-n N] [--reps K] \
                      [--sweep] [--sweep-n N] [--sweep-points K] [--sweep-threads T] \
                      [--compare-forms] [--compare-n N] \
-                     [--warm-sweep] [--warm-n N] [--warm-points K] \
                      [--sweep-mem] [--sweep-mem-n N] [--sweep-mem-points K]"
                 );
                 std::process::exit(2);
@@ -683,8 +491,6 @@ fn main() {
 
     let body = if compare_forms {
         run_compare_forms(compare_n)
-    } else if warm_sweep {
-        run_warm_sweep(warm_n, warm_points, reps.min(3))
     } else if sweep_mem {
         run_sweep_mem(sweep_mem_n, sweep_mem_points)
     } else if sweep {

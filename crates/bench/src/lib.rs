@@ -1,9 +1,5 @@
-//! Shared helpers for the Criterion benchmark suite.
-//!
-//! Each bench file in `benches/` regenerates the computational kernel behind
-//! one experiment of DESIGN.md's per-experiment index, plus the ablations the
-//! design calls out (exact vs f64 simplex, characterization scan vs explicit
-//! inverse, correlated vs naive multi-level release).
+//! Shared helpers for the `bench_summary` perf-trajectory tool: the
+//! consumers its LP workloads solve.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -29,7 +29,7 @@
 //! [`SolveStrategy::DirectLp`] solves the Section 2.5 LP itself and
 //! reproduces the seed's `optimal_mechanism` formulation bit for bit.
 //!
-//! # Warm-started sweeps
+//! # Templated sweeps
 //!
 //! Both strategies build their LP **once per sweep** and re-parameterize it
 //! per α (the constraint structure is α-independent; see
@@ -452,12 +452,9 @@ pub struct Solve<T: Scalar> {
 #[derive(Clone)]
 enum SweepState<T: Scalar> {
     /// The Section 2.5 LP template (minimax epigraph or Bayesian linear
-    /// objective — the distinction lives inside the built model), plus the
-    /// cross-α warm-start state. The handle is only consulted when the
-    /// request enables [`privmech_lp::WarmStartMode::DualSimplex`]; it is
-    /// per-state, so in a multi-threaded sweep each worker warm-starts from
-    /// its own previous level.
-    Direct(TailoredLp<T>, privmech_lp::WarmSweepHandle),
+    /// objective — the distinction lives inside the built model), solved
+    /// cold at each level.
+    Direct(TailoredLp<T>),
     /// The interaction LP together with the deployed mechanism and level it
     /// is currently parameterized for, so consecutive solves at the same
     /// level (every single-`solve` call, duplicate sweep entries) skip the
@@ -472,7 +469,7 @@ enum SweepState<T: Scalar> {
 
 /// A session-oriented solver for the paper's optimization problems.
 ///
-/// The engine owns the worker-thread budget for batched, warm-started
+/// The engine owns the worker-thread budget for batched, templated
 /// α-sweeps (per-solve knobs like [`SolverOptions`] live on the request). It
 /// is cheap to construct and stateless between calls, so one engine can
 /// serve requests of different scalar backends (`Rational`, `f64`) and
@@ -515,14 +512,12 @@ impl PrivacyEngine {
 
     fn build_state<T: Scalar>(&self, request: &ValidatedRequest<T>) -> Result<SweepState<T>> {
         match (request.strategy, &request.consumer) {
-            (SolveStrategy::DirectLp, RequestConsumer::Minimax(c)) => Ok(SweepState::Direct(
-                TailoredLp::for_minimax(c)?,
-                privmech_lp::WarmSweepHandle::new(),
-            )),
-            (SolveStrategy::DirectLp, RequestConsumer::Bayesian(c)) => Ok(SweepState::Direct(
-                TailoredLp::for_bayesian(c)?,
-                privmech_lp::WarmSweepHandle::new(),
-            )),
+            (SolveStrategy::DirectLp, RequestConsumer::Minimax(c)) => {
+                Ok(SweepState::Direct(TailoredLp::for_minimax(c)?))
+            }
+            (SolveStrategy::DirectLp, RequestConsumer::Bayesian(c)) => {
+                Ok(SweepState::Direct(TailoredLp::for_bayesian(c)?))
+            }
             (SolveStrategy::GeometricFactorization, RequestConsumer::Minimax(c)) => {
                 // Built against the request's own level; re-parameterized
                 // inside solves only when a sweep targets a different level.
@@ -546,9 +541,8 @@ impl PrivacyEngine {
         level: &PrivacyLevel<T>,
     ) -> Result<Solve<T>> {
         let (mechanism, loss, stats) = match (state, &request.consumer) {
-            (SweepState::Direct(lp, warm), _) => {
-                let (mechanism, stats) =
-                    lp.solve_in_place_warm(level.alpha(), &request.options, warm)?;
+            (SweepState::Direct(lp), _) => {
+                let (mechanism, stats) = lp.solve_in_place(level.alpha(), &request.options)?;
                 let loss = request.consumer.disutility(&mechanism)?;
                 (mechanism, loss, stats)
             }
@@ -611,16 +605,9 @@ impl PrivacyEngine {
     /// Each solve is bit-identical to a cold per-level
     /// [`PrivacyEngine::solve`] for exact scalars, regardless of thread
     /// count or completion order (the LP is built once and re-parameterized
-    /// per level, each worker on its own clone). Exception: with
-    /// [`privmech_lp::WarmStartMode::DualSimplex`] enabled in the request's
-    /// options, `DirectLp` solves reoptimize from the previous level's basis
-    /// and the guarantee weakens to the *solution level* — every warm result
-    /// is verified against the exact optimality certificate, so objectives
-    /// (and hence losses) always match a cold solve, but a degenerate
-    /// optimum may surface as a different optimal vertex, and results can
-    /// depend on the level order. Per-level failures are delivered through
-    /// the callback as `Err`; the function itself only fails if the shared
-    /// LP template cannot be built at all.
+    /// per level, each worker on its own clone). Per-level failures are
+    /// delivered through the callback as `Err`; the function itself only
+    /// fails if the shared LP template cannot be built at all.
     pub fn sweep_with<T: Scalar + Send + Sync>(
         &self,
         levels: &[PrivacyLevel<T>],
@@ -664,11 +651,9 @@ impl PrivacyEngine {
     /// The LP is built once and re-parameterized per level (each worker gets
     /// its own clone), so results are **bit-identical** to per-level
     /// [`PrivacyEngine::solve`] calls for exact scalars and independent of
-    /// the thread count (with cross-level warm starts enabled the guarantee
-    /// is solution-level instead — see [`PrivacyEngine::sweep_with`]).
-    /// Results are returned in input order; the request's own level is
-    /// ignored in favor of `levels`. On error, the failure of the smallest
-    /// level index is reported.
+    /// the thread count. Results are returned in input order; the request's
+    /// own level is ignored in favor of `levels`. On error, the failure of
+    /// the smallest level index is reported.
     ///
     /// This is a collect-and-reorder wrapper over
     /// [`PrivacyEngine::sweep_with`], which delivers the same solves in
@@ -899,42 +884,5 @@ mod tests {
             assert!(seen.iter().all(|&c| c == 1), "each index once: {seen:?}");
             assert_eq!(order.len(), levels.len());
         }
-    }
-
-    #[test]
-    fn warm_started_direct_sweep_matches_cold_solves_at_the_solution_level() {
-        use privmech_lp::WarmStartMode;
-        let levels: Vec<PrivacyLevel<Rational>> = [(1i64, 5i64), (1, 4), (1, 3), (1, 2), (2, 3)]
-            .into_iter()
-            .map(|(n, d)| PrivacyLevel::new(rat(n, d)).unwrap())
-            .collect();
-        let cold_req = request(SolveStrategy::DirectLp);
-        let warm_req = request(SolveStrategy::DirectLp).with_options(SolverOptions {
-            warm_start: WarmStartMode::DualSimplex,
-            ..SolverOptions::default()
-        });
-        let engine = PrivacyEngine::with_threads(1);
-        let cold = engine.sweep(&levels, &cold_req).unwrap();
-        let warm = engine.sweep(&levels, &warm_req).unwrap();
-        let mut warm_hits = 0usize;
-        for (idx, (c, w)) in cold.iter().zip(&warm).enumerate() {
-            // Warm starts are certificate-verified, so the optimal *loss*
-            // always matches a cold solve; the mechanism itself may be a
-            // different optimal vertex on a degenerate optimum.
-            assert_eq!(c.loss, w.loss, "level index {idx}");
-            assert!(w.mechanism.is_differentially_private(&levels[idx]));
-            assert!(w.mechanism.matrix().is_row_stochastic());
-            // A warm-started solve never runs phase 1 (the cold solves of
-            // this LP always do: its row-sum equalities need artificials).
-            assert!(c.stats.phase1_pivots > 0, "level index {idx}");
-            if w.stats.phase1_pivots == 0 {
-                warm_hits += 1;
-            }
-        }
-        assert!(
-            warm_hits > 0,
-            "at least one level should reuse the previous basis: {:?}",
-            warm.iter().map(|s| s.stats).collect::<Vec<_>>()
-        );
     }
 }

@@ -27,7 +27,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use privmech_linalg::Scalar;
-use privmech_lp::{PricingRule, SolverOptions, WarmStartMode};
+use privmech_lp::{PricingRule, SolverOptions};
 
 use crate::engine::{RequestConsumer, SolveStrategy, ValidatedRequest};
 use crate::loss::LossFunction;
@@ -92,6 +92,9 @@ fn push_strategy(out: &mut String, strategy: SolveStrategy) {
 }
 
 fn push_options(out: &mut String, options: &SolverOptions) {
+    // Solution-relevant options enter the fingerprint; execution details
+    // (solver form, refactorization interval) stay out — they can never
+    // change a result.
     let pricing = match options.pricing {
         PricingRule::DantzigWithBlandFallback => "dantzig-bland",
         PricingRule::Bland => "bland",
@@ -101,14 +104,6 @@ fn push_options(out: &mut String, options: &SolverOptions) {
         ";pricing={pricing};streak={}",
         options.degeneracy_streak_limit
     );
-    // Solution-relevant options enter the fingerprint; execution details
-    // (solver form, refactorization interval) stay out — they can never
-    // change a result. Warm-start *can* change results but defaults to off,
-    // and is appended only when enabled so that every pre-existing cache
-    // entry keyed without the field still hits.
-    if options.warm_start != WarmStartMode::Off {
-        out.push_str(";warm=dual-simplex");
-    }
 }
 
 /// Append the loss table over `{0, …, n}²` in row-major order. The loss

@@ -28,9 +28,7 @@
 //! Every α > 0 builds the identical model the seed built, term for term.
 
 use privmech_linalg::{Matrix, Scalar};
-use privmech_lp::{
-    LinExpr, Model, ModelTemplate, PivotStats, Relation, SolverOptions, WarmSweepHandle,
-};
+use privmech_lp::{LinExpr, Model, ModelTemplate, PivotStats, Relation, SolverOptions};
 
 use crate::consumer::{BayesianConsumer, MinimaxConsumer};
 use crate::error::{CoreError, Result};
@@ -190,11 +188,7 @@ impl<T: Scalar> TailoredLp<T> {
         Mechanism::from_matrix_normalized(matrix)
     }
 
-    /// Re-parameterize the template to `alpha` in place and solve (the
-    /// warm-start-free anchor the equivalence tests compare against; the
-    /// engine itself always goes through [`TailoredLp::solve_in_place_warm`],
-    /// which degrades to this exactly when warm starts are off).
-    #[cfg(test)]
+    /// Re-parameterize the template to `alpha` in place and solve.
     pub(crate) fn solve_in_place(
         &mut self,
         alpha: &T,
@@ -203,23 +197,6 @@ impl<T: Scalar> TailoredLp<T> {
         let solution = self
             .template
             .solve_at(alpha, options)
-            .map_err(CoreError::from)?;
-        Ok((self.extract(&solution)?, solution.stats))
-    }
-
-    /// [`TailoredLp::solve_in_place`] threaded through a sweep's
-    /// [`WarmSweepHandle`]: with
-    /// [`privmech_lp::WarmStartMode::DualSimplex`] enabled in `options` the
-    /// solve reoptimizes from the previous α's basis; with warm starts off
-    /// (the default) it is exactly the cold solve.
-    pub(crate) fn solve_in_place_warm(
-        &mut self,
-        alpha: &T,
-        options: &SolverOptions,
-        warm: &mut WarmSweepHandle,
-    ) -> Result<(Mechanism<T>, PivotStats)> {
-        let solution = warm
-            .solve_at(&mut self.template, alpha, options)
             .map_err(CoreError::from)?;
         Ok((self.extract(&solution)?, solution.stats))
     }

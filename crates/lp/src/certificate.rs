@@ -1,15 +1,14 @@
-//! Exact optimality certificates: the solution-level tier of the solver's
-//! two-tier correctness contract.
+//! Exact optimality certificates: a solution-level check of the solver.
 //!
-//! The default configuration is covered by the *pivot-identity* tier: dense
-//! and revised forms provably follow the same pivot sequence, so their
-//! results are bit-identical and one property suite covers both. A
-//! dual-simplex warm start changes the pivot sequence — possibly even the
-//! optimal vertex reached — so pivot identity cannot certify it. This module
-//! provides the stronger, representation-independent check that path uses
-//! instead: a complete
-//! **weak-duality optimality proof** of the returned solution, evaluated in
-//! the solver's own (exact, for `Rational`) arithmetic.
+//! The solver's contract is *pivot identity*: dense and revised forms
+//! provably follow the same pivot sequence, so their results are
+//! bit-identical and one property suite covers both. Pivot identity says
+//! nothing about whether that shared sequence stopped at an optimum. This
+//! module provides the representation-independent check: a complete
+//! **weak-duality optimality proof** of a returned solution, evaluated in
+//! the solver's own (exact, for `Rational`) arithmetic. The unit test
+//! `simplex::tests::default_solves_carry_an_optimality_certificate` runs it
+//! on default solves.
 //!
 //! For the standard form `min cᵀx  s.t.  Ax = b, x ≥ 0` a pair `(x, y)`
 //! proves optimality iff
@@ -31,11 +30,15 @@
 //! conditions are checked under the scalar tolerance and form a strong
 //! consistency test rather than a proof.
 
+#[cfg(test)]
 use privmech_linalg::sparse::SparseVec;
 use privmech_linalg::Scalar;
 
+#[cfg(test)]
 use crate::lu::LuFactors;
+#[cfg(test)]
 use crate::model::LpError;
+#[cfg(test)]
 use crate::simplex::ColumnSolution;
 
 /// Which optimality condition a certificate check found violated.
@@ -169,6 +172,7 @@ pub fn check_certificate<T: Scalar>(
 /// # Errors
 /// [`LpError::Internal`] when the basis is singular or a certificate
 /// condition fails (both indicate a solver bug, never bad user input).
+#[cfg(test)]
 pub(crate) fn certify_column_solution<T: Scalar>(sol: &ColumnSolution<T>) -> Result<(), LpError> {
     let sf = &sol.sf;
     let m = sf.num_rows();

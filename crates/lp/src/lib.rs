@@ -19,11 +19,10 @@
 //!   forms: a **revised simplex** over a sparse LU basis factorization with
 //!   Forrest–Tomlin updates (the [`SolverForm::Auto`] default for exact
 //!   scalars) and the classic **dense tableau** (always used by `f64`). The
-//!   correctness contract has two tiers: cold solves follow the identical
-//!   pivot sequence in both forms and return bit-identical solutions;
-//!   dual-simplex warm starts ([`WarmStartMode`]) change the pivot sequence
-//!   and are instead verified per solve by an exact optimality
-//!   [`certificate`]. Contract, factorization lifecycle and standard-form
+//!   correctness contract: both forms follow the identical pivot sequence
+//!   and return bit-identical solutions. An exact weak-duality optimality
+//!   [`certificate`] checks a solution independently of the pivot path
+//!   that reached it. Contract, factorization lifecycle and standard-form
 //!   construction are documented end to end in
 //!   [`SOLVER.md`](https://github.com/privmech/privmech/blob/main/crates/lp/SOLVER.md)
 //!   (in-tree: `crates/lp/SOLVER.md`). Every solve reports [`PivotStats`] on
@@ -49,7 +48,6 @@
 #![deny(missing_docs)]
 
 pub mod certificate;
-mod dual_simplex;
 mod lu;
 pub mod model;
 mod pivot_row;
@@ -66,6 +64,6 @@ pub use model::{
 };
 pub use simplex::{
     solve_model, solve_model_traced, solve_model_with, PivotRecord, PivotStats, PricingRule,
-    SolverForm, SolverOptions, TracePhase, WarmStartMode,
+    SolverForm, SolverOptions, TracePhase,
 };
-pub use template::{ModelTemplate, WarmSweepHandle};
+pub use template::ModelTemplate;

@@ -1,7 +1,7 @@
 //! Sparse LU basis factorization with Forrest–Tomlin updates.
 //!
-//! This is the basis representation behind the revised simplex and the
-//! dual simplex. The basis is held as `B = L·U`:
+//! This is the basis representation behind the revised simplex. The basis
+//! is held as `B = L·U`:
 //!
 //! * `L⁻¹` is a sequence of elementary eliminations ([`LOp`]): sparse
 //!   column eliminations produced by factorization plus sparse row

@@ -1,9 +1,8 @@
 //! The row product `ρᵀA` of the exact simplex forms, computed fraction-free.
 //!
 //! Two products run over the constraint matrix: the revised form prices
-//! every iteration from the simplex multipliers, `d = c − yᵀA`, and the
-//! dual simplex (and the revised form's drive-out pivots) recovers its
-//! tableau row as `ρᵀA` (`ρ` from a unit BTRAN). Summed term by
+//! every iteration from the simplex multipliers, `d = c − yᵀA`, and its
+//! drive-out pivots recover a tableau row as `ρᵀA` (`ρ` from a unit BTRAN). Summed term by
 //! term over `Rational`, each constraint nonzero costs one fused `add_mul`
 //! with its gcd reductions. [`RowProduct`] instead works on an integer view
 //! of the constraint store, built once per solve:
@@ -163,7 +162,7 @@ impl ReducedCosts for ScaledCosts {
 /// The rational behind an exact scalar.
 fn rational<T: Scalar>(v: &T) -> &Rational {
     v.as_rational()
-        .expect("the revised and dual simplex forms run on exact scalars")
+        .expect("the revised simplex runs on exact scalars")
 }
 
 fn lcm(a: &BigInt, b: &BigInt) -> BigInt {

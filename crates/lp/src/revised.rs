@@ -402,67 +402,7 @@ pub(crate) fn solve_revised<T: Scalar>(
         sf,
         column_values,
         total_cols,
-        basis: state.basis,
-    })
-}
-
-/// Phase 2 only, from a caller-supplied primal-feasible basis: the primal
-/// half of the cross-parameter warm start ([`crate::dual_simplex`]).
-///
-/// `basis` must contain no artificial columns and factor nonsingularly (the
-/// warm-start driver has already verified both), and `B⁻¹b ≥ 0` must hold —
-/// then the ordinary phase-2 iterations converge from it without any
-/// phase 1. Like every warm-started path this generally follows a different
-/// pivot sequence than a cold solve, so the caller certificate-verifies the
-/// result.
-pub(crate) fn reoptimize_primal<T: Scalar>(
-    sf: StandardForm<T>,
-    basis: Vec<usize>,
-    options: &SolverOptions,
-    stats: &mut PivotStats,
-) -> Result<ColumnSolution<T>, LpError> {
-    debug_assert!(T::is_exact(), "revised simplex requires exact arithmetic");
-    let m = sf.num_rows();
-    debug_assert!(basis.iter().all(|&b| b < sf.num_cols));
-    let matrix = Matrix::build(&sf, &[]);
-
-    let mut state = State::new(&sf, &matrix, basis, vec![T::zero(); m]);
-    {
-        let basis = &state.basis;
-        state.lu.refactorize(|c| matrix.col(basis[c]))?;
-    }
-
-    // x_B = B⁻¹b, read per position through the factorization's row map.
-    let mut rhs_idx: Vec<usize> = Vec::new();
-    let mut rhs_val: Vec<T> = Vec::new();
-    for (i, v) in sf.rhs.iter().enumerate() {
-        if !v.is_exactly_zero() {
-            rhs_idx.push(i);
-            rhs_val.push(v.clone());
-        }
-    }
-    state
-        .lu
-        .ftran(&mut state.work, SparseVec::new(&rhs_idx, &rhs_val));
-    for c in 0..m {
-        state.x_b[c] = state.work[state.lu.row_of(c)].clone();
-    }
-
-    // The real objective — phase 2 of `solve_revised`, with no artificial
-    // columns to ban.
-    let banned = vec![false; matrix.total_cols];
-    let objective = Objective::new(&state.product, sf.costs.clone(), banned);
-    state.optimize(&matrix, &objective, false, options, stats, &mut None)?;
-
-    let mut column_values = vec![T::zero(); matrix.total_cols];
-    for (c, &b) in state.basis.iter().enumerate() {
-        column_values[b] = state.x_b[c].clone();
-    }
-    let total_cols = matrix.total_cols;
-    Ok(ColumnSolution {
-        sf,
-        column_values,
-        total_cols,
+        #[cfg(test)]
         basis: state.basis,
     })
 }

@@ -110,22 +110,6 @@ pub enum SolverForm {
     Dense,
 }
 
-/// Cross-parameter warm-start behavior for templated sweeps
-/// ([`crate::template::ModelTemplate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStartMode {
-    /// Every solve starts cold from the slack/artificial basis. The default.
-    #[default]
-    Off,
-    /// Reoptimize from the previous parameter's optimal basis with the dual
-    /// simplex (`crate::dual_simplex`), falling back to a cold solve when
-    /// the carried basis is neither primal nor dual feasible. May reach a
-    /// different optimal vertex than a cold solve, so it is
-    /// fingerprint-relevant when enabled; correctness is asserted through
-    /// the exact optimality certificate.
-    DualSimplex,
-}
-
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverOptions {
@@ -146,9 +130,6 @@ pub struct SolverOptions {
     /// factorization then grows by one update per pivot). Ignored by the
     /// dense form.
     pub refactor_interval: usize,
-    /// Templated sweeps only: cross-parameter warm-start behavior (see
-    /// [`WarmStartMode`]). Single solves ignore it.
-    pub warm_start: WarmStartMode,
 }
 
 impl SolverOptions {
@@ -165,7 +146,6 @@ impl Default for SolverOptions {
             degeneracy_streak_limit: 8,
             form: SolverForm::default(),
             refactor_interval: 64,
-            warm_start: WarmStartMode::default(),
         }
     }
 }
@@ -183,10 +163,6 @@ pub struct PivotStats {
     pub dantzig_pivots: usize,
     /// Pivots chosen by Bland's smallest-index rule.
     pub bland_pivots: usize,
-    /// Dual-simplex pivots performed by a cross-parameter warm start
-    /// ([`crate::template::WarmSweepHandle`]); also counted in
-    /// [`PivotStats::phase2_pivots`].
-    pub dual_pivots: usize,
     /// Times the anti-cycling fallback engaged (Dantzig → Bland).
     pub fallback_activations: usize,
 }
@@ -201,7 +177,6 @@ impl std::ops::AddAssign<&PivotStats> for PivotStats {
         self.degenerate_pivots += rhs.degenerate_pivots;
         self.dantzig_pivots += rhs.dantzig_pivots;
         self.bland_pivots += rhs.bland_pivots;
-        self.dual_pivots += rhs.dual_pivots;
         self.fallback_activations += rhs.fallback_activations;
     }
 }
@@ -397,26 +372,8 @@ pub fn solve_model_traced<T: Scalar>(
 fn solve_impl<T: Scalar>(
     model: &Model<T>,
     options: &SolverOptions,
-    trace: TraceSink<'_>,
-) -> Result<Solution<T>, LpError> {
-    solve_warm(model, None, options, trace).map(|(solution, _, _)| solution)
-}
-
-/// Solve, optionally warm-starting from the final basis of a previous solve
-/// of a same-structure model ([`crate::dual_simplex`]); returns the solution
-/// together with this solve's final basis (so a sweep can chain solves) and
-/// whether the warm path actually produced the result.
-///
-/// The warm path only engages when a basis is supplied, the scalar is exact
-/// and [`SolverOptions::warm_start`] is not [`WarmStartMode::Off`]; in every
-/// other case (including any warm-start fallback) the result is exactly the
-/// cold [`solve_model_with`] result.
-pub(crate) fn solve_warm<T: Scalar>(
-    model: &Model<T>,
-    warm_basis: Option<&[usize]>,
-    options: &SolverOptions,
     mut trace: TraceSink<'_>,
-) -> Result<(Solution<T>, Vec<usize>, bool), LpError> {
+) -> Result<Solution<T>, LpError> {
     let sf = build_standard_form(model)?;
     let mut stats = PivotStats::default();
 
@@ -430,62 +387,27 @@ pub(crate) fn solve_warm<T: Scalar>(
         }
         let values = extract_values(&sf, &[], sf.num_cols);
         let objective = report_objective(model, &values);
-        return Ok((
-            Solution {
-                objective,
-                values,
-                stats,
-            },
-            Vec::new(),
-            false,
-        ));
-    }
-
-    // Warm start: when the caller supplies a previous basis (and the mode is
-    // on), try the dual-simplex / primal-phase-2 reoptimization first. Its
-    // successful results are certificate-verified internally; its fallback
-    // hands the standard form back untouched for the cold path below.
-    let mut sf = Some(sf);
-    let mut warm_values: Option<ColumnSolution<T>> = None;
-    if let Some(basis) = warm_basis {
-        if T::is_exact() && options.warm_start != WarmStartMode::Off {
-            match crate::dual_simplex::warm_reoptimize(
-                sf.take().expect("standard form present"),
-                basis,
-                options,
-                &mut stats,
-            )? {
-                crate::dual_simplex::WarmOutcome::Solved(v) => warm_values = Some(v),
-                crate::dual_simplex::WarmOutcome::Fallback(cold_sf) => sf = Some(cold_sf),
-            }
-        }
-    }
-
-    let warm_used = warm_values.is_some();
-    let values = match warm_values {
-        Some(v) => v,
-        None => {
-            let sf = sf.take().expect("standard form present");
-            // Form dispatch: the revised simplex requires exact arithmetic
-            // for its identity contract (module docs), so inexact backends
-            // always run the dense tableau.
-            if T::is_exact() && options.form != SolverForm::Dense {
-                crate::revised::solve_revised(sf, options, &mut stats, &mut trace)?
-            } else {
-                solve_dense(sf, options, &mut stats, &mut trace)?
-            }
-        }
-    };
-    let extracted = values.extract(model);
-    Ok((
-        Solution {
-            objective: extracted.0,
-            values: extracted.1,
+        return Ok(Solution {
+            objective,
+            values,
             stats,
-        },
-        values.basis,
-        warm_used,
-    ))
+        });
+    }
+
+    // Form dispatch: the revised simplex requires exact arithmetic for its
+    // identity contract (module docs), so inexact backends always run the
+    // dense tableau.
+    let values = if T::is_exact() && options.form != SolverForm::Dense {
+        crate::revised::solve_revised(sf, options, &mut stats, &mut trace)?
+    } else {
+        solve_dense(sf, options, &mut stats, &mut trace)?
+    };
+    let (objective, values) = values.extract(model);
+    Ok(Solution {
+        objective,
+        values,
+        stats,
+    })
 }
 
 /// The standard-form optimum both solver forms hand back: final column
@@ -497,7 +419,8 @@ pub(crate) struct ColumnSolution<T: Scalar> {
     /// Final basis: position → standard-form column (entries `>=
     /// sf.num_cols` are artificials parked at value zero; position `c`'s
     /// artificial is the unit column `e_c`). The optimality certificate
-    /// recovers the duals from this basis.
+    /// recovers the duals from this basis; only its tests read it.
+    #[cfg(test)]
     pub(crate) basis: Vec<usize>,
 }
 
@@ -646,12 +569,12 @@ fn solve_dense<T: Scalar>(
     for (i, &b) in tableau.basis.iter().enumerate() {
         column_values[b] = tableau.rhs(i).clone();
     }
-    let basis = tableau.basis.clone();
     Ok(ColumnSolution {
         sf,
         column_values,
         total_cols,
-        basis,
+        #[cfg(test)]
+        basis: tableau.basis,
     })
 }
 
@@ -977,7 +900,7 @@ mod tests {
     }
 
     /// A default revised solve of `m`, audited by the exact optimality
-    /// certificate the warm-start paths run on every result.
+    /// certificate.
     fn certify_default_solve(m: &Model<Rational>) -> Result<ColumnSolution<Rational>, LpError> {
         let sf = crate::standard::build_standard_form(m)?;
         let mut stats = PivotStats::default();

@@ -73,6 +73,7 @@ impl<T: Scalar> StandardForm<T> {
     /// Row-major sparse view of the constraint matrix as owned `(col, value)`
     /// pair lists — the compatibility shape consumed by the public
     /// [`check_certificate`](crate::certificate::check_certificate) kernel.
+    #[cfg(test)]
     pub(crate) fn sparse_rows(&self) -> Vec<Vec<(usize, T)>> {
         (0..self.num_rows())
             .map(|i| self.matrix.row(i).to_pairs())

@@ -108,75 +108,6 @@ impl<T: Scalar> ModelTemplate<T> {
     }
 }
 
-/// Cross-parameter warm-start state for a sequential sweep: carries the
-/// final basis of each solve into the next one.
-///
-/// When [`SolverOptions::warm_start`](crate::SolverOptions) is
-/// [`WarmStartMode::DualSimplex`](crate::WarmStartMode), each
-/// [`WarmSweepHandle::solve_at`] after the first reoptimizes from the
-/// previous parameter's optimal basis — dual simplex when that basis is
-/// still dual feasible, primal phase 2 when it is still primal feasible, a
-/// cold solve otherwise (the `dual_simplex` module documents the
-/// iteration). Warm-started solves are verified against the
-/// exact optimality certificate, so they agree with cold solves at the
-/// solution level: same objective, and the same solution values unless the
-/// optimum is degenerate (then possibly a different optimal vertex). With
-/// warm starts off the handle degrades to [`ModelTemplate::solve_at`]
-/// exactly.
-///
-/// The handle holds no scalar data, only column indices — it can outlive
-/// any particular template instance, but must only be reused across
-/// *same-structure* models (the driver falls back to a cold solve on any
-/// shape mismatch, so a stale handle costs performance, never correctness).
-#[derive(Debug, Clone, Default)]
-pub struct WarmSweepHandle {
-    basis: Option<Vec<usize>>,
-    warm_solves: usize,
-    total_solves: usize,
-}
-
-impl WarmSweepHandle {
-    /// A fresh handle; the first solve through it is always cold.
-    #[must_use]
-    pub fn new() -> Self {
-        WarmSweepHandle::default()
-    }
-
-    /// Set `template`'s parameter and solve, reusing the previous solve's
-    /// basis when warm starts are enabled in `options`.
-    pub fn solve_at<T: Scalar>(
-        &mut self,
-        template: &mut ModelTemplate<T>,
-        value: &T,
-        options: &SolverOptions,
-    ) -> Result<Solution<T>, LpError> {
-        template.set_parameter(value);
-        let (solution, basis, warm_used) =
-            crate::simplex::solve_warm(&template.model, self.basis.as_deref(), options, None)?;
-        self.total_solves += 1;
-        if warm_used {
-            self.warm_solves += 1;
-        }
-        if !basis.is_empty() {
-            self.basis = Some(basis);
-        }
-        Ok(solution)
-    }
-
-    /// Solves that reused the previous basis (never more than
-    /// [`WarmSweepHandle::total_solves`] − 1; the first solve is cold).
-    #[must_use]
-    pub fn warm_solves(&self) -> usize {
-        self.warm_solves
-    }
-
-    /// Total solves performed through this handle.
-    #[must_use]
-    pub fn total_solves(&self) -> usize {
-        self.total_solves
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,50 +194,6 @@ mod tests {
         let cloned = standalone.solve_with(&options).unwrap();
         assert_eq!(warm, cloned);
         assert_eq!(warm.value(x), cloned.value(x));
-    }
-
-    #[test]
-    fn warm_sweep_matches_cold_solves_at_every_theta() {
-        use crate::simplex::WarmStartMode;
-        let (mut template, x, y) = theta_template();
-        let options = SolverOptions {
-            warm_start: WarmStartMode::DualSimplex,
-            ..SolverOptions::default()
-        };
-        let cold_options = SolverOptions::default();
-        let mut handle = WarmSweepHandle::new();
-        let thetas = [(0i64, 1i64), (1, 4), (1, 2), (3, 4), (1, 1), (1, 2), (1, 8)];
-        for (num, den) in thetas {
-            let theta = rat(num, den);
-            let warm = handle.solve_at(&mut template, &theta, &options).unwrap();
-            let cold = template
-                .instantiate(&theta)
-                .solve_with(&cold_options)
-                .unwrap();
-            // This model's optimum is unique at every swept θ, so warm and
-            // cold must agree on the values too, not just the objective.
-            assert_eq!(warm.objective, cold.objective, "theta = {theta}");
-            assert_eq!(warm.value(x), cold.value(x), "theta = {theta}");
-            assert_eq!(warm.value(y), cold.value(y), "theta = {theta}");
-        }
-        assert_eq!(handle.total_solves(), thetas.len());
-        assert!(
-            handle.warm_solves() > 0,
-            "at least one θ step should reuse the previous basis"
-        );
-        // With warm starts disabled the handle is a plain solve_at.
-        let mut off = WarmSweepHandle::new();
-        let sol = off
-            .solve_at(&mut template, &rat(1, 2), &cold_options)
-            .unwrap();
-        assert_eq!(
-            sol,
-            template
-                .instantiate(&rat(1, 2))
-                .solve_with(&cold_options)
-                .unwrap()
-        );
-        assert_eq!(off.warm_solves(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared structured-LP test generator: one corpus of paper-shaped models
 //! that every differential suite (dense ≡ revised/CSR, refactorization
-//! schedules, warm-start certificates) draws from, so the solvers are proven
+//! schedules) draws from, so the solvers are proven
 //! against the *same* problems rather than each test file inventing its
 //! own.
 //!

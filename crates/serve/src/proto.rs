@@ -786,15 +786,9 @@ pub fn split_solves(monolithic: &str) -> Option<Vec<&str>> {
 }
 
 /// Encode [`PivotStats`] as a response object.
-///
-/// The dual-simplex counter is emitted **only when nonzero**: it can only
-/// be nonzero under a warm-started sweep (whose options carry a different
-/// request fingerprint), so every default-path response keeps the exact
-/// byte shape it had before that counter existed — cache entries persisted
-/// by older servers still verify byte-for-byte.
 #[must_use]
 pub fn stats_to_wire(stats: &PivotStats) -> Json {
-    let mut json = Json::obj()
+    Json::obj()
         .with("phase1_pivots", Json::num_u64(stats.phase1_pivots as u64))
         .with("phase2_pivots", Json::num_u64(stats.phase2_pivots as u64))
         .with(
@@ -802,18 +796,14 @@ pub fn stats_to_wire(stats: &PivotStats) -> Json {
             Json::num_u64(stats.degenerate_pivots as u64),
         )
         .with("dantzig_pivots", Json::num_u64(stats.dantzig_pivots as u64))
-        .with("bland_pivots", Json::num_u64(stats.bland_pivots as u64));
-    if stats.dual_pivots > 0 {
-        json = json.with("dual_pivots", Json::num_u64(stats.dual_pivots as u64));
-    }
-    json.with(
-        "fallback_activations",
-        Json::num_u64(stats.fallback_activations as u64),
-    )
+        .with("bland_pivots", Json::num_u64(stats.bland_pivots as u64))
+        .with(
+            "fallback_activations",
+            Json::num_u64(stats.fallback_activations as u64),
+        )
 }
 
-/// Decode a response stats object (the optional counter of
-/// [`stats_to_wire`] defaults to zero when absent).
+/// Decode a response stats object (the inverse of [`stats_to_wire`]).
 #[must_use]
 pub fn stats_from_wire(value: &Json) -> Option<PivotStats> {
     Some(PivotStats {
@@ -822,10 +812,6 @@ pub fn stats_from_wire(value: &Json) -> Option<PivotStats> {
         degenerate_pivots: value.get("degenerate_pivots")?.as_usize()?,
         dantzig_pivots: value.get("dantzig_pivots")?.as_usize()?,
         bland_pivots: value.get("bland_pivots")?.as_usize()?,
-        dual_pivots: value
-            .get("dual_pivots")
-            .and_then(Json::as_usize)
-            .unwrap_or(0),
         fallback_activations: value.get("fallback_activations")?.as_usize()?,
     })
 }
@@ -1132,19 +1118,8 @@ mod tests {
             degenerate_pivots: 1,
             dantzig_pivots: 7,
             bland_pivots: 1,
-            dual_pivots: 0,
             fallback_activations: 1,
         };
         assert_eq!(stats_from_wire(&stats_to_wire(&stats)), Some(stats));
-        // The zero-valued optional counter stays off the wire, so default
-        // solves keep the pre-existing byte shape (old cache entries still
-        // verify); a nonzero value round-trips.
-        let encoded = crate::json::to_string(&stats_to_wire(&stats));
-        assert!(!encoded.contains("dual_pivots"));
-        let nonzero = PivotStats {
-            dual_pivots: 2,
-            ..stats
-        };
-        assert_eq!(stats_from_wire(&stats_to_wire(&nonzero)), Some(nonzero));
     }
 }

@@ -231,7 +231,8 @@ pub(crate) struct Doorbell {
     /// The reactor thread, which services the dirty list before it waits
     /// again and so never needs the eventfd to wake itself.
     loop_thread: OnceLock<ThreadId>,
-    /// High-water mark of any single connection's in-flight depth.
+    /// High-water mark of any single connection's in-flight depth, as
+    /// recorded by [`ConnWriter::record_depth`].
     inflight_peak: AtomicU64,
 }
 
@@ -302,10 +303,16 @@ impl ConnWriter {
     }
 
     fn acquire(&self) {
-        let depth = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.inflight.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Raise the in-flight peak to this connection's current depth. The
+    /// handler calls it for the requests it starts; leaving a request out
+    /// keeps that request from measuring itself.
+    pub(crate) fn record_depth(&self) {
         self.bell
             .inflight_peak
-            .fetch_max(depth as u64, Ordering::Relaxed);
+            .fetch_max(self.inflight() as u64, Ordering::Relaxed);
     }
 
     fn inflight(&self) -> usize {

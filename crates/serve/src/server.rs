@@ -427,6 +427,11 @@ fn handle_payload(
         Err(frame) => return (None, frame, false),
     };
     let op = request.get("op").and_then(Json::as_str).unwrap_or("");
+    // A `stats` probe reports the in-flight peak, so it must not raise it:
+    // an idle server's first probe reads 0.
+    if op != "stats" {
+        writer.record_depth();
+    }
     match op {
         "ping" => (
             Some("ping"),

@@ -7,8 +7,8 @@
 //! at most `cap` requests of a connection occupy server memory at once and
 //! the excess stays in TCP flow control on the client side. The `stats` op's
 //! `inflight_peak` counter is the observable: it is the high-water mark of
-//! any connection's in-flight depth, measured at the exact place jobs are
-//! admitted.
+//! any connection's in-flight depth, recorded as each request other than a
+//! `stats` probe starts on a worker.
 
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
@@ -123,5 +123,17 @@ fn zero_cap_means_unbounded_and_stats_say_so() {
     let stats = client.cache_stats().expect("stats");
     assert_eq!(stats.max_inflight, 0, "0 encodes 'unbounded' on the wire");
     assert!(stats.inflight_peak >= 1, "the pings were admitted");
+    handle.shutdown();
+}
+
+#[test]
+fn an_idle_servers_first_stats_reads_a_zero_peak() {
+    let handle = server::spawn(ServerConfig::default()).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let stats = client.cache_stats().expect("stats");
+    assert_eq!(stats.inflight_peak, 0, "the probe must not count itself");
+    client.ping().expect("ping");
+    let stats = client.cache_stats().expect("stats");
+    assert!(stats.inflight_peak >= 1, "the ping was in flight");
     handle.shutdown();
 }

@@ -401,8 +401,8 @@ fn in_process_shard() -> server::ServerHandle {
 
 /// Send the slow solve through the router and return once the shard has
 /// started computing it: its cache miss is counted right before the solve
-/// runs. (`inflight_peak` cannot tell, because the probing `stats` request
-/// is itself in flight when it is answered.)
+/// runs. (`inflight_peak` turns 1 a step earlier, when a worker picks the
+/// solve up, before its cache lookup.)
 fn start_slow_solve(router_addr: &str, shard_addr: &str) -> TcpStream {
     let client = connect(router_addr);
     let mut writer = BufWriter::new(client.try_clone().expect("clone"));
