@@ -29,15 +29,14 @@
 //! [`SolveStrategy::DirectLp`] solves the Section 2.5 LP itself and
 //! reproduces the seed's `optimal_mechanism` formulation bit for bit.
 //!
-//! # Templated sweeps
+//! # Sweeps
 //!
-//! Both strategies build their LP **once per sweep** and re-parameterize it
-//! per α (the constraint structure is α-independent; see
-//! [`privmech_lp::ModelTemplate`] and
-//! [`privmech_lp::Model::replace_constraint_expr`]). A re-parameterized model
-//! is guaranteed to produce the same dense simplex tableau as a fresh build,
-//! so sweep results are bit-identical to per-level [`PrivacyEngine::solve`]
-//! calls for the exact backend, regardless of thread count.
+//! Every level is one stateless step: build the level's LP from nothing (the
+//! Section 2.5 LP at α, or `G_{n,α}` and its interaction LP) and solve it
+//! cold. [`PrivacyEngine::solve`] runs that step once and
+//! [`PrivacyEngine::sweep_with`] once per level on its worker threads, so a
+//! sweep equals per-level solves — bit for bit on every backend —
+//! regardless of thread count or completion order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,11 +49,11 @@ use crate::consumer::{BayesianConsumer, MinimaxConsumer, SideInformation};
 use crate::derivability::{self, DerivabilityCheck};
 use crate::error::{CoreError, Result};
 use crate::geometric::geometric_mechanism;
-use crate::interaction::{bayesian_interaction_impl, Interaction, InteractionLp};
+use crate::interaction::{bayesian_interaction_impl, minimax_interaction, Interaction};
 use crate::loss::LossFunction;
 use crate::mechanism::Mechanism;
 use crate::multilevel::MultiLevelRelease;
-use crate::optimal::TailoredLp;
+use crate::optimal::{count_adjacency, TailoredLp};
 
 /// How [`PrivacyEngine::solve`] computes a tailored optimal mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -448,32 +447,13 @@ pub struct Solve<T: Scalar> {
     pub stats: PivotStats,
 }
 
-/// Per-strategy solver state reused across the levels of one sweep.
-#[derive(Clone)]
-enum SweepState<T: Scalar> {
-    /// The Section 2.5 LP template (minimax epigraph or Bayesian linear
-    /// objective — the distinction lives inside the built model), solved
-    /// cold at each level.
-    Direct(TailoredLp<T>),
-    /// The interaction LP together with the deployed mechanism and level it
-    /// is currently parameterized for, so consecutive solves at the same
-    /// level (every single-`solve` call, duplicate sweep entries) skip the
-    /// geometric-mechanism and epigraph reconstruction.
-    FactorMinimax {
-        lp: InteractionLp<T>,
-        deployed: Mechanism<T>,
-        level: PrivacyLevel<T>,
-    },
-    FactorBayesian,
-}
-
 /// A session-oriented solver for the paper's optimization problems.
 ///
-/// The engine owns the worker-thread budget for batched, templated
-/// α-sweeps (per-solve knobs like [`SolverOptions`] live on the request). It
-/// is cheap to construct and stateless between calls, so one engine can
-/// serve requests of different scalar backends (`Rational`, `f64`) and
-/// consumers concurrently.
+/// The engine owns the worker-thread budget for batched α-sweeps (per-solve
+/// knobs like [`SolverOptions`] live on the request). It is cheap to
+/// construct and stateless between calls, so one engine can serve requests
+/// of different scalar backends (`Rational`, `f64`) and consumers
+/// concurrently.
 #[derive(Debug, Clone)]
 pub struct PrivacyEngine {
     threads: usize,
@@ -510,69 +490,36 @@ impl PrivacyEngine {
         self.threads
     }
 
-    fn build_state<T: Scalar>(&self, request: &ValidatedRequest<T>) -> Result<SweepState<T>> {
-        match (request.strategy, &request.consumer) {
-            (SolveStrategy::DirectLp, RequestConsumer::Minimax(c)) => {
-                Ok(SweepState::Direct(TailoredLp::for_minimax(c)?))
-            }
-            (SolveStrategy::DirectLp, RequestConsumer::Bayesian(c)) => {
-                Ok(SweepState::Direct(TailoredLp::for_bayesian(c)?))
-            }
-            (SolveStrategy::GeometricFactorization, RequestConsumer::Minimax(c)) => {
-                // Built against the request's own level; re-parameterized
-                // inside solves only when a sweep targets a different level.
-                let g = geometric_mechanism(c.side_information().n(), &request.level)?;
-                let lp = InteractionLp::build(&g, c)?;
-                Ok(SweepState::FactorMinimax {
-                    lp,
-                    deployed: g,
-                    level: request.level.clone(),
-                })
-            }
-            (SolveStrategy::GeometricFactorization, RequestConsumer::Bayesian(_)) => {
-                Ok(SweepState::FactorBayesian)
-            }
-        }
-    }
-
-    fn solve_one<T: Scalar>(
-        state: &mut SweepState<T>,
+    /// The single per-level step behind every solve: build the level's LP
+    /// from nothing and solve it cold.
+    fn solve_level<T: Scalar>(
         request: &ValidatedRequest<T>,
         level: &PrivacyLevel<T>,
     ) -> Result<Solve<T>> {
-        let (mechanism, loss, stats) = match (state, &request.consumer) {
-            (SweepState::Direct(lp), _) => {
-                let (mechanism, stats) = lp.solve_in_place(level.alpha(), &request.options)?;
-                let loss = request.consumer.disutility(&mechanism)?;
+        let n = request.n();
+        let (mechanism, loss, stats) = match (request.strategy, &request.consumer) {
+            (SolveStrategy::DirectLp, consumer) => {
+                let lp = match consumer {
+                    RequestConsumer::Minimax(c) => {
+                        TailoredLp::minimax(c, level.alpha(), &count_adjacency(n))?
+                    }
+                    RequestConsumer::Bayesian(c) => TailoredLp::bayesian(c, level.alpha())?,
+                };
+                let (mechanism, stats) = lp.solve(&request.options)?;
+                let loss = consumer.disutility(&mechanism)?;
                 (mechanism, loss, stats)
             }
-            (
-                SweepState::FactorMinimax {
-                    lp,
-                    deployed,
-                    level: current,
-                },
-                RequestConsumer::Minimax(c),
-            ) => {
-                if *current != *level {
-                    *deployed = geometric_mechanism(c.side_information().n(), level)?;
-                    lp.reparameterize(deployed)?;
-                    *current = level.clone();
-                }
+            (SolveStrategy::GeometricFactorization, RequestConsumer::Minimax(c)) => {
                 // Interaction.loss is already the consumer's disutility of
                 // the induced mechanism — no need to recompute it.
-                let interaction = lp.solve(deployed, &request.options)?;
+                let g = geometric_mechanism(n, level)?;
+                let interaction = minimax_interaction(&g, c, &request.options)?;
                 (interaction.induced, interaction.loss, interaction.lp_stats)
             }
-            (SweepState::FactorBayesian, RequestConsumer::Bayesian(c)) => {
-                let g = geometric_mechanism(c.n(), level)?;
+            (SolveStrategy::GeometricFactorization, RequestConsumer::Bayesian(c)) => {
+                let g = geometric_mechanism(n, level)?;
                 let interaction = bayesian_interaction_impl(&g, c)?;
                 (interaction.induced, interaction.loss, interaction.lp_stats)
-            }
-            _ => {
-                return Err(CoreError::InvalidRequest {
-                    reason: "sweep state does not match the request's consumer kind".to_string(),
-                })
             }
         };
         Ok(Solve {
@@ -585,8 +532,7 @@ impl PrivacyEngine {
 
     /// Solve one request at its own privacy level.
     pub fn solve<T: Scalar>(&self, request: &ValidatedRequest<T>) -> Result<Solve<T>> {
-        let mut state = self.build_state(request)?;
-        Self::solve_one(&mut state, request, &request.level)
+        Self::solve_level(request, &request.level)
     }
 
     /// Solve the request at every level of `levels`, delivering each result
@@ -602,25 +548,22 @@ impl PrivacyEngine {
     /// callback is invoked under an internal lock, so it may be called from
     /// any worker thread but never concurrently with itself.
     ///
-    /// Each solve is bit-identical to a cold per-level
-    /// [`PrivacyEngine::solve`] for exact scalars, regardless of thread
-    /// count or completion order (the LP is built once and re-parameterized
-    /// per level, each worker on its own clone). Per-level failures are
-    /// delivered through the callback as `Err`; the function itself only
-    /// fails if the shared LP template cannot be built at all.
+    /// Each solve is the same per-level step [`PrivacyEngine::solve`] runs,
+    /// so it is bit-identical to a per-level solve regardless of thread
+    /// count or completion order. Every failure belongs to one level and is
+    /// delivered through the callback as `Err`; the function itself returns
+    /// `Ok(())` once every level has been delivered.
     pub fn sweep_with<T: Scalar + Send + Sync>(
         &self,
         levels: &[PrivacyLevel<T>],
         request: &ValidatedRequest<T>,
         mut on_result: impl FnMut(usize, Result<Solve<T>>) + Send,
     ) -> Result<()> {
-        let base = self.build_state(request)?;
         let workers = self.threads.min(levels.len()).max(1);
 
         if workers <= 1 {
-            let mut state = base;
             for (idx, level) in levels.iter().enumerate() {
-                on_result(idx, Self::solve_one(&mut state, request, level));
+                on_result(idx, Self::solve_level(request, level));
             }
             return Ok(());
         }
@@ -629,16 +572,13 @@ impl PrivacyEngine {
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut state = base.clone();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(level) = levels.get(idx) else {
-                            break;
-                        };
-                        let solve = Self::solve_one(&mut state, request, level);
-                        (callback.lock().expect("sweep callback poisoned"))(idx, solve);
-                    }
+                scope.spawn(|| loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(level) = levels.get(idx) else {
+                        break;
+                    };
+                    let solve = Self::solve_level(request, level);
+                    (callback.lock().expect("sweep callback poisoned"))(idx, solve);
                 });
             }
         });
@@ -648,9 +588,8 @@ impl PrivacyEngine {
     /// Solve the request at every level of `levels`, farming the solves
     /// across up to [`PrivacyEngine::threads`] worker threads.
     ///
-    /// The LP is built once and re-parameterized per level (each worker gets
-    /// its own clone), so results are **bit-identical** to per-level
-    /// [`PrivacyEngine::solve`] calls for exact scalars and independent of
+    /// Each level is the per-level step of [`PrivacyEngine::solve`], so
+    /// results are **bit-identical** to per-level solves and independent of
     /// the thread count. Results are returned in input order; the request's
     /// own level is ignored in favor of `levels`. On error, the failure of
     /// the smallest level index is reported.
@@ -683,10 +622,7 @@ impl PrivacyEngine {
         request: &ValidatedRequest<T>,
     ) -> Result<Interaction<T>> {
         match &request.consumer {
-            RequestConsumer::Minimax(c) => {
-                let lp = InteractionLp::build(deployed, c)?;
-                lp.solve(deployed, &request.options)
-            }
+            RequestConsumer::Minimax(c) => minimax_interaction(deployed, c, &request.options),
             RequestConsumer::Bayesian(c) => bayesian_interaction_impl(deployed, c),
         }
     }
@@ -770,9 +706,9 @@ mod tests {
     #[test]
     fn direct_strategy_reproduces_the_seed_formulation() {
         // The seed free functions are gone (PR 5); the bit-identity anchor is
-        // now the Section 2.5 template itself, solved cold at the same level
-        // with default options — exactly what the seed `optimal_mechanism`
-        // shim did.
+        // now the Section 2.5 LP itself over the count adjacency, built and
+        // solved at the same level with default options — exactly what the
+        // seed `optimal_mechanism` shim did.
         let (old_mechanism, old_stats) = {
             let consumer = crate::consumer::MinimaxConsumer::new(
                 "engine-test",
@@ -780,8 +716,10 @@ mod tests {
                 crate::consumer::SideInformation::full(3),
             )
             .unwrap();
-            let mut lp = crate::optimal::TailoredLp::for_minimax(&consumer).unwrap();
-            lp.solve_in_place(&rat(1, 4), &Default::default()).unwrap()
+            TailoredLp::minimax(&consumer, &rat(1, 4), &count_adjacency(3))
+                .unwrap()
+                .solve(&Default::default())
+                .unwrap()
         };
         let new = PrivacyEngine::new()
             .solve(&request(SolveStrategy::DirectLp))
@@ -828,7 +766,7 @@ mod tests {
 
     #[test]
     fn interact_matches_a_direct_interaction_lp_solve() {
-        // The engine's `interact` is a thin dispatch over `InteractionLp`;
+        // The engine's `interact` is a thin dispatch over the interaction LP;
         // pin that down bit for bit (the seed `optimal_interaction` shim was
         // exactly this construction).
         let req = request(SolveStrategy::GeometricFactorization);
@@ -840,8 +778,7 @@ mod tests {
             let RequestConsumer::Minimax(c) = req.consumer() else {
                 unreachable!()
             };
-            let lp = crate::interaction::InteractionLp::build(&g, c).unwrap();
-            lp.solve(&g, &Default::default()).unwrap()
+            minimax_interaction(&g, c, &Default::default()).unwrap()
         };
         assert_eq!(via_engine.post_processing, via_lp.post_processing);
         assert_eq!(via_engine.loss, via_lp.loss);

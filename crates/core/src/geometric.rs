@@ -137,6 +137,37 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn every_validated_level_deploys_g() {
+        // A sweep builds G_{n,α} inside each level's step and reports a
+        // failure per level, so no validated level may make the build fail:
+        // the α extremes, on both backends, up to the wire's largest n.
+        for alpha in [0.0, f64::MIN_POSITIVE, 1e-12, 0.5, 1.0 - f64::EPSILON, 1.0] {
+            let level = PrivacyLevel::new(alpha).unwrap();
+            for n in [0, 1, 1024] {
+                assert!(
+                    geometric_mechanism(n, &level).is_ok(),
+                    "n = {n}, α = {alpha}"
+                );
+            }
+        }
+        for alpha in [
+            rat(0, 1),
+            rat(1, 1000),
+            rat(1, 2),
+            rat(999, 1000),
+            rat(1, 1),
+        ] {
+            let level = PrivacyLevel::new(alpha.clone()).unwrap();
+            for n in [0, 1, 16] {
+                assert!(
+                    geometric_mechanism(n, &level).is_ok(),
+                    "n = {n}, α = {alpha}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unbounded_pmf_matches_definition_one() {
         let a = rat(1, 5);
         // (1-α)/(1+α) = (4/5)/(6/5) = 2/3.

@@ -9,7 +9,7 @@
 //! reinterpretations, which this module computes directly without an LP.
 
 use privmech_linalg::{Matrix, Scalar};
-use privmech_lp::{LinExpr, Model, PivotStats, Relation, SolverOptions, Var};
+use privmech_lp::{LinExpr, Model, PivotStats, Relation, SolverOptions};
 
 use crate::consumer::{BayesianConsumer, MinimaxConsumer};
 use crate::error::{CoreError, Result};
@@ -30,47 +30,48 @@ pub struct Interaction<T: Scalar> {
     pub lp_stats: PivotStats,
 }
 
-/// The Section 2.4.3 interaction LP as a reusable structure.
+/// The minimax consumer's optimal interaction with a deployed mechanism:
+/// build the Section 2.4.3 LP and solve it.
 ///
-/// Variables `T[r][r']` and the unit-row-sum constraints never change; only
-/// the epigraph rows do (their coefficients are products `y[i][r]·l(i,r')` of
-/// the deployed mechanism and the loss). [`InteractionLp::reparameterize`]
-/// therefore swaps just those rows via
-/// [`Model::replace_constraint_expr`], which is how a Theorem-1 α-sweep
-/// reuses one model across all privacy levels.
-#[derive(Debug, Clone)]
-pub(crate) struct InteractionLp<T: Scalar> {
-    model: Model<T>,
-    t_vars: Vec<Vec<Var>>,
-    /// Constraint indices of the epigraph rows, in side-information member
-    /// order (they directly follow the `size` row-sum constraints).
-    epigraph_rows: Vec<usize>,
-    /// The consumer the LP was built for. Stored (a cheap `Arc`-based clone)
-    /// so re-parameterizations cannot accidentally mix in a different
-    /// consumer's loss or side information.
-    consumer: MinimaxConsumer<T>,
-    /// Loss table `l(i, r')`, tabulated once at build time (it depends only
-    /// on the consumer, not on the deployed mechanism, so α-sweeps reuse it).
-    losses: Matrix<T>,
-    d: Var,
-    size: usize,
-}
-
-/// The raw epigraph expressions `Σ_{r,r'} y[i][r]·l(i,r')·t[r][r']`, one per
-/// member of `S`. Shared by the initial build and every re-parameterization
-/// so both produce term-for-term identical rows.
+/// Variables `T[r][r']` with unit row sums, and one epigraph row per member
+/// `i` of `S` whose coefficient of `t[r][r']` is `y[i][r]·l(i, r')`.
 #[allow(clippy::needless_range_loop)] // index-coupled access into t_vars[r][r']
-fn epigraph_exprs<T: Scalar>(
+pub(crate) fn minimax_interaction<T: Scalar>(
     deployed: &Mechanism<T>,
     consumer: &MinimaxConsumer<T>,
-    t_vars: &[Vec<Var>],
-    losses: &Matrix<T>,
-) -> Result<Vec<LinExpr<T>>> {
+    options: &SolverOptions,
+) -> Result<Interaction<T>> {
+    if deployed.n() != consumer.side_information().n() {
+        return Err(CoreError::InvalidSideInformation {
+            reason: format!(
+                "consumer is defined for n = {}, mechanism has n = {}",
+                consumer.side_information().n(),
+                deployed.n()
+            ),
+        });
+    }
     let size = deployed.size();
-    // The objective coefficient of t[r][r'] in row i is y[i][r] · l(i, r'):
-    // the losses come pre-tabulated per consumer and each coefficient is
-    // produced by a single by-reference multiply instead of re-invoking the
-    // dynamically dispatched loss function per (r, r') pair.
+    let mut model: Model<T> = Model::new();
+
+    // t_vars[r][r'] = probability of reinterpreting r as r'.
+    let mut t_vars = Vec::with_capacity(size);
+    for r in 0..size {
+        t_vars.push(model.add_nonneg_vars(&format!("t_{r}"), size));
+    }
+
+    // Each reinterpretation row is a probability distribution.
+    for row in &t_vars {
+        let mut row_sum = LinExpr::new();
+        for &var in row {
+            row_sum.add_term(var, T::one());
+        }
+        model.add_constraint(row_sum, Relation::Eq, T::one())?;
+    }
+
+    // One epigraph expression per possible true result in S. The losses
+    // come pre-tabulated and each coefficient is a single by-reference
+    // multiply instead of a dynamically dispatched loss call per (r, r').
+    let losses = crate::loss::tabulate_loss(consumer.loss(), size);
     let mut exprs = Vec::new();
     for &i in consumer.side_information().members() {
         let mut expr = LinExpr::new();
@@ -86,128 +87,22 @@ fn epigraph_exprs<T: Scalar>(
         }
         exprs.push(expr);
     }
-    Ok(exprs)
-}
+    model.minimize_max(exprs)?;
 
-fn check_dimensions<T: Scalar>(
-    deployed: &Mechanism<T>,
-    consumer: &MinimaxConsumer<T>,
-) -> Result<()> {
-    if deployed.n() != consumer.side_information().n() {
-        return Err(CoreError::InvalidSideInformation {
-            reason: format!(
-                "consumer is defined for n = {}, mechanism has n = {}",
-                consumer.side_information().n(),
-                deployed.n()
-            ),
-        });
-    }
-    Ok(())
-}
-
-impl<T: Scalar> InteractionLp<T> {
-    /// Build the interaction LP for a deployed mechanism and consumer.
-    #[allow(clippy::needless_range_loop)] // index-coupled access into t_vars[r][r']
-    pub(crate) fn build(deployed: &Mechanism<T>, consumer: &MinimaxConsumer<T>) -> Result<Self> {
-        check_dimensions(deployed, consumer)?;
-        let size = deployed.size();
-        let mut model: Model<T> = Model::new();
-
-        // t_vars[r][r'] = probability of reinterpreting r as r'.
-        let mut t_vars = Vec::with_capacity(size);
-        for r in 0..size {
-            t_vars.push(model.add_nonneg_vars(&format!("t_{r}"), size));
-        }
-
-        // Each reinterpretation row is a probability distribution.
-        for r in 0..size {
-            let mut row_sum = LinExpr::new();
-            for rp in 0..size {
-                row_sum.add_term(t_vars[r][rp], T::one());
-            }
-            model.add_labeled_constraint(
-                row_sum,
-                Relation::Eq,
-                T::one(),
-                Some(format!("row_{r}")),
-            )?;
-        }
-
-        // One epigraph expression per possible true result in S.
-        let losses = crate::loss::tabulate_loss(consumer.loss(), size);
-        let exprs = epigraph_exprs(deployed, consumer, &t_vars, &losses)?;
-        let epigraph_rows: Vec<usize> = (0..exprs.len())
-            .map(|k| model.num_constraints() + k)
-            .collect();
-        let d = model.minimize_max(exprs)?;
-
-        Ok(InteractionLp {
-            model,
-            t_vars,
-            epigraph_rows,
-            consumer: consumer.clone(),
-            losses,
-            d,
-            size,
-        })
-    }
-
-    /// Swap the epigraph rows for a new deployed mechanism of the same
-    /// dimensions, leaving variables, row-sum constraints and objective
-    /// untouched. Produces exactly the model [`InteractionLp::build`] would
-    /// build for the new mechanism and the build-time consumer.
-    pub(crate) fn reparameterize(&mut self, deployed: &Mechanism<T>) -> Result<()> {
-        // Same variant family as build's check_dimensions: the mismatch is
-        // between the consumer the template was built for and the mechanism.
-        if deployed.size() != self.size {
-            return Err(CoreError::InvalidSideInformation {
-                reason: format!(
-                    "template was built for a consumer with n = {}, mechanism has n = {}",
-                    self.size - 1,
-                    deployed.n()
-                ),
-            });
-        }
-        let exprs = epigraph_exprs(deployed, &self.consumer, &self.t_vars, &self.losses)?;
-        for (row, expr) in self.epigraph_rows.iter().zip(exprs) {
-            // The same epigraph transformation minimize_max applied at build
-            // time (d - expr >= constant), via the shared LinExpr helper so
-            // the two paths can never diverge.
-            let (lhs, rhs) = expr.epigraph_row(self.d);
-            self.model
-                .replace_constraint_expr(*row, lhs)
-                .map_err(CoreError::from)?;
-            self.model
-                .set_constraint_rhs(*row, rhs)
-                .map_err(CoreError::from)?;
-        }
-        Ok(())
-    }
-
-    /// Solve and package the result against the deployed mechanism used to
-    /// build (or most recently re-parameterize) the model.
-    pub(crate) fn solve(
-        &self,
-        deployed: &Mechanism<T>,
-        options: &SolverOptions,
-    ) -> Result<Interaction<T>> {
-        let solution = self.model.solve_with(options).map_err(CoreError::from)?;
-        let post_raw = Matrix::from_fn(self.size, self.size, |r, rp| {
-            solution.value(self.t_vars[r][rp]).clone()
-        });
-        // Clamp tiny negative float noise and renormalize rows so the
-        // post-processing matrix is exactly stochastic even with the f64
-        // backend.
-        let post = Mechanism::from_matrix_normalized(post_raw)?.into_matrix();
-        let induced = deployed.post_process(&post)?;
-        let achieved = self.consumer.disutility(&induced)?;
-        Ok(Interaction {
-            post_processing: post,
-            induced,
-            loss: achieved,
-            lp_stats: solution.stats,
-        })
-    }
+    let solution = model.solve_with(options).map_err(CoreError::from)?;
+    let post_raw = Matrix::from_fn(size, size, |r, rp| solution.value(t_vars[r][rp]).clone());
+    // Clamp tiny negative float noise and renormalize rows so the
+    // post-processing matrix is exactly stochastic even with the f64
+    // backend.
+    let post = Mechanism::from_matrix_normalized(post_raw)?.into_matrix();
+    let induced = deployed.post_process(&post)?;
+    let achieved = consumer.disutility(&induced)?;
+    Ok(Interaction {
+        post_processing: post,
+        induced,
+        loss: achieved,
+        lp_stats: solution.stats,
+    })
 }
 
 /// Shared implementation of the Bayesian posterior-argmin remap behind

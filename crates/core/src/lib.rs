@@ -94,6 +94,7 @@ pub use loss::{
 };
 pub use mechanism::{expected_row_loss, worst_case_loss, Mechanism};
 pub use multilevel::{transition_matrix, MultiLevelRelease, StageRelease};
+pub use optimal::TailoredLp;
 // Solver knobs, re-exported so engine users need not depend on privmech-lp.
 pub use privmech_lp::{PivotStats, PricingRule, SolverForm, SolverOptions};
 pub use sampling::{

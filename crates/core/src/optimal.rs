@@ -9,53 +9,58 @@
 //! letting the consumer post-process achieves exactly this optimum — the
 //! experiments verify that equality.
 //!
-//! The LP is built once per consumer as a `TailoredLp` template: its
-//! constraint *structure* is independent of α (only the `-α` coefficients of
-//! the differential-privacy rows change), so an α-sweep re-parameterizes the
-//! same model instead of rebuilding it — see
-//! [`PrivacyEngine::sweep`](crate::engine::PrivacyEngine::sweep). The seed's
-//! free-function shims (`optimal_mechanism`, `bayesian_optimal_mechanism`)
-//! were removed in PR 5: [`SolveStrategy::DirectLp`](crate::SolveStrategy)
-//! through [`PrivacyEngine::solve`](crate::engine::PrivacyEngine::solve)
-//! solves this exact template and reproduces them bit for bit.
+//! The LP is built at one α and solved once ([`TailoredLp`]); a sweep
+//! builds it afresh per level. The differential-privacy rows run over a
+//! caller-supplied edge list of adjacent results: count queries pass the
+//! consecutive pairs `(i, i+1)`, and the query-class zoo passes its induced
+//! adjacency (the Brenner–Nissim generalization). The seed's free-function
+//! shims (`optimal_mechanism`, `bayesian_optimal_mechanism`) are gone:
+//! [`SolveStrategy::DirectLp`](crate::SolveStrategy) through
+//! [`PrivacyEngine::solve`](crate::engine::PrivacyEngine::solve) solves this
+//! LP and reproduces them bit for bit.
 //!
 //! One deliberate departure from the seed formulation: for the vacuous level
-//! α = 0 the seed omitted the differential-privacy rows entirely, while the
-//! template always emits them (their `-α` coefficients become zero, leaving
-//! the rows trivially satisfied). The optimal *value* is unaffected — zero
-//! loss is attainable either way — but pivot counts, and on a degenerate
-//! optimum the returned vertex, can differ from the seed's at exactly α = 0.
-//! Every α > 0 builds the identical model the seed built, term for term.
+//! α = 0 the seed omitted the differential-privacy rows entirely, while this
+//! builder always emits them (their `-α` terms are exactly zero, leaving the
+//! rows `x[a][r] ≥ 0`, trivially satisfied). The optimal *value* is
+//! unaffected — zero loss is attainable either way — but pivot counts, and
+//! on a degenerate optimum the returned vertex, can differ from the seed's
+//! at exactly α = 0. Every α > 0 builds the identical model the seed built,
+//! term for term.
 
 use privmech_linalg::{Matrix, Scalar};
-use privmech_lp::{LinExpr, Model, ModelTemplate, PivotStats, Relation, SolverOptions};
+use privmech_lp::{LinExpr, Model, PivotStats, Relation, Sense, SolverOptions, Var};
 
 use crate::consumer::{BayesianConsumer, MinimaxConsumer};
 use crate::error::{CoreError, Result};
 use crate::loss::tabulate_loss;
 use crate::mechanism::Mechanism;
 
-/// The Section 2.5 LP as a reusable α-parameterized template.
+/// The Section 2.5 LP built at one privacy level.
 ///
-/// Variables `x[i][r]` (release probability), unit row sums, the
-/// `2·n·(n+1)` differential-privacy rows of Definition 2 with their `-α`
-/// coefficients registered as [`ModelTemplate`] parameter slots, and either
+/// Variables `x[i][r]` (release probability), unit row sums, two
+/// differential-privacy rows per adjacent result pair and output, and either
 /// the minimax epigraph objective or the Bayesian prior-weighted linear
-/// objective (both α-independent).
-#[derive(Debug, Clone)]
-pub(crate) struct TailoredLp<T: Scalar> {
-    template: ModelTemplate<T>,
-    x_vars: Vec<Vec<privmech_lp::Var>>,
-    size: usize,
+/// objective.
+#[derive(Debug)]
+pub struct TailoredLp<T: Scalar> {
+    model: Model<T>,
+    x_vars: Vec<Vec<Var>>,
 }
 
-/// Release-probability variables `x[i][r]`, indexed `[input][output]`.
-type XVars = Vec<Vec<privmech_lp::Var>>;
-/// `(constraint index, variable)` pairs whose coefficient is the `-α` slot.
-type AlphaSlots = Vec<(usize, privmech_lp::Var)>;
+/// The consecutive result pairs `(i, i+1)` over `{0, …, n}`: the adjacency
+/// of a count query (Definition 2).
+pub(crate) fn count_adjacency(n: usize) -> Vec<(usize, usize)> {
+    (0..n).map(|i| (i, i + 1)).collect()
+}
 
-#[allow(clippy::needless_range_loop)] // index-coupled access into x_vars[i][r]
-fn tailored_skeleton<T: Scalar>(n: usize) -> Result<(Model<T>, XVars, AlphaSlots)> {
+/// Variables, row sums and differential-privacy rows at `alpha` over `edges`
+/// (the part shared by the minimax and Bayesian objectives).
+fn skeleton<T: Scalar>(
+    n: usize,
+    alpha: &T,
+    edges: &[(usize, usize)],
+) -> Result<(Model<T>, Vec<Vec<Var>>)> {
     let size = n + 1;
     let mut model: Model<T> = Model::new();
 
@@ -66,78 +71,49 @@ fn tailored_skeleton<T: Scalar>(n: usize) -> Result<(Model<T>, XVars, AlphaSlots
     }
 
     // Each input's output distribution sums to one.
-    for i in 0..size {
+    for row in &x_vars {
         let mut row_sum = LinExpr::new();
-        for r in 0..size {
-            row_sum.add_term(x_vars[i][r], T::one());
+        for &var in row {
+            row_sum.add_term(var, T::one());
         }
-        model.add_labeled_constraint(row_sum, Relation::Eq, T::one(), Some(format!("row_{i}")))?;
+        model.add_constraint(row_sum, Relation::Eq, T::one())?;
     }
 
-    // Differential privacy for count queries (Definition 2):
-    //   x[i][r] - α·x[i+1][r] >= 0   and   x[i+1][r] - α·x[i][r] >= 0.
-    // The α coefficient is a template parameter: the rows are built with a
-    // placeholder (so the term is never dropped as a zero) and the slot of
-    // each second term is recorded for later binding.
-    let mut slots = Vec::with_capacity(2 * n * size);
-    let neg_one = -T::one();
-    for i in 0..n {
+    // Differential privacy over every adjacent pair (a, b) (Definition 2):
+    //   x[a][r] - α·x[b][r] >= 0   and   x[b][r] - α·x[a][r] >= 0.
+    // `LinExpr::term` keeps the -α term whatever its size, where `plus`
+    // would drop an f64 |α| <= 1e-9 as zero and so loosen the row.
+    let neg_alpha = -alpha.clone();
+    for &(a, b) in edges {
+        #[allow(clippy::needless_range_loop)] // r indexes x_vars[a] and x_vars[b] together
         for r in 0..size {
-            let down =
-                LinExpr::term(x_vars[i][r], T::one()).plus(x_vars[i + 1][r], neg_one.clone());
-            model.add_labeled_constraint(
-                down,
-                Relation::Ge,
-                T::zero(),
-                Some(format!("dp_down_{i}_{r}")),
-            )?;
-            slots.push((model.num_constraints() - 1, x_vars[i + 1][r]));
-            let up = LinExpr::term(x_vars[i + 1][r], T::one()).plus(x_vars[i][r], neg_one.clone());
-            model.add_labeled_constraint(
-                up,
-                Relation::Ge,
-                T::zero(),
-                Some(format!("dp_up_{i}_{r}")),
-            )?;
-            slots.push((model.num_constraints() - 1, x_vars[i][r]));
+            let down = LinExpr::term(x_vars[b][r], neg_alpha.clone()).plus(x_vars[a][r], T::one());
+            model.add_constraint(down, Relation::Ge, T::zero())?;
+            let up = LinExpr::term(x_vars[a][r], neg_alpha.clone()).plus(x_vars[b][r], T::one());
+            model.add_constraint(up, Relation::Ge, T::zero())?;
         }
     }
-    Ok((model, x_vars, slots))
-}
-
-/// Register the `-α` parameter slots on a finished model and assemble the
-/// template (shared epilogue of the minimax and Bayesian builders).
-fn finish_template<T: Scalar>(
-    model: Model<T>,
-    slots: AlphaSlots,
-    x_vars: XVars,
-    size: usize,
-) -> Result<TailoredLp<T>> {
-    let mut template = ModelTemplate::new(model);
-    for (constraint, var) in slots {
-        template
-            .bind_scaled(constraint, var, -T::one())
-            .map_err(CoreError::from)?;
-    }
-    Ok(TailoredLp {
-        template,
-        x_vars,
-        size,
-    })
+    Ok((model, x_vars))
 }
 
 impl<T: Scalar> TailoredLp<T> {
-    /// Build the minimax template: epigraph objective over the members of the
-    /// consumer's side-information set.
-    pub(crate) fn for_minimax(consumer: &MinimaxConsumer<T>) -> Result<Self> {
+    /// The minimax LP at `alpha` with its differential-privacy rows over
+    /// `edges`: epigraph objective over the members of the consumer's
+    /// side-information set.
+    ///
+    /// # Panics
+    /// Panics if an edge names a result outside `{0, …, n}`.
+    pub fn minimax(
+        consumer: &MinimaxConsumer<T>,
+        alpha: &T,
+        edges: &[(usize, usize)],
+    ) -> Result<Self> {
         let n = consumer.side_information().n();
-        let size = n + 1;
-        let (mut model, x_vars, slots) = tailored_skeleton::<T>(n)?;
+        let (mut model, x_vars) = skeleton(n, alpha, edges)?;
 
-        // Epigraph objective: minimize the worst expected loss over S. The
-        // loss coefficients come out of one pre-tabulated matrix row per
-        // member and do not depend on α.
-        let losses = tabulate_loss(consumer.loss(), size);
+        // Epigraph objective: minimize the worst expected loss over S, with
+        // the coefficients read from one pre-tabulated matrix row per member.
+        let losses = tabulate_loss(consumer.loss(), n + 1);
         let mut exprs = Vec::new();
         for &i in consumer.side_information().members() {
             let mut expr = LinExpr::new();
@@ -147,24 +123,23 @@ impl<T: Scalar> TailoredLp<T> {
             exprs.push(expr);
         }
         model.minimize_max(exprs)?;
-
-        finish_template(model, slots, x_vars, size)
+        Ok(TailoredLp { model, x_vars })
     }
 
-    /// Build the Bayesian template: prior-weighted linear objective (the
-    /// Section 2.7 model of Ghosh, Roughgarden and Sundararajan).
-    pub(crate) fn for_bayesian(consumer: &BayesianConsumer<T>) -> Result<Self> {
+    /// The Bayesian LP at `alpha` over the count adjacency: prior-weighted
+    /// linear objective (the Section 2.7 model of Ghosh, Roughgarden and
+    /// Sundararajan).
+    pub(crate) fn bayesian(consumer: &BayesianConsumer<T>, alpha: &T) -> Result<Self> {
         let n = consumer.n();
-        let size = n + 1;
-        let (mut model, x_vars, slots) = tailored_skeleton::<T>(n)?;
+        let (mut model, x_vars) = skeleton(n, alpha, &count_adjacency(n))?;
 
         // Prior-weighted loss coefficients: scale each tabulated loss row by
         // the prior mass in place rather than multiplying per term.
-        let losses = tabulate_loss(consumer.loss(), size);
+        let losses = tabulate_loss(consumer.loss(), n + 1);
         let prior = consumer.prior();
         let mut objective = LinExpr::new();
         #[allow(clippy::needless_range_loop)] // i indexes prior, losses and x_vars together
-        for i in 0..size {
+        for i in 0..=n {
             if prior[i].is_zero_approx() {
                 continue;
             }
@@ -174,31 +149,18 @@ impl<T: Scalar> TailoredLp<T> {
                 objective.add_term(x_vars[i][r], coeff);
             }
         }
-        model.set_objective(privmech_lp::Sense::Minimize, objective)?;
-
-        finish_template(model, slots, x_vars, size)
+        model.set_objective(Sense::Minimize, objective)?;
+        Ok(TailoredLp { model, x_vars })
     }
 
-    fn extract(&self, solution: &privmech_lp::Solution<T>) -> Result<Mechanism<T>> {
-        let matrix = Matrix::from_fn(self.size, self.size, |i, r| {
-            solution.value(self.x_vars[i][r]).clone()
-        });
+    /// Solve cold and read the optimal mechanism off the solution.
+    pub fn solve(&self, options: &SolverOptions) -> Result<(Mechanism<T>, PivotStats)> {
+        let solution = self.model.solve_with(options).map_err(CoreError::from)?;
+        let size = self.x_vars.len();
+        let matrix = Matrix::from_fn(size, size, |i, r| solution.value(self.x_vars[i][r]).clone());
         // Clamp tiny negative float noise and renormalize rows (a no-op for
         // the exact backend, where the LP solution is exactly stochastic).
-        Mechanism::from_matrix_normalized(matrix)
-    }
-
-    /// Re-parameterize the template to `alpha` in place and solve.
-    pub(crate) fn solve_in_place(
-        &mut self,
-        alpha: &T,
-        options: &SolverOptions,
-    ) -> Result<(Mechanism<T>, PivotStats)> {
-        let solution = self
-            .template
-            .solve_at(alpha, options)
-            .map_err(CoreError::from)?;
-        Ok((self.extract(&solution)?, solution.stats))
+        Ok((Mechanism::from_matrix_normalized(matrix)?, solution.stats))
     }
 }
 
@@ -325,6 +287,27 @@ mod tests {
     }
 
     #[test]
+    fn f64_dp_rows_keep_a_sub_tolerance_alpha_term() {
+        // `LinExpr::add_term` drops an f64 coefficient with |c| <= 1e-9 as
+        // zero; every differential-privacy row must still reach the solver
+        // with both of its terms at α = 1e-12.
+        let n = 3;
+        let consumer =
+            MinimaxConsumer::<f64>::new("tiny", Arc::new(AbsoluteError), SideInformation::full(n))
+                .unwrap();
+        let alpha = 1e-12;
+        let lp = TailoredLp::minimax(&consumer, &alpha, &count_adjacency(n)).unwrap();
+        let size = n + 1;
+        let dp_rows = &lp.model.constraints()[size..size + 2 * n * size];
+        for row in dp_rows {
+            assert_eq!(row.relation, Relation::Ge);
+            let mut coeffs: Vec<f64> = row.expr.merged_terms().iter().map(|(_, c)| *c).collect();
+            coeffs.sort_by(f64::total_cmp);
+            assert_eq!(coeffs, vec![-alpha, 1.0]);
+        }
+    }
+
+    #[test]
     fn alpha_zero_and_one_edge_cases() {
         let consumer = paper_consumer();
         // α = 0: no privacy constraint, the identity achieves zero loss.
@@ -338,27 +321,5 @@ mod tests {
         let opt = optimal_mechanism(&one, &consumer).unwrap();
         assert_eq!(opt.loss, rat(3, 2));
         assert!(opt.mechanism.is_differentially_private(&one));
-    }
-
-    #[test]
-    fn template_reuse_matches_fresh_builds_exactly() {
-        // The warm path of a sweep: one template re-parameterized across α
-        // must agree bit for bit with a freshly built LP per α, both in-place
-        // and through the clone-per-worker instantiation.
-        let consumer = paper_consumer();
-        let options = SolverOptions::default();
-        let mut warm = TailoredLp::for_minimax(&consumer).unwrap();
-        for (num, den) in [(1i64, 4i64), (1, 2), (2, 3), (1, 5), (1, 1)] {
-            let alpha = rat(num, den);
-            let (warm_mech, warm_stats) = warm.solve_in_place(&alpha, &options).unwrap();
-            let mut cold = TailoredLp::for_minimax(&consumer).unwrap();
-            let (cold_mech, cold_stats) = cold.solve_in_place(&alpha, &options).unwrap();
-            assert_eq!(warm_mech, cold_mech, "alpha = {alpha}");
-            assert_eq!(warm_stats, cold_stats, "alpha = {alpha}");
-            // The clone-per-worker path of a parallel sweep.
-            let (inst_mech, inst_stats) = warm.clone().solve_in_place(&alpha, &options).unwrap();
-            assert_eq!(inst_mech, cold_mech, "alpha = {alpha} (worker clone)");
-            assert_eq!(inst_stats, cold_stats, "alpha = {alpha} (worker clone)");
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! `bayesian_optimal_mechanism`, `optimal_interaction`,
 //! `bayesian_optimal_interaction`); this `cfg(test)` module is the single
 //! in-crate definition of "the seed recipe" — a cold
-//! [`SolveStrategy::DirectLp`] engine solve of the Section 2.5 template, and
+//! [`SolveStrategy::DirectLp`] engine solve of the Section 2.5 LP, and
 //! a plain [`PrivacyEngine::interact`] — so the bit-identity anchors in the
 //! `optimal` and `interaction` test modules cannot drift apart (the
 //! integration-test twin lives in `tests/common/mod.rs`).

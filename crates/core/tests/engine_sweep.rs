@@ -1,12 +1,13 @@
 //! Property tests for the engine's batched α-sweeps (proptest shim).
 //!
 //! The central contract: `engine.sweep(levels, request)` over an arbitrary
-//! list of privacy levels equals per-level `engine.solve` calls — **exactly**
-//! (bit-identical mechanisms, losses and pivot statistics) for the `Rational`
-//! backend, and within floating tolerance for `f64`. The sweep is the
-//! warm-started path (one LP template re-parameterized per α, cloned per
-//! worker thread), so these tests pin down that warm solves cannot drift from
-//! cold ones, for both solve strategies and for several thread counts.
+//! list of privacy levels equals per-level `engine.solve` calls —
+//! **exactly** (bit-identical mechanisms, losses and pivot statistics), on
+//! the `Rational` and the `f64` backend alike. Every level of a sweep runs
+//! the same stateless build-and-solve step as a single solve, on whichever
+//! worker thread picks it up, so these tests pin down that neither thread
+//! count nor completion order can change a result, for both solve
+//! strategies.
 
 use std::sync::Arc;
 
@@ -206,16 +207,14 @@ proptest! {
                 .unwrap();
             let engine = PrivacyEngine::with_threads(2);
             let swept = engine.sweep(&levels, &request).unwrap();
+            // The tolerance is zero: a sweep level runs the very step a
+            // solve runs, floating-point operations included.
             for (level, s) in levels.iter().zip(&swept) {
                 let single = engine.solve(&request.clone().at_level(level.clone())).unwrap();
-                let scale = single.loss.abs().max(1.0);
-                prop_assert!(
-                    (s.loss - single.loss).abs() <= 1e-9 * scale,
-                    "{strategy:?} α={}: sweep loss {} vs solve loss {}",
-                    level.alpha(),
-                    s.loss,
-                    single.loss
-                );
+                let label = format!("{strategy:?} α={}", level.alpha());
+                prop_assert_eq!(&s.mechanism, &single.mechanism, "{label}: mechanism");
+                prop_assert_eq!(s.loss.to_bits(), single.loss.to_bits(), "{label}: loss");
+                prop_assert_eq!(&s.stats, &single.stats, "{label}: stats");
             }
         }
     }

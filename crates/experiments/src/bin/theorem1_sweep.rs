@@ -11,9 +11,9 @@
 //! geometric mechanism and the randomized-response baseline are, which is the
 //! "shape" of the utility comparison the paper's model implies.
 //!
-//! The α dimension runs through [`PrivacyEngine::sweep`]: one Section 2.5 LP
-//! template per consumer, re-parameterized per α and solved across worker
-//! threads. The tailored side deliberately uses
+//! The α dimension runs through [`PrivacyEngine::sweep`]: the Section 2.5 LP
+//! built and solved per (consumer, α) across worker threads. The tailored
+//! side deliberately uses
 //! [`SolveStrategy::DirectLp`] — with the default geometric-factorization
 //! strategy the equality would hold *by construction* and verify nothing.
 //!
@@ -88,8 +88,7 @@ fn main() {
             .collect();
         for (loss_name, loss) in losses::<Rational>() {
             for (side_name, side) in side_infos(n) {
-                // One request per consumer; the engine sweeps it over all α
-                // with a single warm LP template.
+                // One request per consumer; the engine sweeps it over all α.
                 let request: ValidatedRequest<Rational> = SolveRequest::minimax()
                     .name("sweep")
                     .loss(loss.clone())

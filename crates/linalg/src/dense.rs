@@ -230,15 +230,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// In-place row axpy: `row[dst] += factor * row[src]`.
-    ///
-    /// # Panics
-    /// Panics if either index is out of bounds or the indices are equal.
-    pub fn row_add_scaled(&mut self, dst: usize, factor: &T, src: usize) {
-        let (d, s) = self.row_pair_mut(dst, src);
-        crate::kernels::add_scaled(d, factor, s);
-    }
-
     /// In-place row axpy: `row[dst] -= factor * row[src]`.
     ///
     /// # Panics
@@ -246,14 +237,6 @@ impl<T: Scalar> Matrix<T> {
     pub fn row_sub_scaled(&mut self, dst: usize, factor: &T, src: usize) {
         let (d, s) = self.row_pair_mut(dst, src);
         crate::kernels::sub_scaled(d, factor, s);
-    }
-
-    /// In-place row scaling: `row[row] *= factor`.
-    ///
-    /// # Panics
-    /// Panics if `row` is out of bounds.
-    pub fn row_scale(&mut self, row: usize, factor: &T) {
-        crate::kernels::scale(self.row_mut(row), factor);
     }
 
     /// In-place row division: `row[row] /= divisor`.
@@ -320,25 +303,6 @@ impl<T: Scalar> Matrix<T> {
                 let mut acc = T::zero();
                 for j in 0..self.cols {
                     acc = acc + self[(i, j)].clone() * v[j].clone();
-                }
-                acc
-            })
-            .collect())
-    }
-
-    /// Row-vector–matrix product `v * self`.
-    pub fn vecmat(&self, v: &[T]) -> Result<Vec<T>, LinalgError> {
-        if self.rows != v.len() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("vector of length {}", self.rows),
-                found: format!("length {}", v.len()),
-            });
-        }
-        Ok((0..self.cols)
-            .map(|j| {
-                let mut acc = T::zero();
-                for i in 0..self.rows {
-                    acc = acc + v[i].clone() * self[(i, j)].clone();
                 }
                 acc
             })
@@ -520,25 +484,6 @@ impl<T: Scalar> Matrix<T> {
             let sum = row.iter().cloned().fold(T::zero(), |a, b| a + b);
             sum.approx_eq(&T::one())
         })
-    }
-
-    /// Largest absolute difference between corresponding entries of two
-    /// same-shaped matrices; useful for approximate comparisons in f64 tests.
-    pub fn max_abs_diff(&self, other: &Matrix<T>) -> Result<T, LinalgError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{}x{}", self.rows, self.cols),
-                found: format!("{}x{}", other.rows, other.cols),
-            });
-        }
-        let mut best = T::zero();
-        for (a, b) in self.data.iter().zip(other.data.iter()) {
-            let d = (a.clone() - b.clone()).abs();
-            if d > best {
-                best = d;
-            }
-        }
-        Ok(best)
     }
 
     /// Map every entry through `f`, producing a matrix over a possibly
@@ -727,9 +672,10 @@ mod tests {
     fn matvec_and_vecmat() {
         let a: Matrix<f64> = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert_eq!(a.vecmat(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
+        // The row-vector product v·A is Aᵀ·v.
+        assert_eq!(a.transpose().matvec(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
         assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.vecmat(&[1.0, 2.0, 3.0]).is_err());
+        assert!(a.transpose().matvec(&[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]
@@ -847,15 +793,5 @@ mod tests {
         let s = a.to_string();
         assert!(s.contains("1/2"));
         assert!(s.contains("1/3"));
-    }
-
-    #[test]
-    fn max_abs_diff_detects_perturbations() {
-        let a: Matrix<f64> = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let mut b = a.clone();
-        b[(1, 1)] = 4.5;
-        assert_eq!(a.max_abs_diff(&b).unwrap(), 0.5);
-        let wrong: Matrix<f64> = Matrix::zeros(3, 2);
-        assert!(a.max_abs_diff(&wrong).is_err());
     }
 }

@@ -82,7 +82,7 @@ impl<'a, T: Scalar> SparseVec<'a, T> {
     }
 
     /// Sparse dot product `Σ val · dense[idx]`, skipping terms whose dense
-    /// operand is exactly zero — the view-typed twin of [`sparse_dot`].
+    /// operand is exactly zero.
     ///
     /// # Panics
     /// Panics if an index is out of bounds for `dense`.
@@ -382,22 +382,6 @@ pub fn clear<T: Scalar>(work: &mut [T]) {
     }
 }
 
-/// Sparse dot product `Σ entries_v · dense[entries_i]`, skipping terms whose
-/// dense operand is exactly zero.
-///
-/// # Panics
-/// Panics if an index is out of bounds for `dense`.
-#[must_use]
-pub fn sparse_dot<T: Scalar>(entries: &[(usize, T)], dense: &[T]) -> T {
-    let mut acc = T::zero();
-    for (i, v) in entries {
-        if !dense[*i].is_exactly_zero() {
-            acc.add_mul_assign(v, &dense[*i]);
-        }
-    }
-    acc
-}
-
 // ---------------------------------------------------------------------------
 // Sparse rank-one elimination kernels (LU factorization).
 //
@@ -601,7 +585,8 @@ mod tests {
         assert_eq!(work[0], rat(1, 2));
         assert_eq!(work[3], rat(-2, 1));
         let dense = vec![rat(4, 1), rat(9, 1), rat(9, 1), rat(1, 2)];
-        assert_eq!(sparse_dot(&entries, &dense), rat(1, 1));
+        let (idx, val): (Vec<usize>, Vec<Rational>) = entries.into_iter().unzip();
+        assert_eq!(SparseVec::new(&idx, &val).dot(&dense), rat(1, 1));
         clear(&mut work);
         assert!(work.iter().all(Rational::is_zero));
     }

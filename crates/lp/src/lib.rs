@@ -56,14 +56,10 @@ mod ratio;
 mod revised;
 pub mod simplex;
 mod standard;
-pub mod template;
 
 pub use certificate::{check_certificate, CertificateError, OptimalityCertificate};
-pub use model::{
-    CoeffSlot, Constraint, LinExpr, LpError, Model, Relation, Sense, Solution, Var, VarBound,
-};
+pub use model::{Constraint, LinExpr, LpError, Model, Relation, Sense, Solution, Var, VarBound};
 pub use simplex::{
     solve_model, solve_model_traced, solve_model_with, PivotRecord, PivotStats, PricingRule,
     SolverForm, SolverOptions, TracePhase,
 };
-pub use template::ModelTemplate;

@@ -167,22 +167,6 @@ impl<T: Scalar> LinExpr<T> {
         &self.constant
     }
 
-    /// The epigraph row for `d >= self`: the left-hand side `d - self`
-    /// (terms negated) paired with the right-hand side `self`'s constant.
-    ///
-    /// [`Model::minimize_max`] and model re-parameterization paths (e.g. the
-    /// interaction LP's α-sweep) share this single transformation so a fresh
-    /// build and a re-parameterized row are term-for-term identical by
-    /// construction.
-    #[must_use]
-    pub fn epigraph_row(&self, d: Var) -> (LinExpr<T>, T) {
-        let mut lhs = LinExpr::term(d, T::one());
-        for (v, c) in &self.terms {
-            lhs.add_term(*v, -c.clone());
-        }
-        (lhs, self.constant.clone())
-    }
-
     /// Evaluate the expression at a dense assignment of variable values.
     ///
     /// # Panics
@@ -197,15 +181,6 @@ impl<T: Scalar> LinExpr<T> {
     }
 }
 
-/// A handle to one coefficient inside a model's constraint, recorded when a
-/// [`ModelTemplate`](crate::template::ModelTemplate) is built and rewritten on
-/// every re-parameterization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoeffSlot {
-    pub(crate) constraint: usize,
-    pub(crate) term: usize,
-}
-
 /// A single linear constraint `expr (<=|>=|==) rhs`.
 #[derive(Debug, Clone)]
 pub struct Constraint<T: Scalar> {
@@ -215,8 +190,6 @@ pub struct Constraint<T: Scalar> {
     pub relation: Relation,
     /// Right-hand-side constant.
     pub rhs: T,
-    /// Optional human-readable label (used in error messages and debugging).
-    pub label: Option<String>,
 }
 
 /// Errors produced while building or solving a linear program.
@@ -336,6 +309,12 @@ impl<T: Scalar> Model<T> {
         &self.names[var.0]
     }
 
+    /// The constraints, in the order they were added.
+    #[must_use]
+    pub fn constraints(&self) -> &[Constraint<T>] {
+        &self.constraints
+    }
+
     /// Add a constraint `expr relation rhs`.
     pub fn add_constraint(
         &mut self,
@@ -343,23 +322,11 @@ impl<T: Scalar> Model<T> {
         relation: Relation,
         rhs: T,
     ) -> Result<(), LpError> {
-        self.add_labeled_constraint(expr, relation, rhs, None::<String>)
-    }
-
-    /// Add a constraint with a debugging label.
-    pub fn add_labeled_constraint(
-        &mut self,
-        expr: LinExpr<T>,
-        relation: Relation,
-        rhs: T,
-        label: Option<impl Into<String>>,
-    ) -> Result<(), LpError> {
         self.check_expr(&expr)?;
         self.constraints.push(Constraint {
             expr,
             relation,
             rhs,
-            label: label.map(Into::into),
         });
         Ok(())
     }
@@ -379,70 +346,17 @@ impl<T: Scalar> Model<T> {
     /// (Section 2.5).
     pub fn minimize_max(&mut self, exprs: Vec<LinExpr<T>>) -> Result<Var, LpError> {
         let d = self.add_var("epigraph_d", VarBound::Free);
-        for (k, expr) in exprs.into_iter().enumerate() {
+        for expr in exprs {
             self.check_expr(&expr)?;
             // d - expr >= 0  <=>  -expr + d >= 0, move expr's constant to rhs.
-            let (lhs, rhs) = expr.epigraph_row(d);
-            self.add_labeled_constraint(lhs, Relation::Ge, rhs, Some(format!("epigraph_{k}")))?;
+            let mut lhs = LinExpr::term(d, T::one());
+            for (v, c) in &expr.terms {
+                lhs.add_term(*v, -c.clone());
+            }
+            self.add_constraint(lhs, Relation::Ge, expr.constant)?;
         }
         self.set_objective(Sense::Minimize, LinExpr::term(d, T::one()))?;
         Ok(d)
-    }
-
-    /// Locate the term of `var` inside constraint `constraint`, returning a
-    /// [`CoeffSlot`] that [`Model::set_coeff`] (and
-    /// [`ModelTemplate`](crate::template::ModelTemplate)) can rewrite later.
-    /// Returns `None` when the constraint index is out of range or the
-    /// variable has no term in that constraint (e.g. its coefficient was zero
-    /// at build time and was dropped).
-    #[must_use]
-    pub fn find_coeff_slot(&self, constraint: usize, var: Var) -> Option<CoeffSlot> {
-        let c = self.constraints.get(constraint)?;
-        let term = c.expr.terms.iter().position(|(v, _)| *v == var)?;
-        Some(CoeffSlot { constraint, term })
-    }
-
-    /// Overwrite the coefficient stored at `slot`.
-    ///
-    /// # Panics
-    /// Panics if the slot does not address an existing term (slots obtained
-    /// from [`Model::find_coeff_slot`] on this model are always valid as long
-    /// as the model's constraint structure has not been rebuilt since).
-    pub fn set_coeff(&mut self, slot: CoeffSlot, value: T) {
-        self.constraints[slot.constraint].expr.terms[slot.term].1 = value;
-    }
-
-    /// Replace the left-hand-side expression of constraint `constraint`,
-    /// keeping its relation, right-hand side and label. This is the
-    /// re-parameterization path for constraint families whose whole
-    /// coefficient row changes with the parameter (the interaction LP's
-    /// epigraph rows, whose entries are products `y[i][r]·l(i,r')` of the
-    /// deployed mechanism and the loss).
-    pub fn replace_constraint_expr(
-        &mut self,
-        constraint: usize,
-        expr: LinExpr<T>,
-    ) -> Result<(), LpError> {
-        self.check_expr(&expr)?;
-        let slot = self
-            .constraints
-            .get_mut(constraint)
-            .ok_or_else(|| LpError::Internal(format!("no constraint #{constraint} to replace")))?;
-        slot.expr = expr;
-        Ok(())
-    }
-
-    /// Replace the right-hand side of constraint `constraint` (the companion
-    /// of [`Model::replace_constraint_expr`] for re-parameterizations whose
-    /// source expression carries a constant, which epigraph rows fold into
-    /// the rhs).
-    pub fn set_constraint_rhs(&mut self, constraint: usize, rhs: T) -> Result<(), LpError> {
-        let slot = self
-            .constraints
-            .get_mut(constraint)
-            .ok_or_else(|| LpError::Internal(format!("no constraint #{constraint} to update")))?;
-        slot.rhs = rhs;
-        Ok(())
     }
 
     fn check_expr(&self, expr: &LinExpr<T>) -> Result<(), LpError> {
@@ -509,7 +423,7 @@ mod tests {
             .plus(z, rat(-5, 1));
         let merged = e.merged_terms();
         assert_eq!(merged, vec![(x, rat(2, 1)), (y, rat(1, 2))]);
-        // The expression itself is untouched (CoeffSlot indices stay valid).
+        // The expression itself is untouched.
         assert_eq!(e.terms().len(), 5);
     }
 

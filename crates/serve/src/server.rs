@@ -810,44 +810,52 @@ fn handle_sweep<T: WireScalar>(
 
     let spec_canonical = json::to_string(&spec.encode_onto(Json::obj()));
     let memo_key = memo_key("sweep", T::TAG, &spec_canonical, &alphas_key);
-    if mode == CacheMode::Use && !shared.verify_hits {
-        // Fast hit path (see `Shared::key_memo`): skip α/spec validation
-        // when this exact canonical request has validated before and its
-        // rendering is still cached. An evicted (or still-computing) entry
-        // falls through to the full path, whose own lookup then recounts the
-        // miss — an overcount only in that rare window.
-        if let Some(key) = shared.key_memo.get(&memo_key) {
-            if let Some(cached) = shared.cache.get(&key) {
-                return replay_sweep_hit(writer, id, &cached);
-            }
-        }
-    }
-
     // Levels and the consumer validate through the negative cache (a bad α
-    // at any position, or a bad spec, is a deterministic rejection).
-    let neg_key = neg_key_from("sweep", T::TAG, &spec_canonical, &alphas_key);
-    let (levels, validated) = validate_negatively_cached(shared, mode, &neg_key, || {
-        let mut levels: Vec<PrivacyLevel<T>> = Vec::with_capacity(alphas.len());
-        for value in alphas {
-            let alpha = T::from_wire(value)
-                .ok_or_else(|| WireError::bad_request("unparsable scalar in alphas"))?;
-            levels.push(PrivacyLevel::new(alpha).map_err(WireError::from)?);
+    // at any position, or a bad spec, is a deterministic rejection); a
+    // successful validation yields the response-cache key and seeds the
+    // key memo with it.
+    let validate = || {
+        let neg_key = neg_key_from("sweep", T::TAG, &spec_canonical, &alphas_key);
+        let (levels, validated) = validate_negatively_cached(shared, mode, &neg_key, || {
+            let mut levels: Vec<PrivacyLevel<T>> = Vec::with_capacity(alphas.len());
+            for value in alphas {
+                let alpha = T::from_wire(value)
+                    .ok_or_else(|| WireError::bad_request("unparsable scalar in alphas"))?;
+                levels.push(PrivacyLevel::new(alpha).map_err(WireError::from)?);
+            }
+            let validated = spec.to_request(levels[0].alpha().clone())?;
+            Ok((levels, validated))
+        })?;
+        let levels_key = json::to_string(&Json::Arr(
+            levels.iter().map(|l| l.alpha().to_wire()).collect(),
+        ));
+        let key: Arc<str> = format!(
+            "sweep|{}|{}|levels={levels_key}",
+            T::TAG,
+            validated.fingerprint().canonical()
+        )
+        .into();
+        if mode == CacheMode::Use {
+            shared.key_memo.insert(&memo_key, Arc::clone(&key));
         }
-        let validated = spec.to_request(levels[0].alpha().clone())?;
-        Ok((levels, validated))
-    })?;
+        Ok::<_, ComputeError>((key, levels, validated))
+    };
 
-    let levels_key = json::to_string(&Json::Arr(
-        levels.iter().map(|l| l.alpha().to_wire()).collect(),
-    ));
-    let key = format!(
-        "sweep|{}|{}|levels={levels_key}",
-        T::TAG,
-        validated.fingerprint().canonical()
-    );
-    if mode == CacheMode::Use {
-        shared.key_memo.insert(&memo_key, key.as_str().into());
-    }
+    // Fast hit path (see `Shared::key_memo`): a memoized key skips α/spec
+    // validation until the entry has to be computed. Either way the request
+    // makes exactly one response-cache lookup.
+    let memoized = if mode == CacheMode::Use && !shared.verify_hits {
+        shared.key_memo.get(&memo_key)
+    } else {
+        None
+    };
+    let (key, parts) = match memoized {
+        Some(key) => (key, None),
+        None => {
+            let (key, levels, validated) = validate()?;
+            (key, Some((levels, validated)))
+        }
+    };
     let engine = PrivacyEngine::with_threads(shared.sweep_threads);
 
     // Cache hit: replay the monolithic entry item by item —
@@ -856,8 +864,9 @@ fn handle_sweep<T: WireScalar>(
     if mode == CacheMode::Use {
         if let Some(cached) = shared.cache.get(&key) {
             if shared.verify_hits {
+                let (levels, validated) = parts.as_ref().expect("verify_hits skips the key memo");
                 let solves = engine
-                    .sweep(&levels, &validated)
+                    .sweep(levels, validated)
                     .map_err(|e| ComputeError::from(WireError::from(e)))?;
                 let items: Vec<String> = solves.iter().map(render_solve).collect();
                 let fresh = assemble_solves(items.iter().map(String::as_str));
@@ -871,6 +880,15 @@ fn handle_sweep<T: WireScalar>(
             return replay_sweep_hit(writer, id, &cached);
         }
     }
+    // A memoized key whose entry was evicted (or is still computing)
+    // validates now; validation is deterministic, so it yields the same key.
+    let (levels, validated) = match parts {
+        Some(parts) => parts,
+        None => {
+            let (_, levels, validated) = validate()?;
+            (levels, validated)
+        }
+    };
 
     // Miss (or bypass): stream items as they complete, then assemble the
     // monolithic rendering for the cache from the per-item renderings.

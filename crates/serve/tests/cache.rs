@@ -1,10 +1,15 @@
-//! Cache contracts: exact LRU eviction order, counter accounting, and
+//! Cache contracts: exact LRU eviction order, counter accounting (per
+//! lookup, and one lookup per cache-using request on a server), and
 //! hit/miss consistency under concurrent access.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use privmech_numerics::{rat, Rational};
 use privmech_serve::cache::ShardedCache;
+use privmech_serve::client::Client;
+use privmech_serve::proto::{CacheDisposition, CacheMode, ConsumerSpec, LossSpec};
+use privmech_serve::server::{self, ServerConfig};
 
 #[test]
 fn lru_eviction_follows_use_order_not_insertion_order() {
@@ -130,4 +135,43 @@ fn concurrent_eviction_pressure_keeps_values_keyed() {
     let stats = cache.stats();
     assert!(stats.entries <= 8);
     assert!(stats.evictions >= 4_000 - 8, "almost every insert evicted");
+}
+
+/// A memoized sweep whose response was evicted counts one miss, not two:
+/// `hits + misses` equals the number of cache-using requests.
+#[test]
+fn a_memoized_sweep_after_eviction_counts_one_miss() {
+    // One single-entry shard: the interact evicts the sweep's response but
+    // writes no key-memo entry, so the repeated sweep finds its memoized key
+    // and an empty cache.
+    let handle = server::spawn(ServerConfig {
+        cache_capacity: 1,
+        cache_shards: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let spec = ConsumerSpec::<Rational>::minimax(2, LossSpec::Absolute);
+    let alphas = [rat(1, 4), rat(1, 2)];
+
+    let first = client.sweep(&spec, &alphas, CacheMode::Use).expect("sweep");
+    assert_eq!(first.cache, CacheDisposition::Miss);
+    let identity: Vec<Vec<Rational>> = (0..3)
+        .map(|i| (0..3).map(|j| rat(i64::from(i == j), 1)).collect())
+        .collect();
+    let interact = client
+        .interact(&spec, &identity, CacheMode::Use)
+        .expect("interact");
+    assert_eq!(interact.cache, CacheDisposition::Miss);
+    let again = client.sweep(&spec, &alphas, CacheMode::Use).expect("sweep");
+    assert_eq!(again.cache, CacheDisposition::Miss);
+    assert_eq!(again.raw, first.raw);
+
+    let stats = handle.cache_stats();
+    assert_eq!(stats.hits, 0, "{stats:?}");
+    assert_eq!(
+        stats.misses, 3,
+        "one lookup per cache-using request: {stats:?}"
+    );
+    handle.shutdown();
 }

@@ -3,16 +3,13 @@
 //! This is the Section 2.5 LP of the paper with one generalization: the
 //! differential-privacy rows run over the query class's induced adjacency
 //! ([`QueryClass::adjacent_pairs`]) instead of only consecutive results.
-//! For [`QueryClass::Count`] the constructed model is *term for term* the
-//! model `privmech-core` builds for `SolveStrategy::DirectLp` — the tests
-//! pin that the optimal loss agrees exactly with
-//! [`PrivacyEngine::solve`](privmech_core::PrivacyEngine::solve) — so the
+//! It is built by `privmech-core`'s own Section 2.5 builder
+//! ([`TailoredLp::minimax`]) with that edge list. For [`QueryClass::Count`]
+//! the edges are the consecutive pairs, so the model is the one
+//! `SolveStrategy::DirectLp` solves — the tests pin that the optimal loss
+//! agrees exactly with
+//! [`PrivacyEngine::solve`](privmech_core::PrivacyEngine::solve) — and the
 //! zoo degrades to the paper's setting rather than sitting beside it.
-//!
-//! Like the core template, the `-α` coefficients of the DP rows are
-//! registered as [`ModelTemplate`] parameter slots so one model can be
-//! re-solved across α without rebuilding (and so the α = 0 rows are still
-//! emitted with their terms intact).
 //!
 //! # Float solves and the exact rescue
 //!
@@ -23,9 +20,10 @@
 //! tens of thousands of consecutive degenerate pivots with the phase-1
 //! objective pinned). Every finite float is exactly representable as a
 //! rational, so when that happens [`tailored_optimum`] rebuilds the same
-//! model over [`Rational`], solves it exactly
-//! (exact Bland cannot cycle), and rounds the optimal mechanism to `f64`
-//! once at the end. Exact callers never take this path.
+//! model through the same builder over a [`Rational`] consumer (its loss
+//! table and α lifted exactly), solves it exactly (exact Bland cannot
+//! cycle), and rounds the optimal mechanism to `f64` once at the end. Exact
+//! callers never take this path.
 //!
 //! Few float solves reach the cap. On `sum(rows=2, per_row=3)` the
 //! tolerance(2) consumer at α = 2/3 and 3/4 converges in float after 5,575
@@ -33,12 +31,15 @@
 //! 2/3 and 3/4) and is not rescued; at α = 1/2 the squared and
 //! tolerance(2) consumers are. See `ZOO.md`.
 
+use std::sync::Arc;
+
 use privmech_core::loss::tabulate_loss;
 use privmech_core::{
     CoreError, Mechanism, MinimaxConsumer, PivotStats, PrivacyLevel, Result, SolverOptions,
+    TableLoss, TailoredLp,
 };
 use privmech_linalg::{Matrix, Scalar};
-use privmech_lp::{LinExpr, LpError, Model, ModelTemplate, Relation, Var};
+use privmech_lp::LpError;
 use privmech_numerics::Rational;
 
 use crate::query::QueryClass;
@@ -77,128 +78,41 @@ pub fn tailored_optimum<T: Scalar>(
             ),
         });
     }
-    let size = bound + 1;
-    let losses = tabulate_loss(consumer.loss(), size);
-    let members = consumer.side_information().members();
-
+    let edges = class.adjacent_pairs();
     let options = SolverOptions::default();
-    let mut built = build_template::<T>(class, size, members, &losses)?;
-    let (matrix, stats) = match built.template.solve_at(level.alpha(), &options) {
-        Ok(solution) => (
-            Matrix::from_fn(size, size, |i, r| {
-                solution.value(built.x_vars[i][r]).clone()
-            }),
-            solution.stats,
-        ),
-        Err(LpError::Internal(_)) if !T::is_exact() => {
-            // Exact rescue (module docs): the float Bland tableau cycled
-            // into its iteration cap. Lift the (exactly representable)
-            // float inputs to rationals, solve the identical model
-            // exactly, and round the optimal mechanism once at the end.
-            let exact_losses = Matrix::from_fn(size, size, |i, r| {
-                Rational::from_f64(losses.row(i)[r].to_f64())
-            });
-            let exact_alpha: Rational = Rational::from_f64(level.alpha().to_f64());
-            let mut exact = build_template::<Rational>(class, size, members, &exact_losses)?;
-            let solution = exact
-                .template
-                .solve_at(&exact_alpha, &options)
-                .map_err(CoreError::from)?;
-            (
-                Matrix::from_fn(size, size, |i, r| {
-                    T::from_f64(solution.value(exact.x_vars[i][r]).to_f64())
-                }),
-                solution.stats,
-            )
-        }
-        Err(e) => return Err(CoreError::from(e)),
-    };
-    let mechanism = Mechanism::from_matrix_normalized(matrix)?;
+    let (mechanism, stats) =
+        match TailoredLp::minimax(consumer, level.alpha(), &edges)?.solve(&options) {
+            Err(CoreError::Lp(LpError::Internal(_))) if !T::is_exact() => {
+                // Exact rescue (module docs): the float Bland tableau cycled
+                // into its iteration cap. Lift the (exactly representable)
+                // float loss table and α to rationals, solve the identical model
+                // exactly, and round the optimal mechanism once at the end.
+                let size = bound + 1;
+                let losses = tabulate_loss(consumer.loss(), size);
+                let exact_losses = Matrix::from_fn(size, size, |i, r| {
+                    Rational::from_f64(losses.row(i)[r].to_f64())
+                });
+                let exact_consumer = MinimaxConsumer::new(
+                    consumer.name(),
+                    Arc::new(TableLoss::new(exact_losses, consumer.loss().name())?),
+                    consumer.side_information().clone(),
+                )?;
+                let exact_alpha = Rational::from_f64(level.alpha().to_f64());
+                let (exact, stats) =
+                    TailoredLp::minimax(&exact_consumer, &exact_alpha, &edges)?.solve(&options)?;
+                let matrix = Matrix::from_fn(size, size, |i, r| {
+                    T::from_f64(exact.matrix()[(i, r)].to_f64())
+                });
+                (Mechanism::from_matrix_normalized(matrix)?, stats)
+            }
+            solved => solved?,
+        };
     let loss = consumer.disutility(&mechanism)?;
     Ok(TailoredOptimum {
         mechanism,
         loss,
         stats,
     })
-}
-
-/// The tailored LP as a reusable α-template plus its release variables.
-struct BuiltTemplate<S: Scalar> {
-    template: ModelTemplate<S>,
-    x_vars: Vec<Vec<Var>>,
-}
-
-/// Build the tailored model over an arbitrary scalar field. Generic over
-/// the field so the float entry point and its exact rescue construct the
-/// *same* model term for term (same constraints, labels, and slot order).
-fn build_template<S: Scalar>(
-    class: &QueryClass,
-    size: usize,
-    members: &[usize],
-    losses: &Matrix<S>,
-) -> Result<BuiltTemplate<S>> {
-    let mut model: Model<S> = Model::new();
-
-    // x_vars[i][r] = probability of releasing r when the true result is i —
-    // identical to the core skeleton up to the DP edge set below.
-    let mut x_vars = Vec::with_capacity(size);
-    for i in 0..size {
-        x_vars.push(model.add_nonneg_vars(&format!("x_{i}"), size));
-    }
-    for (i, row) in x_vars.iter().enumerate() {
-        let mut row_sum = LinExpr::new();
-        for &var in row {
-            row_sum.add_term(var, S::one());
-        }
-        model.add_labeled_constraint(row_sum, Relation::Eq, S::one(), Some(format!("row_{i}")))?;
-    }
-
-    // Differential privacy over the class's adjacency: for every adjacent
-    // result pair (a, b), x[a][r] - α·x[b][r] >= 0 and symmetrically. The α
-    // coefficient is a template parameter slot, exactly as in the core
-    // count-query template (placeholder -1, bound below).
-    let mut slots = Vec::new();
-    let neg_one = -S::one();
-    for (a, b) in class.adjacent_pairs() {
-        #[allow(clippy::needless_range_loop)] // r indexes x_vars[a] and x_vars[b] together
-        for r in 0..size {
-            let down = LinExpr::term(x_vars[a][r], S::one()).plus(x_vars[b][r], neg_one.clone());
-            model.add_labeled_constraint(
-                down,
-                Relation::Ge,
-                S::zero(),
-                Some(format!("dp_down_{a}_{b}_{r}")),
-            )?;
-            slots.push((model.num_constraints() - 1, x_vars[b][r]));
-            let up = LinExpr::term(x_vars[b][r], S::one()).plus(x_vars[a][r], neg_one.clone());
-            model.add_labeled_constraint(
-                up,
-                Relation::Ge,
-                S::zero(),
-                Some(format!("dp_up_{a}_{b}_{r}")),
-            )?;
-            slots.push((model.num_constraints() - 1, x_vars[a][r]));
-        }
-    }
-
-    // Minimax epigraph objective over the consumer's side information.
-    let mut exprs = Vec::new();
-    for &i in members {
-        let mut expr = LinExpr::new();
-        for (r, cost) in losses.row(i).iter().enumerate() {
-            expr.add_term(x_vars[i][r], cost.clone());
-        }
-        exprs.push(expr);
-    }
-    model.minimize_max(exprs)?;
-
-    let mut template = ModelTemplate::new(model);
-    for (constraint, var) in slots {
-        template
-            .bind_scaled(constraint, var, -S::one())
-            .map_err(CoreError::from)?;
-    }
-    Ok(BuiltTemplate { template, x_vars })
 }
 
 /// Whether `mechanism` is α-differentially private *for this query class*:

@@ -77,8 +77,8 @@ fn main() {
     );
 
     // The same request solved across a whole batch of privacy levels: the
-    // engine builds the LP once, re-parameterizes it per α, and farms the
-    // solves across worker threads — results come back in input order.
+    // engine builds and solves one LP per α, farming the solves across
+    // worker threads — results come back in input order.
     let levels: Vec<PrivacyLevel<Rational>> = [(1i64, 5i64), (1, 4), (1, 3), (1, 2), (2, 3)]
         .into_iter()
         .map(|(num, den)| PrivacyLevel::new(rat(num, den)).unwrap())

@@ -58,10 +58,9 @@
 //!   and contract in `crates/lp/SOLVER.md`.
 //! * **Sweep α in batch.**
 //!   [`PrivacyEngine::sweep`](crate::core::PrivacyEngine::sweep) solves one
-//!   request at many privacy levels: the LP is built once and
-//!   re-parameterized per α (see [`lp::ModelTemplate`]), solves are farmed
-//!   across worker threads, and results come back in input order,
-//!   bit-identical to per-level `solve` calls for the exact backend.
+//!   request at many privacy levels: each level runs the same build-and-solve
+//!   step as a single `solve`, farmed across worker threads, and results
+//!   come back in input order, bit-identical to per-level `solve` calls.
 //! * **Interact with deployed mechanisms.**
 //!   [`PrivacyEngine::interact`](crate::core::PrivacyEngine::interact)
 //!   computes the consumer's optimal post-processing of any deployed
@@ -96,8 +95,8 @@
 //! `bayesian_*`) were removed in PR 5 after two releases as `#[deprecated]`
 //! shims; [`SolveStrategy::DirectLp`] reproduces their Section 2.5
 //! formulation bit for bit for every α > 0 (at exactly α = 0 the tailored LP
-//! keeps its vacuous privacy rows; same optimal value — see the
-//! `core::optimal` docs).
+//! keeps its privacy rows, reduced to `x[a][r] ≥ 0`; same optimal value —
+//! see the `core::optimal` docs).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -112,8 +111,8 @@ pub mod linalg {
     pub use privmech_linalg::*;
 }
 
-/// Linear programming (two-phase simplex in revised and dense forms,
-/// parameterized model templates); solver spec: `crates/lp/SOLVER.md`.
+/// Linear programming (model builder, two-phase simplex in revised and
+/// dense forms); solver spec: `crates/lp/SOLVER.md`.
 pub mod lp {
     pub use privmech_lp::*;
 }
