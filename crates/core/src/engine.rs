@@ -551,21 +551,21 @@ impl PrivacyEngine {
     /// Each solve is the same per-level step [`PrivacyEngine::solve`] runs,
     /// so it is bit-identical to a per-level solve regardless of thread
     /// count or completion order. Every failure belongs to one level and is
-    /// delivered through the callback as `Err`; the function itself returns
-    /// `Ok(())` once every level has been delivered.
+    /// delivered through the callback as `Err`; the function returns once
+    /// every level has been delivered.
     pub fn sweep_with<T: Scalar + Send + Sync>(
         &self,
         levels: &[PrivacyLevel<T>],
         request: &ValidatedRequest<T>,
         mut on_result: impl FnMut(usize, Result<Solve<T>>) + Send,
-    ) -> Result<()> {
+    ) {
         let workers = self.threads.min(levels.len()).max(1);
 
         if workers <= 1 {
             for (idx, level) in levels.iter().enumerate() {
                 on_result(idx, Self::solve_level(request, level));
             }
-            return Ok(());
+            return;
         }
 
         let callback = Mutex::new(on_result);
@@ -582,7 +582,6 @@ impl PrivacyEngine {
                 });
             }
         });
-        Ok(())
     }
 
     /// Solve the request at every level of `levels`, farming the solves
@@ -604,7 +603,7 @@ impl PrivacyEngine {
     ) -> Result<Vec<Solve<T>>> {
         let mut slots: Vec<Option<Result<Solve<T>>>> = Vec::new();
         slots.resize_with(levels.len(), || None);
-        self.sweep_with(levels, request, |idx, solve| slots[idx] = Some(solve))?;
+        self.sweep_with(levels, request, |idx, solve| slots[idx] = Some(solve));
         let mut out = Vec::with_capacity(levels.len());
         for slot in slots {
             out.push(slot.expect("every sweep slot is filled")?);
@@ -791,9 +790,7 @@ mod tests {
         let swept = PrivacyEngine::new().sweep(&[], &req).unwrap();
         assert!(swept.is_empty());
         let mut called = false;
-        PrivacyEngine::new()
-            .sweep_with(&[], &req, |_, _| called = true)
-            .unwrap();
+        PrivacyEngine::new().sweep_with(&[], &req, |_, _| called = true);
         assert!(!called, "no levels, no callbacks");
     }
 
@@ -808,16 +805,14 @@ mod tests {
         for threads in [1usize, 4] {
             let mut seen = vec![0usize; levels.len()];
             let mut order = Vec::new();
-            PrivacyEngine::with_threads(threads)
-                .sweep_with(&levels, &req, |idx, solve| {
-                    let solve = solve.unwrap();
-                    assert_eq!(solve.mechanism, singles[idx].mechanism, "x{threads} @{idx}");
-                    assert_eq!(solve.loss, singles[idx].loss, "x{threads} @{idx}");
-                    assert_eq!(solve.stats, singles[idx].stats, "x{threads} @{idx}");
-                    seen[idx] += 1;
-                    order.push(idx);
-                })
-                .unwrap();
+            PrivacyEngine::with_threads(threads).sweep_with(&levels, &req, |idx, solve| {
+                let solve = solve.unwrap();
+                assert_eq!(solve.mechanism, singles[idx].mechanism, "x{threads} @{idx}");
+                assert_eq!(solve.loss, singles[idx].loss, "x{threads} @{idx}");
+                assert_eq!(solve.stats, singles[idx].stats, "x{threads} @{idx}");
+                seen[idx] += 1;
+                order.push(idx);
+            });
             assert!(seen.iter().all(|&c| c == 1), "each index once: {seen:?}");
             assert_eq!(order.len(), levels.len());
         }

@@ -148,8 +148,7 @@ proptest! {
                         completion_order.push(idx);
                         let prev = delivered[idx].replace(solve.unwrap());
                         assert!(prev.is_none(), "index {idx} delivered twice");
-                    })
-                    .unwrap();
+                    });
                 prop_assert_eq!(completion_order.len(), levels.len());
                 let reordered: Vec<Solve<Rational>> =
                     delivered.into_iter().map(Option::unwrap).collect();

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use privmech_serve::client::Client;
 use privmech_serve::frame::{read_frame, write_frame};
 use privmech_serve::json::{self, Json};
-use privmech_serve::proto::PROTOCOL_VERSION;
+use privmech_serve::proto::{scan_reply, PROTOCOL_VERSION};
 
 use crate::schedule::Schedule;
 use crate::stats::{LatencyRecorder, LatencySummary};
@@ -361,10 +361,12 @@ fn receive_connection(
         let Ok(text) = std::str::from_utf8(&payload) else {
             continue;
         };
-        if is_stream_item(text) {
+        let Some((id, _, sweep_item)) = scan_reply(text) else {
+            continue;
+        };
+        if sweep_item {
             continue; // non-terminal sweep_item: its sweep is still running
         }
-        let Some(id) = lexical_id(text) else { continue };
         let Some((op, scheduled)) = expected.remove(&id) else {
             continue;
         };
@@ -382,24 +384,6 @@ fn receive_connection(
         outcome.finished_at = start.elapsed();
     }
     outcome
-}
-
-/// Whether a frame is a non-terminal `sweep_item`. The server renders the
-/// envelope in a fixed field order (`v`, `id`, `ok`, then `stream` when
-/// present), so the marker sits within the first few dozen bytes.
-fn is_stream_item(text: &str) -> bool {
-    let prefix = &text[..text.len().min(96)];
-    prefix.contains("\"stream\":\"sweep_item\"")
-}
-
-/// Extract the envelope's numeric `id` lexically.
-fn lexical_id(text: &str) -> Option<u64> {
-    let at = text.find("\"id\":")? + "\"id\":".len();
-    let rest = &text[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// One step of a rate-ramp search.

@@ -772,12 +772,6 @@ impl BigInt {
         mag_bits(&self.limbs)
     }
 
-    /// True iff the magnitude is even.
-    #[must_use]
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l % 2 == 0)
-    }
-
     /// Shift the magnitude left by `bits` (sign preserved).
     #[must_use]
     pub fn shl_bits(&self, bits: usize) -> BigInt {

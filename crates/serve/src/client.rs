@@ -199,12 +199,6 @@ impl Event {
             | Event::SweepDone { ticket, .. } => *ticket,
         }
     }
-
-    /// Whether this event ends its ticket's lifetime.
-    #[must_use]
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, Event::SweepItem { .. })
-    }
 }
 
 /// A protocol client over one TCP connection: blocking typed helpers plus
@@ -408,55 +402,6 @@ impl Client {
             .map(|_| ())
     }
 
-    fn solve_request<T: WireScalar>(spec: &ConsumerSpec<T>, alpha: &T, cache: CacheMode) -> Json {
-        spec.encode_onto(
-            Json::obj()
-                .with("op", Json::str("solve"))
-                .with("scalar", Json::str(T::TAG))
-                .with("cache", Json::str(cache.as_wire())),
-        )
-        .with("alpha", alpha.to_wire())
-    }
-
-    fn sweep_request<T: WireScalar>(
-        spec: &ConsumerSpec<T>,
-        alphas: &[T],
-        cache: CacheMode,
-    ) -> Json {
-        spec.encode_onto(
-            Json::obj()
-                .with("op", Json::str("sweep"))
-                .with("scalar", Json::str(T::TAG))
-                .with("cache", Json::str(cache.as_wire())),
-        )
-        .with(
-            "alphas",
-            Json::Arr(alphas.iter().map(WireScalar::to_wire).collect()),
-        )
-    }
-
-    fn interact_request<T: WireScalar>(
-        spec: &ConsumerSpec<T>,
-        mechanism: &[Vec<T>],
-        cache: CacheMode,
-    ) -> Json {
-        spec.encode_onto(
-            Json::obj()
-                .with("op", Json::str("interact"))
-                .with("scalar", Json::str(T::TAG))
-                .with("cache", Json::str(cache.as_wire())),
-        )
-        .with(
-            "mechanism",
-            Json::Arr(
-                mechanism
-                    .iter()
-                    .map(|row| Json::Arr(row.iter().map(WireScalar::to_wire).collect()))
-                    .collect(),
-            ),
-        )
-    }
-
     /// Submit a solve without waiting (pair with [`Client::wait`] and
     /// [`decode_solve`], or drain completions via [`Client::recv`]).
     pub fn submit_solve<T: WireScalar>(
@@ -465,7 +410,10 @@ impl Client {
         alpha: &T,
         cache: CacheMode,
     ) -> Result<Ticket, ClientError> {
-        self.submit(Self::solve_request(spec, alpha, cache))
+        self.submit(
+            spec.encode_onto(compute_head::<T>("solve", cache))
+                .with("alpha", alpha.to_wire()),
+        )
     }
 
     /// Submit an interact without waiting.
@@ -475,7 +423,14 @@ impl Client {
         mechanism: &[Vec<T>],
         cache: CacheMode,
     ) -> Result<Ticket, ClientError> {
-        self.submit(Self::interact_request(spec, mechanism, cache))
+        let rows = mechanism
+            .iter()
+            .map(|row| Json::Arr(row.iter().map(WireScalar::to_wire).collect()))
+            .collect();
+        self.submit(
+            spec.encode_onto(compute_head::<T>("interact", cache))
+                .with("mechanism", Json::Arr(rows)),
+        )
     }
 
     /// Submit a sweep without waiting. Its completions are `sweep_item`
@@ -486,7 +441,11 @@ impl Client {
         alphas: &[T],
         cache: CacheMode,
     ) -> Result<Ticket, ClientError> {
-        self.submit(Self::sweep_request(spec, alphas, cache))
+        let alphas = alphas.iter().map(WireScalar::to_wire).collect();
+        self.submit(
+            spec.encode_onto(compute_head::<T>("sweep", cache))
+                .with("alphas", Json::Arr(alphas)),
+        )
     }
 
     /// Solve one request at one privacy level (blocking).
@@ -581,65 +540,6 @@ impl Client {
         })
     }
 
-    fn zoo_table_request<T: WireScalar>(
-        query: &QueryClass,
-        alpha: &T,
-        consumers: &[ZooConsumerSpec<T>],
-        cache: CacheMode,
-    ) -> Json {
-        Json::obj()
-            .with("op", Json::str("zoo_table"))
-            .with("scalar", Json::str(T::TAG))
-            .with("cache", Json::str(cache.as_wire()))
-            .with("query", query_to_wire(query))
-            .with("alpha", alpha.to_wire())
-            .with(
-                "consumers",
-                Json::Arr(consumers.iter().map(ZooConsumerSpec::to_wire).collect()),
-            )
-    }
-
-    fn zoo_ldp_request<T: WireScalar>(
-        protocol: LdpProtocol,
-        users: usize,
-        alpha: &T,
-        loss: &LossSpec<T>,
-        cache: CacheMode,
-    ) -> Json {
-        Json::obj()
-            .with("op", Json::str("zoo_eval"))
-            .with("scalar", Json::str(T::TAG))
-            .with("cache", Json::str(cache.as_wire()))
-            .with("scenario", Json::str("ldp"))
-            .with("protocol", Json::str(protocol.name()))
-            .with("users", Json::num_u64(users as u64))
-            .with("alpha", alpha.to_wire())
-            .with("loss", loss.to_wire())
-    }
-
-    fn zoo_compose_request<T: WireScalar>(agents: &[ZooAgentSpec<T>], cache: CacheMode) -> Json {
-        Json::obj()
-            .with("op", Json::str("zoo_eval"))
-            .with("scalar", Json::str(T::TAG))
-            .with("cache", Json::str(cache.as_wire()))
-            .with("scenario", Json::str("compose"))
-            .with(
-                "agents",
-                Json::Arr(agents.iter().map(ZooAgentSpec::to_wire).collect()),
-            )
-    }
-
-    /// Submit a `zoo_table` request without waiting.
-    pub fn submit_zoo_table<T: WireScalar>(
-        &mut self,
-        query: &QueryClass,
-        alpha: &T,
-        consumers: &[ZooConsumerSpec<T>],
-        cache: CacheMode,
-    ) -> Result<Ticket, ClientError> {
-        self.submit(Self::zoo_table_request(query, alpha, consumers, cache))
-    }
-
     /// The minimax-regret table of a query class over a consumer panel
     /// (blocking; the `zoo_table` op). The reply's `value` is the raw result
     /// object — see `PROTOCOL.md` § Zoo operations for its fields
@@ -651,26 +551,13 @@ impl Client {
         consumers: &[ZooConsumerSpec<T>],
         cache: CacheMode,
     ) -> Result<Reply<Json>, ClientError> {
-        let ticket = self.submit_zoo_table(query, alpha, consumers, cache)?;
-        let response = self.wait(ticket)?;
-        let (result, cache, raw) = cached_result(&response)?;
-        Ok(Reply {
-            value: result.clone(),
-            cache,
-            raw,
-        })
-    }
-
-    /// Submit a `zoo_eval` LDP-gap request without waiting.
-    pub fn submit_zoo_ldp<T: WireScalar>(
-        &mut self,
-        protocol: LdpProtocol,
-        users: usize,
-        alpha: &T,
-        loss: &LossSpec<T>,
-        cache: CacheMode,
-    ) -> Result<Ticket, ClientError> {
-        self.submit(Self::zoo_ldp_request(protocol, users, alpha, loss, cache))
+        let consumers = consumers.iter().map(ZooConsumerSpec::to_wire).collect();
+        self.zoo_call(
+            compute_head::<T>("zoo_table", cache)
+                .with("query", query_to_wire(query))
+                .with("alpha", alpha.to_wire())
+                .with("consumers", Json::Arr(consumers)),
+        )
     }
 
     /// One point of the local-model gap profile (blocking; `zoo_eval`
@@ -684,23 +571,14 @@ impl Client {
         loss: &LossSpec<T>,
         cache: CacheMode,
     ) -> Result<Reply<Json>, ClientError> {
-        let ticket = self.submit_zoo_ldp(protocol, users, alpha, loss, cache)?;
-        let response = self.wait(ticket)?;
-        let (result, cache, raw) = cached_result(&response)?;
-        Ok(Reply {
-            value: result.clone(),
-            cache,
-            raw,
-        })
-    }
-
-    /// Submit a `zoo_eval` composition request without waiting.
-    pub fn submit_zoo_compose<T: WireScalar>(
-        &mut self,
-        agents: &[ZooAgentSpec<T>],
-        cache: CacheMode,
-    ) -> Result<Ticket, ClientError> {
-        self.submit(Self::zoo_compose_request(agents, cache))
+        self.zoo_call(
+            compute_head::<T>("zoo_eval", cache)
+                .with("scenario", Json::str("ldp"))
+                .with("protocol", Json::str(protocol.name()))
+                .with("users", Json::num_u64(users as u64))
+                .with("alpha", alpha.to_wire())
+                .with("loss", loss.to_wire()),
+        )
     }
 
     /// Multi-agent composition (blocking; `zoo_eval` scenario `"compose"`):
@@ -711,8 +589,17 @@ impl Client {
         agents: &[ZooAgentSpec<T>],
         cache: CacheMode,
     ) -> Result<Reply<Json>, ClientError> {
-        let ticket = self.submit_zoo_compose(agents, cache)?;
-        let response = self.wait(ticket)?;
+        let agents = agents.iter().map(ZooAgentSpec::to_wire).collect();
+        self.zoo_call(
+            compute_head::<T>("zoo_eval", cache)
+                .with("scenario", Json::str("compose"))
+                .with("agents", Json::Arr(agents)),
+        )
+    }
+
+    /// Send a zoo request and block for its raw result object.
+    fn zoo_call(&mut self, request: Json) -> Result<Reply<Json>, ClientError> {
+        let response = self.call(request)?;
         let (result, cache, raw) = cached_result(&response)?;
         Ok(Reply {
             value: result.clone(),
@@ -885,6 +772,14 @@ fn decode_sweep_done(response: &Json) -> Result<SweepDoneReply, ClientError> {
         count,
         stats,
     })
+}
+
+/// The head every compute request starts with: op, scalar tag and cache mode.
+fn compute_head<T: WireScalar>(op: &str, cache: CacheMode) -> Json {
+    Json::obj()
+        .with("op", Json::str(op))
+        .with("scalar", Json::str(T::TAG))
+        .with("cache", Json::str(cache.as_wire()))
 }
 
 fn cached_result(response: &Json) -> Result<(&Json, CacheDisposition, String), ClientError> {

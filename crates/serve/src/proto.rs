@@ -19,6 +19,14 @@
 //!   exact rationals as strings (`"5/3"`, also accepting integer and decimal
 //!   literals), doubles as JSON numbers in shortest round-tripping form, so
 //!   IEEE equality coincides with lexical equality on the wire.
+//! * A compute request has one **lexical key**, `op|tag|canonical
+//!   spec|payload` ([`routing_key`]): the router's ring key, the server's
+//!   key-memo key and, behind `neg|`, its negative-cache key, computed by one
+//!   function from the decoded request.
+//! * The reply envelopes are rendered here, and the lexical reading of
+//!   their head that the router and load runner rely on ([`scan_reply`])
+//!   sits next to the renderers; so does the one field list of the `stats`
+//!   reply, which the server renders and the router sums.
 
 use std::sync::Arc;
 
@@ -30,7 +38,9 @@ use privmech_core::{
 use privmech_linalg::{Matrix, Scalar};
 use privmech_numerics::Rational;
 
+use crate::cache::CacheStats;
 use crate::json::{self, Json};
+use crate::zoo::ZooRequest;
 
 /// The protocol major this build speaks (v2: tagged multi-in-flight
 /// requests and streaming sweeps); frames of any other major are rejected
@@ -162,11 +172,10 @@ pub fn intern_code(code: &str) -> &'static str {
         .unwrap_or("internal")
 }
 
-/// The **routing key** of a compute request: the canonical spelling of the
-/// parts that determine its response — op, scalar tag, the canonically
-/// re-encoded consumer spec, and the op-specific payload — mirroring the
-/// server's key-memo keys, so every spelling of a request that would share a
-/// memoized cache key also routes to the same shard.
+/// The **routing key** of a compute request: its lexical key,
+/// `op|tag|canonical spec|payload` (for zoo ops `op|tag|canonical
+/// scenario`), which *is* the server's key-memo key, so every spelling of a
+/// request that shares a memoized cache key routes to the same shard.
 ///
 /// `None` for non-compute ops, undecodable specs, and missing payload fields
 /// — requests whose (error) response doesn't depend on cache state, so the
@@ -176,34 +185,110 @@ pub fn intern_code(code: &str) -> &'static str {
 pub fn routing_key(request: &Json) -> Option<String> {
     let op = request.get("op").and_then(Json::as_str)?;
     match request.get("scalar").and_then(Json::as_str) {
-        Some("rational") | None => routing_key_for::<Rational>(op, request),
-        Some("f64") => routing_key_for::<f64>(op, request),
+        Some("rational") | None => ComputeRequest::<Rational>::from_wire(op, request)
+            .map(|compute| compute.key())
+            .ok(),
+        Some("f64") => ComputeRequest::<f64>::from_wire(op, request)
+            .map(|compute| compute.key())
+            .ok(),
         Some(_) => None,
     }
 }
 
-fn routing_key_for<T: WireScalar>(op: &str, request: &Json) -> Option<String> {
-    // Dispatch on the op *first*: zoo requests carry no top-level consumer
-    // spec, so decoding one unconditionally would mis-route them all to the
-    // "anywhere" bucket.
-    match op {
-        "solve" | "sweep" | "interact" => {
-            let spec = ConsumerSpec::<T>::from_wire(request).ok()?;
-            let spec_canonical = crate::json::to_string(&spec.encode_onto(Json::obj()));
-            let extra = match op {
-                "solve" => crate::json::to_string(&T::from_wire(request.get("alpha")?)?.to_wire()),
-                "sweep" => {
-                    crate::json::to_string(&Json::Arr(request.get("alphas")?.as_arr()?.to_vec()))
+/// A compute request decoded to the schema level — typed, never validated
+/// (no loss matrices, no fingerprints). The payloads a validation failure
+/// may lie in (`sweep`'s `alphas`, `interact`'s `mechanism`) stay lexical.
+pub(crate) enum ComputeRequest<'a, T: WireScalar> {
+    /// `solve`: a consumer at one privacy level (not yet checked).
+    Solve { spec: ConsumerSpec<T>, alpha: T },
+    /// `sweep`: a consumer at the levels of an `alphas` array.
+    Sweep {
+        spec: ConsumerSpec<T>,
+        alphas: &'a [Json],
+    },
+    /// `interact`: a consumer post-processing a deployed `mechanism`.
+    Interact {
+        spec: ConsumerSpec<T>,
+        mechanism: &'a Json,
+    },
+    /// `zoo_table` or `zoo_eval`.
+    Zoo(ZooRequest<T>),
+}
+
+impl<'a, T: WireScalar> ComputeRequest<'a, T> {
+    /// Decode the compute op `op` from a request object. Every failure is
+    /// schema-level `bad_request`.
+    pub(crate) fn from_wire(op: &str, request: &'a Json) -> Result<Self, WireError> {
+        // Dispatch on the op *first*: zoo requests carry no top-level
+        // consumer spec (and the zoo decoder rejects every other op).
+        let spec = match op {
+            "solve" | "sweep" | "interact" => ConsumerSpec::from_wire(request)?,
+            _ => return Ok(ComputeRequest::Zoo(ZooRequest::from_wire(op, request)?)),
+        };
+        Ok(match op {
+            "solve" => {
+                let alpha = request
+                    .get("alpha")
+                    .ok_or_else(|| WireError::bad_request("request needs \"alpha\""))?;
+                ComputeRequest::Solve {
+                    alpha: T::from_wire(alpha)
+                        .ok_or_else(|| WireError::bad_request("unparsable scalar in \"alpha\""))?,
+                    spec,
                 }
-                _ => crate::json::to_string(request.get("mechanism")?),
-            };
-            Some(format!("{op}|{}|{spec_canonical}|{extra}", T::TAG))
-        }
-        "zoo_eval" | "zoo_table" => {
-            let parsed = crate::zoo::ZooRequest::<T>::from_wire(op, request).ok()?;
-            Some(format!("{op}|{}|{}", T::TAG, parsed.canonical()))
-        }
-        _ => None,
+            }
+            "sweep" => ComputeRequest::Sweep {
+                alphas: request
+                    .get("alphas")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| WireError::bad_request("sweep needs an \"alphas\" array"))?,
+                spec,
+            },
+            _ => ComputeRequest::Interact {
+                mechanism: request
+                    .get("mechanism")
+                    .ok_or_else(|| WireError::bad_request("interact needs a \"mechanism\""))?,
+                spec,
+            },
+        })
+    }
+
+    /// The request's **lexical key**, `op|tag|canonical spec|payload` (zoo
+    /// ops: `op|tag|canonical scenario`). The spec and `solve`'s α are
+    /// re-encoded canonically; the other payloads enter lexically. Equal
+    /// keys imply equal validation outcomes. It is the router's ring key
+    /// ([`routing_key`]), the server's key-memo key, and the stem of its
+    /// negative-cache keys.
+    pub(crate) fn key(&self) -> String {
+        let (op, canonical, payload) = match self {
+            ComputeRequest::Solve { spec, alpha } => {
+                let payload = json::to_string(&alpha.to_wire());
+                ("solve", spec.canonical(), Some(payload))
+            }
+            ComputeRequest::Sweep { spec, alphas } => {
+                let payload = json::to_string(&Json::Arr(alphas.to_vec()));
+                ("sweep", spec.canonical(), Some(payload))
+            }
+            ComputeRequest::Interact { spec, mechanism } => (
+                "interact",
+                spec.canonical(),
+                Some(json::to_string(mechanism)),
+            ),
+            ComputeRequest::Zoo(scenario @ ZooRequest::Table { .. }) => {
+                ("zoo_table", scenario.canonical(), None)
+            }
+            ComputeRequest::Zoo(scenario) => ("zoo_eval", scenario.canonical(), None),
+        };
+        lexical_key(op, T::TAG, &canonical, payload.as_deref())
+    }
+}
+
+/// Format a lexical request key: the one place its `op|tag|…` layout is
+/// written ([`ComputeRequest::key`], and `interact`'s consumer stage, whose
+/// payload is `consumer`).
+pub(crate) fn lexical_key(op: &str, tag: &str, canonical: &str, payload: Option<&str>) -> String {
+    match payload {
+        Some(payload) => format!("{op}|{tag}|{canonical}|{payload}"),
+        None => format!("{op}|{tag}|{canonical}"),
     }
 }
 
@@ -469,6 +554,12 @@ impl<T: WireScalar> ConsumerSpec<T> {
         )
     }
 
+    /// The canonical rendering of [`ConsumerSpec::encode_onto`] on an empty
+    /// object: every spelling of the same spec renders identically.
+    pub(crate) fn canonical(&self) -> String {
+        json::to_string(&self.encode_onto(Json::obj()))
+    }
+
     /// Decode a spec from a request object.
     pub fn from_wire(obj: &Json) -> Result<Self, WireError> {
         let kind = match obj.get("kind").and_then(Json::as_str) {
@@ -643,16 +734,22 @@ impl CacheDisposition {
     }
 }
 
-/// A successful terminal reply envelope.
-pub(crate) fn ok_response(id: Json, cache: Option<CacheDisposition>, result: Json) -> Json {
-    let mut obj = Json::obj()
+/// The head every reply envelope starts with: `v`, then `id`, then `ok`
+/// (the order [`scan_reply`] relies on), then the cache disposition, if any.
+fn envelope(id: Json, ok: bool, cache: Option<CacheDisposition>) -> Json {
+    let head = Json::obj()
         .with("v", Json::num_u64(PROTOCOL_VERSION))
         .with("id", id)
-        .with("ok", Json::Bool(true));
-    if let Some(disposition) = cache {
-        obj = obj.with("cache", Json::str(disposition.as_wire()));
+        .with("ok", Json::Bool(ok));
+    match cache {
+        Some(disposition) => head.with("cache", Json::str(disposition.as_wire())),
+        None => head,
     }
-    obj.with("result", result)
+}
+
+/// A successful terminal reply envelope.
+pub(crate) fn ok_response(id: Json, cache: Option<CacheDisposition>, result: Json) -> Json {
+    envelope(id, true, cache).with("result", result)
 }
 
 /// Render a [`WireError`] as the response's `error` object — also the exact
@@ -666,14 +763,120 @@ pub(crate) fn wire_error_json(error: &WireError) -> Json {
 
 /// A failed terminal reply envelope around a rendered `error` object.
 pub(crate) fn error_response(id: Json, error: Json, cache: Option<CacheDisposition>) -> Json {
-    let mut obj = Json::obj()
-        .with("v", Json::num_u64(PROTOCOL_VERSION))
-        .with("id", id)
-        .with("ok", Json::Bool(false));
-    if let Some(disposition) = cache {
-        obj = obj.with("cache", Json::str(disposition.as_wire()));
+    envelope(id, false, cache).with("error", error)
+}
+
+/// A `sweep_item` stream frame: one completed α, tagged with its input index.
+pub(crate) fn sweep_item_frame(id: &Json, index: usize, result: Json) -> Json {
+    envelope(id.clone(), true, None)
+        .with("stream", Json::str("sweep_item"))
+        .with("index", Json::num_u64(index as u64))
+        .with("result", result)
+}
+
+/// The terminal `sweep_done` stream frame: the item count and aggregate
+/// statistics.
+pub(crate) fn sweep_done_frame(
+    id: &Json,
+    cache: CacheDisposition,
+    count: usize,
+    stats: &PivotStats,
+) -> Json {
+    let result = Json::obj()
+        .with("count", Json::num_u64(count as u64))
+        .with("stats", stats_to_wire(stats));
+    envelope(id.clone(), true, None)
+        .with("stream", Json::str("sweep_done"))
+        .with("cache", Json::str(cache.as_wire()))
+        .with("result", result)
+}
+
+/// Read a rendered reply's head lexically, without parsing it: the
+/// envelope's numeric `id`, the byte range of its digits (the router
+/// splices the client's own id rendering over it), and whether the frame is
+/// a non-terminal `sweep_item`. Every reply starts with the envelope head,
+/// ahead of any payload that could contain the byte pattern, and a
+/// `sweep_item` writes its `stream` marker right after it. `None` when the
+/// id is not a non-negative integer.
+#[must_use]
+pub fn scan_reply(text: &str) -> Option<(u64, std::ops::Range<usize>, bool)> {
+    const SWEEP_ITEM: &str = ",\"ok\":true,\"stream\":\"sweep_item\"";
+    let start = text.find("\"id\":")? + "\"id\":".len();
+    let end = start + text[start..].bytes().take_while(u8::is_ascii_digit).count();
+    let id = text[start..end].parse().ok()?;
+    Some((id, start..end, text[end..].starts_with(SWEEP_ITEM)))
+}
+
+/// The `stats` result, rendered by the server and merged by the router from
+/// one field list: the cache counters, which add across a fleet's shards
+/// (disjoint keyspace slices, so capacities and entry counts sum too), then
+/// the per-connection in-flight cap and peak, which merge as maxima.
+#[derive(Debug, Default)]
+pub(crate) struct StatsReply([u64; STATS_FIELDS.len()]);
+
+const STATS_FIELDS: [&str; 13] = [
+    "hits",
+    "misses",
+    "evictions",
+    "entries",
+    "capacity",
+    "shards",
+    "neg_hits",
+    "neg_misses",
+    "neg_evictions",
+    "neg_entries",
+    "neg_capacity",
+    "max_inflight",
+    "inflight_peak",
+];
+
+/// The index of the first field that merges as a maximum.
+const STATS_MAXIMA: usize = 11;
+
+impl StatsReply {
+    /// One server's figures.
+    pub(crate) fn new(
+        cache: &CacheStats,
+        neg: &CacheStats,
+        max_inflight: u64,
+        inflight_peak: u64,
+    ) -> Self {
+        StatsReply([
+            cache.hits,
+            cache.misses,
+            cache.evictions,
+            cache.entries as u64,
+            cache.capacity as u64,
+            cache.shards as u64,
+            neg.hits,
+            neg.misses,
+            neg.evictions,
+            neg.entries as u64,
+            neg.capacity as u64,
+            max_inflight,
+            inflight_peak,
+        ])
     }
-    obj.with("error", error)
+
+    /// Fold one shard's `stats` result in.
+    pub(crate) fn merge(&mut self, result: &Json) {
+        for (i, (slot, name)) in self.0.iter_mut().zip(STATS_FIELDS).enumerate() {
+            let value = result.get(name).and_then(Json::as_u64).unwrap_or(0);
+            *slot = if i < STATS_MAXIMA {
+                *slot + value
+            } else {
+                (*slot).max(value)
+            };
+        }
+    }
+
+    /// Render as the `stats` result object.
+    pub(crate) fn to_wire(&self) -> Json {
+        let fields = STATS_FIELDS.iter().zip(self.0);
+        fields.fold(Json::obj(), |obj, (name, value)| {
+            obj.with(name, Json::num_u64(value))
+        })
+    }
 }
 
 /// Gate one request frame up to its op: the parsed request and its `id`, or

@@ -10,8 +10,8 @@
 //! bytes for the same request — the paper's mechanisms are pure functions of
 //! the consumer. What sharding buys is **cache partitioning**: the ring
 //! ([`crate::ring`]) sends every spelling of a request that shares a
-//! canonical key ([`crate::proto::routing_key`], mirroring the server's
-//! key-memo keys) to the same shard, so each shard's LRU holds a disjoint
+//! canonical key ([`crate::proto::routing_key`], which *is* the server's
+//! key-memo key) to the same shard, so each shard's LRU holds a disjoint
 //! slice of the keyspace and the fleet's aggregate cache capacity scales
 //! with shard count. Routing costs one parse and one re-render per frame —
 //! never a validation.
@@ -59,7 +59,8 @@ use std::time::{Duration, Instant};
 use crate::json::{self, Json};
 use crate::metrics::TRACKED_OPS;
 use crate::proto::{
-    decode_request, error_response, ok_response, routing_key, wire_error_json, WireError,
+    decode_request, error_response, ok_response, routing_key, scan_reply, wire_error_json,
+    StatsReply, WireError,
 };
 use crate::readiness::{
     ConnWriter, Doorbell, FrameReader, Handler, Outbox, Reactor, FIRST_HANDLER_TOKEN,
@@ -231,33 +232,9 @@ struct Agg {
 }
 
 enum AggAcc {
-    Stats(StatsAcc),
+    Stats(StatsReply),
     Metrics(MetricsAcc),
 }
-
-/// Summed fleet cache counters, in the server's `stats` field order.
-#[derive(Default)]
-struct StatsAcc {
-    sums: [u64; STATS_SUM_FIELDS.len()],
-    max_inflight: u64,
-    inflight_peak: u64,
-}
-
-/// The `stats` result fields that add across shards (capacity and entry
-/// counts genuinely sum: shards hold disjoint keyspace slices).
-const STATS_SUM_FIELDS: [&str; 11] = [
-    "hits",
-    "misses",
-    "evictions",
-    "entries",
-    "capacity",
-    "shards",
-    "neg_hits",
-    "neg_misses",
-    "neg_evictions",
-    "neg_entries",
-    "neg_capacity",
-];
 
 /// Merged per-op latency histograms: counts and totals sum; sparse buckets
 /// merge by their `le_ns` bound. Each member's contribution is also kept
@@ -568,31 +545,22 @@ impl Router {
         let Ok(text) = std::str::from_utf8(payload) else {
             return;
         };
-        let Some((ticket, id_start, id_end)) = lexical_ticket(text) else {
+        let Some((ticket, span, sweep_item)) = scan_reply(text) else {
             return;
         };
-        let head = &text[..text.len().min(96)];
-        if head.contains("\"stream\":\"sweep_item\"") {
-            if let Some(Pending::Forward {
-                client,
-                id_rendering,
-            }) = self.pendings.get(&ticket)
-            {
-                let _ =
-                    client.send_bytes(splice_id(text, id_start, id_end, id_rendering).as_bytes());
-            }
+        if let Some(Pending::Forward {
+            client,
+            id_rendering,
+        }) = self.pendings.get(&ticket)
+        {
+            let _ = client.send_bytes(splice_id(text, &span, id_rendering).as_bytes());
+        }
+        if sweep_item {
             return;
         }
         self.owned[shard].remove(&ticket);
         match self.pendings.remove(&ticket) {
-            Some(Pending::Forward {
-                client,
-                id_rendering,
-            }) => {
-                let _ =
-                    client.send_bytes(splice_id(text, id_start, id_end, &id_rendering).as_bytes());
-                client.release();
-            }
+            Some(Pending::Forward { client, .. }) => client.release(),
             Some(Pending::AggMember { agg, shard }) => {
                 self.agg_member_done(agg, shard, json::parse(text).ok());
             }
@@ -628,7 +596,7 @@ impl Router {
                 waiting: members.len(),
                 successes: 0,
                 acc: if op == "stats" {
-                    AggAcc::Stats(StatsAcc::default())
+                    AggAcc::Stats(StatsReply::default())
                 } else {
                     AggAcc::Metrics(MetricsAcc::default())
                 },
@@ -659,7 +627,7 @@ impl Router {
             if reply.get("ok").and_then(Json::as_bool) == Some(true) {
                 if let Some(result) = reply.get("result") {
                     match &mut agg.acc {
-                        AggAcc::Stats(acc) => merge_stats(acc, result),
+                        AggAcc::Stats(acc) => acc.merge(result),
                         AggAcc::Metrics(acc) => merge_metrics(acc, shard, result),
                     }
                     agg.successes += 1;
@@ -683,7 +651,7 @@ impl Router {
             )
         } else {
             let result = match agg.acc {
-                AggAcc::Stats(acc) => render_stats(&acc),
+                AggAcc::Stats(acc) => acc.to_wire(),
                 AggAcc::Metrics(acc) => render_metrics(&acc),
             };
             ok_response(id, None, result)
@@ -746,13 +714,13 @@ fn no_shard_frame(id_rendering: &str) -> Json {
     )
 }
 
-/// `text` with the bytes `start..end` (a ticket) replaced by the client's
+/// `text` with the bytes of `span` (a ticket) replaced by the client's
 /// original id rendering.
-fn splice_id(text: &str, start: usize, end: usize, id_rendering: &str) -> String {
+fn splice_id(text: &str, span: &std::ops::Range<usize>, id_rendering: &str) -> String {
     let mut spliced = String::with_capacity(text.len() + id_rendering.len());
-    spliced.push_str(&text[..start]);
+    spliced.push_str(&text[..span.start]);
     spliced.push_str(id_rendering);
-    spliced.push_str(&text[end..]);
+    spliced.push_str(&text[span.end..]);
     spliced
 }
 
@@ -769,45 +737,8 @@ fn set_field(request: &mut Json, key: &str, value: Json) {
     }
 }
 
-/// Locate the ticket in a reply's envelope `"id"` field, lexically: returns
-/// `(ticket, start, end)` with `start..end` spanning the digits. Envelopes
-/// always render `id` second (after `v`), before any payload that could
-/// contain the byte pattern.
-fn lexical_ticket(text: &str) -> Option<(u64, usize, usize)> {
-    let at = text.find("\"id\":")? + "\"id\":".len();
-    let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
-    let ticket: u64 = text[at..at + digits].parse().ok()?;
-    Some((ticket, at, at + digits))
-}
-
 fn resolve(addr: &str) -> Option<SocketAddr> {
     addr.to_socket_addrs().ok()?.next()
-}
-
-fn merge_stats(acc: &mut StatsAcc, result: &Json) {
-    for (slot, field) in acc.sums.iter_mut().zip(STATS_SUM_FIELDS) {
-        *slot += result.get(field).and_then(Json::as_u64).unwrap_or(0);
-    }
-    let max_inflight = result
-        .get("max_inflight")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    acc.max_inflight = acc.max_inflight.max(max_inflight);
-    let peak = result
-        .get("inflight_peak")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    acc.inflight_peak = acc.inflight_peak.max(peak);
-}
-
-/// Render summed fleet stats in the server's exact field order.
-fn render_stats(acc: &StatsAcc) -> Json {
-    let mut obj = Json::obj();
-    for (slot, field) in acc.sums.iter().zip(STATS_SUM_FIELDS) {
-        obj = obj.with(field, Json::num_u64(*slot));
-    }
-    obj.with("max_inflight", Json::num_u64(acc.max_inflight))
-        .with("inflight_peak", Json::num_u64(acc.inflight_peak))
 }
 
 fn merge_metrics(acc: &mut MetricsAcc, shard: usize, result: &Json) {

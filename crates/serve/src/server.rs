@@ -27,7 +27,14 @@
 //!
 //! # Caching
 //!
-//! Every cacheable operation is keyed on the canonical request fingerprint
+//! Every compute op (`solve`, `sweep`, `interact`, `zoo_table`,
+//! `zoo_eval`) runs one keyed step (`keyed_step`) from the request's
+//! lexical key (`op|tag|canonical spec|payload`, built by
+//! [`crate::proto`] and shared with the router's ring): the key memo, then,
+//! without a memo entry, validation through the negative cache, then
+//! exactly one response-cache lookup. Each op supplies only its validation
+//! and its compute. Response-cache entries are keyed on the canonical
+//! request fingerprint
 //! ([`ValidatedRequest::fingerprint`](privmech_core::ValidatedRequest::fingerprint))
 //! composed with the operation and scalar tag, so a cached response is
 //! byte-identical to what an uncached solve of the same request would render
@@ -55,13 +62,13 @@ use privmech_numerics::Rational;
 
 use crate::cache::{CacheStats, ShardedCache};
 use crate::json::{self, Json};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, TRACKED_OPS};
 use crate::persist;
 use crate::proto::{
-    assemble_solves, decode_request, error_response, is_validation_code, matrix_to_wire,
-    mechanism_from_wire, ok_response, render_interaction, render_solve, stats_from_wire,
-    stats_to_wire, wire_error_json, CacheDisposition, CacheMode, ConsumerSpec, WireError,
-    WireScalar, PROTOCOL_VERSION,
+    assemble_solves, decode_request, error_response, is_validation_code, lexical_key,
+    matrix_to_wire, mechanism_from_wire, ok_response, render_interaction, render_solve,
+    split_solves, stats_from_wire, sweep_done_frame, sweep_item_frame, wire_error_json,
+    CacheDisposition, CacheMode, ComputeRequest, ConsumerSpec, StatsReply, WireError, WireScalar,
 };
 use crate::readiness::{ConnWriter, Doorbell, Handler, Reactor};
 use crate::sys::Poller;
@@ -131,17 +138,12 @@ struct Shared {
     /// failures, with counters separate from `cache` so error hits don't
     /// pollute the solve hit rate.
     neg_cache: ShardedCache<Arc<str>>,
-    /// Response-cache keys by *lexically canonical* request rendering. A
-    /// compute request's cache key is derived from its validated
-    /// fingerprint, which costs a full validation pass (loss-matrix
-    /// construction included) on every arrival — even a cache hit. Identical
-    /// canonical request bytes always validate to the identical fingerprint,
-    /// so once a request has validated, repeats can map straight to the
-    /// response-cache key and skip validation entirely. Misses here are
-    /// conservative (a differently-spelled equivalent request falls through
-    /// to full validation and lands on the same response key); entries are
-    /// only written after a successful validation; the memo is bypassed
-    /// under `verify_hits` so verification still re-validates everything.
+    /// Response-cache keys by lexical request key
+    /// ([`ComputeRequest::key`]). A response-cache key comes from the
+    /// validated fingerprint, which costs a full validation pass; equal
+    /// lexical keys validate to the same fingerprint, so a repeat skips
+    /// validation. Misses are conservative: a differently-spelled equivalent
+    /// request validates and lands on the same response key.
     key_memo: ShardedCache<Arc<str>>,
     /// Per-op latency histograms (the `metrics` op).
     metrics: Metrics,
@@ -217,12 +219,6 @@ impl ServerHandle {
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
-    }
-
-    /// Current negative-cache (validation-error) counters.
-    #[must_use]
-    pub fn neg_cache_stats(&self) -> CacheStats {
-        self.shared.neg_cache.stats()
     }
 
     /// Signal the reactor to stop and join every thread. Also invoked on
@@ -373,28 +369,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> bool {
     stop
 }
 
-/// A `sweep_item` stream frame: one completed α, tagged with its input index.
-fn sweep_item_frame(id: &Json, index: usize, result: Json) -> Json {
-    Json::obj()
-        .with("v", Json::num_u64(PROTOCOL_VERSION))
-        .with("id", id.clone())
-        .with("ok", Json::Bool(true))
-        .with("stream", Json::str("sweep_item"))
-        .with("index", Json::num_u64(index as u64))
-        .with("result", result)
-}
-
-/// The terminal `sweep_done` stream frame with aggregate statistics.
-fn sweep_done_frame(id: &Json, cache: CacheDisposition, result: Json) -> Json {
-    Json::obj()
-        .with("v", Json::num_u64(PROTOCOL_VERSION))
-        .with("id", id.clone())
-        .with("ok", Json::Bool(true))
-        .with("stream", Json::str("sweep_done"))
-        .with("cache", Json::str(cache.as_wire()))
-        .with("result", result)
-}
-
 /// A computation failure plus its (negative-)cache disposition.
 struct ComputeError {
     /// Rendered or tree-form `{code, message}` object.
@@ -439,23 +413,13 @@ fn handle_payload(
             false,
         ),
         "stats" => {
-            let stats = shared.cache.stats();
-            let neg = shared.neg_cache.stats();
-            let result = Json::obj()
-                .with("hits", Json::num_u64(stats.hits))
-                .with("misses", Json::num_u64(stats.misses))
-                .with("evictions", Json::num_u64(stats.evictions))
-                .with("entries", Json::num_u64(stats.entries as u64))
-                .with("capacity", Json::num_u64(stats.capacity as u64))
-                .with("shards", Json::num_u64(stats.shards as u64))
-                .with("neg_hits", Json::num_u64(neg.hits))
-                .with("neg_misses", Json::num_u64(neg.misses))
-                .with("neg_evictions", Json::num_u64(neg.evictions))
-                .with("neg_entries", Json::num_u64(neg.entries as u64))
-                .with("neg_capacity", Json::num_u64(neg.capacity as u64))
-                .with("max_inflight", Json::num_u64(shared.max_inflight as u64))
-                .with("inflight_peak", Json::num_u64(shared.bell.inflight_peak()));
-            (Some("stats"), ok_response(id, None, result), false)
+            let stats = StatsReply::new(
+                &shared.cache.stats(),
+                &shared.neg_cache.stats(),
+                shared.max_inflight as u64,
+                shared.bell.inflight_peak(),
+            );
+            (Some("stats"), ok_response(id, None, stats.to_wire()), false)
         }
         "metrics" => {
             // `reset: true` returns the snapshot and zeroes the histograms
@@ -473,183 +437,190 @@ fn handle_payload(
             ok_response(id, None, Json::obj().with("stopping", Json::Bool(true))),
             true,
         ),
-        "solve" | "sweep" | "interact" => {
-            let op_name: &'static str = match op {
-                "solve" => "solve",
-                "sweep" => "sweep",
-                _ => "interact",
-            };
+        "solve" | "sweep" | "interact" | "zoo_table" | "zoo_eval" => {
+            let op = TRACKED_OPS
+                .iter()
+                .copied()
+                .find(|&tracked| tracked == op)
+                .expect("every compute op is tracked");
             let outcome = match request.get("scalar").and_then(Json::as_str) {
                 Some("rational") | None => {
-                    handle_compute::<Rational>(shared, writer, op_name, &id, &request)
+                    handle_compute::<Rational>(shared, writer, op, &id, &request)
                 }
-                Some("f64") => handle_compute::<f64>(shared, writer, op_name, &id, &request),
+                Some("f64") => handle_compute::<f64>(shared, writer, op, &id, &request),
                 Some(other) => Err(ComputeError::from(WireError::new(
                     "unsupported_scalar",
                     format!("unknown scalar backend \"{other}\""),
                 ))),
             };
-            let terminal = match outcome {
-                Ok(frame) => frame,
-                Err(e) => error_response(id, e.error, e.cache),
-            };
-            (Some(op_name), terminal, false)
+            let terminal = outcome.unwrap_or_else(|e| error_response(id, e.error, e.cache));
+            (Some(op), terminal, false)
         }
-        "zoo_eval" | "zoo_table" => {
-            let op_name: &'static str = if op == "zoo_eval" {
-                "zoo_eval"
+        other => {
+            let error = if other.is_empty() {
+                WireError::bad_request("request needs an \"op\"")
             } else {
-                "zoo_table"
+                WireError::new("unknown_op", format!("unknown op \"{other}\""))
             };
-            let outcome = match request.get("scalar").and_then(Json::as_str) {
-                Some("rational") | None => handle_zoo::<Rational>(shared, op_name, &id, &request),
-                Some("f64") => handle_zoo::<f64>(shared, op_name, &id, &request),
-                Some(other) => Err(ComputeError::from(WireError::new(
-                    "unsupported_scalar",
-                    format!("unknown scalar backend \"{other}\""),
-                ))),
-            };
-            let terminal = match outcome {
-                Ok(frame) => frame,
-                Err(e) => error_response(id, e.error, e.cache),
-            };
-            (Some(op_name), terminal, false)
+            (
+                None,
+                error_response(id, wire_error_json(&error), None),
+                false,
+            )
         }
-        "" => (
-            None,
-            error_response(
-                id,
-                wire_error_json(&WireError::bad_request("request needs an \"op\"")),
-                None,
-            ),
-            false,
-        ),
-        other => (
-            None,
-            error_response(
-                id,
-                wire_error_json(&WireError::new(
-                    "unknown_op",
-                    format!("unknown op \"{other}\""),
-                )),
-                None,
-            ),
-            false,
-        ),
     }
 }
 
-/// Answer from the cache or compute; `Bypass` computes without touching the
-/// cache. With `verify_hits`, every hit re-computes and asserts byte
-/// identity against the cached rendering.
-///
-/// `compute` returns the **rendered** result object (see
-/// [`render_solve`] / [`render_interaction`] and the zoo renderers): the
-/// same string becomes the cache entry and the bytes spliced into the wire
-/// envelope, so a result — whose dominant cost on large requests used to be
-/// building and walking the `(n+1)²`-node mechanism tree — is rendered
-/// exactly once per miss and zero times per hit.
-fn serve_cached(
-    shared: &Shared,
-    key: &str,
-    mode: CacheMode,
-    compute: impl FnOnce() -> Result<String, WireError>,
-) -> Result<(Json, CacheDisposition), WireError> {
-    if mode == CacheMode::Bypass {
-        return Ok((Json::Raw(compute()?.into()), CacheDisposition::Bypass));
-    }
-    if let Some(cached) = shared.cache.get(key) {
-        if shared.verify_hits {
-            let fresh = compute()?;
-            if fresh != *cached {
-                return Err(WireError::new(
-                    "cache_verify_failed",
-                    "cached response is not byte-identical to a fresh solve",
-                ));
+/// Validation's access to the negative cache: none under `cache: "bypass"`
+/// and for a memoized key, whose spelling validated before.
+struct Gate<'a>(Option<&'a Shared>);
+
+impl Gate<'_> {
+    /// Run one validation stage. Deterministic failures
+    /// ([`is_validation_code`]) are cached under `neg|` + `key`, the lexical
+    /// key of what the stage validates, and replayed byte-identically — with
+    /// `verify_hits`, re-validated first.
+    fn check<X>(
+        &self,
+        key: &str,
+        validate: impl FnOnce() -> Result<X, WireError>,
+    ) -> Result<X, ComputeError> {
+        let Some(shared) = self.0 else {
+            return Ok(validate()?);
+        };
+        let neg_key = format!("neg|{key}");
+        if let Some(cached) = shared.neg_cache.get(&neg_key) {
+            if shared.verify_hits {
+                let fresh = match validate() {
+                    Err(e) => json::to_string(&wire_error_json(&e)),
+                    Ok(_) => String::new(), // a now-valid request can never match
+                };
+                if fresh != *cached {
+                    return Err(ComputeError::from(WireError::new(
+                        "cache_verify_failed",
+                        "cached validation error is not identical to fresh validation",
+                    )));
+                }
             }
+            return Err(ComputeError {
+                error: Json::Raw(cached),
+                cache: Some(CacheDisposition::Hit),
+            });
         }
-        return Ok((Json::Raw(cached), CacheDisposition::Hit));
+        match validate() {
+            Ok(x) => Ok(x),
+            Err(e) if is_validation_code(e.code) => {
+                let rendered: Arc<str> = json::to_string(&wire_error_json(&e)).into();
+                shared.neg_cache.insert(&neg_key, Arc::clone(&rendered));
+                Err(ComputeError {
+                    error: Json::Raw(rendered),
+                    cache: Some(CacheDisposition::Miss),
+                })
+            }
+            Err(e) => Err(ComputeError::from(e)),
+        }
     }
-    let rendered: Arc<str> = compute()?.into();
-    shared.cache.insert(key, Arc::clone(&rendered));
-    Ok((Json::Raw(rendered), CacheDisposition::Miss))
 }
 
-/// Run the validation stage of a compute op through the negative cache:
-/// deterministic validation failures (stable `CoreError`-mapped codes, see
-/// [`is_validation_code`]) are cached under `neg_key` and replayed
-/// byte-identically on repeats — with `verify_hits`, re-validated first.
-fn validate_negatively_cached<X>(
+/// How [`keyed_step`] answered: a cached rendering (verified under
+/// `verify_hits`), or a validated request to compute, with the
+/// response-cache key to record it under (none under `cache: "bypass"`).
+enum Keyed<V> {
+    Hit(Arc<str>),
+    Miss(V, Option<Arc<str>>),
+}
+
+/// The one keyed step of every compute op: (1) the key memo, read by the
+/// lexical request key except under `verify_hits` or `cache: "bypass"`;
+/// (2) without a memo entry, `validate` through the negative cache, which
+/// yields the response-cache key and writes the memo; (3) exactly one
+/// response-cache lookup. A memoized key whose entry was evicted validates
+/// again, outside the negative cache. `fresh` re-renders a verified hit.
+fn keyed_step<V>(
     shared: &Shared,
     mode: CacheMode,
-    neg_key: &str,
-    validate: impl FnOnce() -> Result<X, WireError>,
-) -> Result<X, ComputeError> {
+    key: &str,
+    validate: impl Fn(&Gate<'_>) -> Result<(String, V), ComputeError>,
+    fresh: impl FnOnce(&V) -> Result<String, WireError>,
+) -> Result<Keyed<V>, ComputeError> {
     if mode == CacheMode::Bypass {
-        return validate().map_err(ComputeError::from);
+        let (_, valid) = validate(&Gate(None))?;
+        return Ok(Keyed::Miss(valid, None));
     }
-    if let Some(cached) = shared.neg_cache.get(neg_key) {
+    let memoized = if shared.verify_hits {
+        None
+    } else {
+        shared.key_memo.get(key)
+    };
+    let (response_key, valid) = match memoized {
+        Some(response_key) => (response_key, None),
+        None => {
+            let (response_key, valid) = validate(&Gate(Some(shared)))?;
+            let response_key: Arc<str> = response_key.into();
+            shared.key_memo.insert(key, Arc::clone(&response_key));
+            (response_key, Some(valid))
+        }
+    };
+    if let Some(cached) = shared.cache.get(&response_key) {
         if shared.verify_hits {
-            let fresh = match validate() {
-                Err(e) => json::to_string(&wire_error_json(&e)),
-                Ok(_) => String::new(), // a now-valid request can never match
-            };
-            if fresh != *cached {
+            let valid = valid.as_ref().expect("verify_hits skips the key memo");
+            if fresh(valid)? != *cached {
                 return Err(ComputeError::from(WireError::new(
                     "cache_verify_failed",
-                    "cached validation error is not identical to fresh validation",
+                    "cached response is not byte-identical to a fresh computation",
                 )));
             }
         }
-        return Err(ComputeError {
-            error: Json::Raw(cached),
-            cache: Some(CacheDisposition::Hit),
-        });
+        return Ok(Keyed::Hit(cached));
     }
-    match validate() {
-        Ok(x) => Ok(x),
-        Err(e) if is_validation_code(e.code) => {
-            let rendered: Arc<str> = json::to_string(&wire_error_json(&e)).into();
-            shared.neg_cache.insert(neg_key, Arc::clone(&rendered));
-            Err(ComputeError {
-                error: Json::Raw(rendered),
-                cache: Some(CacheDisposition::Miss),
-            })
+    let valid = match valid {
+        Some(valid) => valid,
+        None => validate(&Gate(None))?.1,
+    };
+    Ok(Keyed::Miss(valid, Some(response_key)))
+}
+
+/// Record a computed rendering under its response-cache key, if any, and
+/// return the reply's disposition.
+fn record(shared: &Shared, response_key: Option<Arc<str>>, rendered: Arc<str>) -> CacheDisposition {
+    match response_key {
+        Some(key) => {
+            shared.cache.insert(&key, rendered);
+            CacheDisposition::Miss
         }
-        Err(e) => Err(ComputeError::from(e)),
+        None => CacheDisposition::Bypass,
     }
 }
 
-/// The negative-cache key of a request: the *typed* spec re-encoded
-/// canonically (so field order and lexical noise in the consumer fields
-/// don't split entries), composed with the op, scalar tag and the
-/// op-specific payload. The payload (`extra`) may be lexical — e.g. a sweep's
-/// raw `alphas` array, which might be the very thing that failed to parse —
-/// so differently-spelled equivalent payloads can split entries: a
-/// conservative split, never a wrong hit (see `PROTOCOL.md` § Negative
-/// caching).
-fn neg_key<T: WireScalar>(op: &str, spec: &ConsumerSpec<T>, extra: &str) -> String {
-    let spec_canonical = json::to_string(&spec.encode_onto(Json::obj()));
-    neg_key_from(op, T::TAG, &spec_canonical, extra)
+/// [`keyed_step`] for every op but `sweep`: `compute` renders the result
+/// once, and the same string becomes the cache entry and the reply bytes.
+fn serve_result<V>(
+    shared: &Shared,
+    id: &Json,
+    mode: CacheMode,
+    key: &str,
+    validate: impl Fn(&Gate<'_>) -> Result<(String, V), ComputeError>,
+    compute: impl Fn(&V) -> Result<String, WireError>,
+) -> Result<Json, ComputeError> {
+    let (result, disposition) = match keyed_step(shared, mode, key, validate, &compute)? {
+        Keyed::Hit(cached) => (cached, CacheDisposition::Hit),
+        Keyed::Miss(valid, response_key) => {
+            let rendered: Arc<str> = compute(&valid)?.into();
+            (
+                Arc::clone(&rendered),
+                record(shared, response_key, rendered),
+            )
+        }
+    };
+    Ok(ok_response(
+        id.clone(),
+        Some(disposition),
+        Json::Raw(result),
+    ))
 }
 
-/// [`neg_key`] from an already-rendered canonical spec (the hot compute
-/// paths render it once and share it between the negative-cache key and the
-/// key-memo key).
-fn neg_key_from(op: &str, tag: &str, spec_canonical: &str, extra: &str) -> String {
-    format!("neg|{op}|{tag}|{spec_canonical}|{extra}")
-}
-
-/// The key-memo key of a compute request (see [`Shared::key_memo`]): op,
-/// scalar tag, the canonically re-encoded spec, and the op-specific payload
-/// rendering. Everything that feeds validation is covered, so equal memo
-/// keys imply equal validated fingerprints.
-fn memo_key(op: &str, tag: &str, spec_canonical: &str, extra: &str) -> String {
-    format!("key|{op}|{tag}|{spec_canonical}|{extra}")
-}
-
-/// One compute op, returning its **terminal** frame (non-terminal
-/// `sweep_item` frames are written through `writer` as they complete).
+/// One compute op through [`keyed_step`], returning its **terminal** frame
+/// (`sweep_item` frames are written through `writer` as they complete).
 fn handle_compute<T: WireScalar>(
     shared: &Shared,
     writer: &Arc<ConnWriter>,
@@ -657,63 +628,47 @@ fn handle_compute<T: WireScalar>(
     id: &Json,
     request: &Json,
 ) -> Result<Json, ComputeError> {
-    let mode = CacheMode::from_wire(request).map_err(ComputeError::from)?;
-    let spec = ConsumerSpec::<T>::from_wire(request).map_err(ComputeError::from)?;
-    match op {
-        "solve" => {
-            let alpha = scalar_field::<T>(request, "alpha").map_err(ComputeError::from)?;
-            let spec_canonical = json::to_string(&spec.encode_onto(Json::obj()));
-            let alpha_canonical = json::to_string(&alpha.to_wire());
-            let memo_key = memo_key(op, T::TAG, &spec_canonical, &alpha_canonical);
-            if mode == CacheMode::Use && !shared.verify_hits {
-                // Fast hit path: a memoized key proves this exact canonical
-                // request validated before, so repeats skip straight to the
-                // cached rendering — no loss construction, no fingerprint.
-                // Routed through `serve_cached` so each request still counts
-                // exactly one response-cache lookup, and an evicted (or
-                // still-computing) entry re-validates and re-solves inline.
-                if let Some(key) = shared.key_memo.get(&memo_key) {
-                    let (result, cache) = serve_cached(shared, &key, mode, || {
-                        let validated = spec.to_request(alpha.clone())?;
-                        let solve = PrivacyEngine::with_threads(1)
-                            .solve(&validated)
-                            .map_err(WireError::from)?;
-                        Ok(render_solve(&solve))
-                    })
-                    .map_err(ComputeError::from)?;
-                    return Ok(ok_response(id.clone(), Some(cache), result));
-                }
-            }
-            let neg_key = neg_key_from(op, T::TAG, &spec_canonical, &alpha_canonical);
-            let validated = validate_negatively_cached(shared, mode, &neg_key, || {
-                spec.to_request(alpha.clone())
-            })?;
-            let key = format!("solve|{}|{}", T::TAG, validated.fingerprint().canonical());
-            if mode == CacheMode::Use {
-                shared.key_memo.insert(&memo_key, key.as_str().into());
-            }
-            let (result, cache) = serve_cached(shared, &key, mode, || {
-                let solve = PrivacyEngine::with_threads(1)
-                    .solve(&validated)
-                    .map_err(WireError::from)?;
-                Ok(render_solve(&solve))
-            })
-            .map_err(ComputeError::from)?;
-            Ok(ok_response(id.clone(), Some(cache), result))
+    let mode = CacheMode::from_wire(request)?;
+    let compute = ComputeRequest::<T>::from_wire(op, request)?;
+    if let ComputeRequest::Sweep { alphas: [], .. } = compute {
+        // Nothing to compute or cache; report the disposition the client
+        // asked for rather than a miss that never counted.
+        let disposition = match mode {
+            CacheMode::Bypass => CacheDisposition::Bypass,
+            CacheMode::Use => CacheDisposition::Miss,
+        };
+        return Ok(sweep_done_frame(id, disposition, 0, &Default::default()));
+    }
+    let key = compute.key();
+    let engine = PrivacyEngine::with_threads(1);
+    match compute {
+        ComputeRequest::Solve { spec, alpha } => serve_result(
+            shared,
+            id,
+            mode,
+            &key,
+            |gate| {
+                let validated = gate.check(&key, || spec.to_request(alpha.clone()))?;
+                let response_key =
+                    format!("solve|{}|{}", T::TAG, validated.fingerprint().canonical());
+                Ok((response_key, validated))
+            },
+            |validated| Ok(render_solve(&engine.solve(validated)?)),
+        ),
+        ComputeRequest::Sweep { spec, alphas } => {
+            handle_sweep(shared, writer, id, mode, &key, &spec, alphas)
         }
-        "sweep" => handle_sweep::<T>(shared, writer, id, request, mode, &spec),
-        "interact" => {
-            let mechanism: Mechanism<T> = {
-                let wire_mech = request
-                    .get("mechanism")
-                    .ok_or_else(|| WireError::bad_request("interact needs a \"mechanism\""))
-                    .map_err(ComputeError::from)?;
-                let neg_key = neg_key(op, &spec, &json::to_string(wire_mech));
-                validate_negatively_cached(shared, mode, &neg_key, || {
-                    let mechanism: Mechanism<T> = mechanism_from_wire(wire_mech)?;
+        ComputeRequest::Interact { spec, mechanism } => serve_result(
+            shared,
+            id,
+            mode,
+            &key,
+            |gate| {
+                let mechanism = gate.check(&key, || {
+                    let mechanism: Mechanism<T> = mechanism_from_wire(mechanism)?;
                     if mechanism.n() != spec.n {
-                        // Deliberately *not* negative-cached: bad_request is a
-                        // schema-level code, outside `is_validation_code`.
+                        // Deliberately *not* negative-cached: bad_request is
+                        // a schema-level code, outside `is_validation_code`.
                         return Err(WireError::bad_request(format!(
                             "mechanism is for n = {}, request says n = {}",
                             mechanism.n(),
@@ -721,59 +676,45 @@ fn handle_compute<T: WireScalar>(
                         )));
                     }
                     Ok(mechanism)
-                })?
-            };
-            // The privacy level plays no role in post-processing (the
-            // deployed mechanism already embodies it) and the strategy is
-            // not consulted; both are normalized out of the cache key.
-            let spec = spec.clone().with_strategy(Default::default());
-            let neg_key = neg_key(op, &spec, "consumer");
-            let validated =
-                validate_negatively_cached(shared, mode, &neg_key, || spec.to_request(T::zero()))?;
-            let mech_key = json::to_string(&matrix_to_wire(mechanism.matrix()));
-            let key = format!(
-                "interact|{}|{}|mech={mech_key}",
-                T::TAG,
-                validated.fingerprint().canonical()
-            );
-            let (result, cache) = serve_cached(shared, &key, mode, move || {
-                let interaction = PrivacyEngine::with_threads(1)
-                    .interact(&mechanism, &validated)
-                    .map_err(WireError::from)?;
-                Ok(render_interaction(&interaction))
-            })
-            .map_err(ComputeError::from)?;
-            Ok(ok_response(id.clone(), Some(cache), result))
-        }
-        _ => unreachable!("dispatch covers every compute op"),
+                })?;
+                // The privacy level plays no role in post-processing (the
+                // deployed mechanism already embodies it) and the strategy
+                // is not consulted; both are normalized out of the cache
+                // key, and the consumer validates under its own key.
+                let spec = spec.clone().with_strategy(Default::default());
+                let consumer = spec.canonical();
+                let consumer = lexical_key("interact", T::TAG, &consumer, Some("consumer"));
+                let validated = gate.check(&consumer, || spec.to_request(T::zero()))?;
+                let response_key = format!(
+                    "interact|{}|{}|mech={}",
+                    T::TAG,
+                    validated.fingerprint().canonical(),
+                    json::to_string(&matrix_to_wire(mechanism.matrix()))
+                );
+                Ok((response_key, (mechanism, validated)))
+            },
+            |(mechanism, validated)| {
+                Ok(render_interaction(&engine.interact(mechanism, validated)?))
+            },
+        ),
+        // Zoo entries are keyed on the scenario's canonical form wrapped in
+        // a `RequestFingerprint`, the way solves are, so every spelling of a
+        // scenario shares one entry.
+        ComputeRequest::Zoo(scenario) => serve_result(
+            shared,
+            id,
+            mode,
+            &key,
+            |gate| {
+                let validated = gate.check(&format!("{key}|-"), || scenario.validate())?;
+                let canonical = format!("zoo-v1;{}", scenario.canonical());
+                let fingerprint = RequestFingerprint::from_canonical(canonical);
+                let response_key = format!("{op}|{}|{}", T::TAG, fingerprint.canonical());
+                Ok((response_key, validated))
+            },
+            |validated| validated.evaluate(),
+        ),
     }
-}
-
-/// One zoo op (`zoo_table` or `zoo_eval`; see [`crate::zoo`]): decode,
-/// validate through the negative cache, evaluate through the response cache.
-/// The cache key is the scenario's canonical form wrapped in a
-/// [`RequestFingerprint`], so zoo entries are keyed (and consistent-hash
-/// routed) exactly the way solves are, and every spelling of a scenario
-/// shares one entry.
-fn handle_zoo<T: WireScalar>(
-    shared: &Shared,
-    op: &'static str,
-    id: &Json,
-    request: &Json,
-) -> Result<Json, ComputeError> {
-    let mode = CacheMode::from_wire(request).map_err(ComputeError::from)?;
-    let parsed = crate::zoo::ZooRequest::<T>::from_wire(op, request).map_err(ComputeError::from)?;
-    let canonical = parsed.canonical();
-    let neg_key = neg_key_from(op, T::TAG, &canonical, "-");
-    let validated = validate_negatively_cached(shared, mode, &neg_key, || parsed.validate())?;
-    let key = format!(
-        "{op}|{}|{}",
-        T::TAG,
-        RequestFingerprint::from_canonical(format!("zoo-v1;{canonical}")).canonical()
-    );
-    let (result, cache) = serve_cached(shared, &key, mode, move || validated.evaluate())
-        .map_err(ComputeError::from)?;
-    Ok(ok_response(id.clone(), Some(cache), result))
 }
 
 /// The `sweep` op: a stream of `sweep_item` frames (completion order, via
@@ -784,39 +725,16 @@ fn handle_sweep<T: WireScalar>(
     shared: &Shared,
     writer: &Arc<ConnWriter>,
     id: &Json,
-    request: &Json,
     mode: CacheMode,
+    key: &str,
     spec: &ConsumerSpec<T>,
+    alphas: &[Json],
 ) -> Result<Json, ComputeError> {
-    let alphas = request
-        .get("alphas")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| WireError::bad_request("sweep needs an \"alphas\" array"))
-        .map_err(ComputeError::from)?;
-    let alphas_key = json::to_string(&Json::Arr(alphas.to_vec()));
-
-    if alphas.is_empty() {
-        // Nothing to compute or cache; report the disposition the client
-        // asked for rather than a miss that never counted.
-        let disposition = match mode {
-            CacheMode::Bypass => CacheDisposition::Bypass,
-            CacheMode::Use => CacheDisposition::Miss,
-        };
-        let result = Json::obj()
-            .with("count", Json::num_u64(0))
-            .with("stats", stats_to_wire(&Default::default()));
-        return Ok(sweep_done_frame(id, disposition, result));
-    }
-
-    let spec_canonical = json::to_string(&spec.encode_onto(Json::obj()));
-    let memo_key = memo_key("sweep", T::TAG, &spec_canonical, &alphas_key);
-    // Levels and the consumer validate through the negative cache (a bad α
-    // at any position, or a bad spec, is a deterministic rejection); a
-    // successful validation yields the response-cache key and seeds the
-    // key memo with it.
-    let validate = || {
-        let neg_key = neg_key_from("sweep", T::TAG, &spec_canonical, &alphas_key);
-        let (levels, validated) = validate_negatively_cached(shared, mode, &neg_key, || {
+    let engine = PrivacyEngine::with_threads(shared.sweep_threads);
+    // Levels and the consumer validate together: a bad α at any position,
+    // or a bad spec, is one deterministic rejection.
+    let validate = |gate: &Gate<'_>| {
+        let (levels, validated) = gate.check(key, || {
             let mut levels: Vec<PrivacyLevel<T>> = Vec::with_capacity(alphas.len());
             for value in alphas {
                 let alpha = T::from_wire(value)
@@ -829,65 +747,22 @@ fn handle_sweep<T: WireScalar>(
         let levels_key = json::to_string(&Json::Arr(
             levels.iter().map(|l| l.alpha().to_wire()).collect(),
         ));
-        let key: Arc<str> = format!(
+        let response_key = format!(
             "sweep|{}|{}|levels={levels_key}",
             T::TAG,
             validated.fingerprint().canonical()
-        )
-        .into();
-        if mode == CacheMode::Use {
-            shared.key_memo.insert(&memo_key, Arc::clone(&key));
-        }
-        Ok::<_, ComputeError>((key, levels, validated))
+        );
+        Ok((response_key, (levels, validated)))
     };
-
-    // Fast hit path (see `Shared::key_memo`): a memoized key skips α/spec
-    // validation until the entry has to be computed. Either way the request
-    // makes exactly one response-cache lookup.
-    let memoized = if mode == CacheMode::Use && !shared.verify_hits {
-        shared.key_memo.get(&memo_key)
-    } else {
-        None
+    let fresh = |(levels, validated): &(Vec<PrivacyLevel<T>>, _)| {
+        let solves = engine.sweep(levels, validated)?;
+        let items: Vec<String> = solves.iter().map(render_solve).collect();
+        Ok(assemble_solves(items.iter().map(String::as_str)))
     };
-    let (key, parts) = match memoized {
-        Some(key) => (key, None),
-        None => {
-            let (key, levels, validated) = validate()?;
-            (key, Some((levels, validated)))
-        }
-    };
-    let engine = PrivacyEngine::with_threads(shared.sweep_threads);
-
-    // Cache hit: replay the monolithic entry item by item —
-    // each `sweep_item` is a lexical slice of the cached rendering, so it is
-    // byte-identical to the frame the original miss streamed.
-    if mode == CacheMode::Use {
-        if let Some(cached) = shared.cache.get(&key) {
-            if shared.verify_hits {
-                let (levels, validated) = parts.as_ref().expect("verify_hits skips the key memo");
-                let solves = engine
-                    .sweep(levels, validated)
-                    .map_err(|e| ComputeError::from(WireError::from(e)))?;
-                let items: Vec<String> = solves.iter().map(render_solve).collect();
-                let fresh = assemble_solves(items.iter().map(String::as_str));
-                if fresh != *cached {
-                    return Err(ComputeError::from(WireError::new(
-                        "cache_verify_failed",
-                        "cached sweep is not byte-identical to a fresh sweep",
-                    )));
-                }
-            }
-            return replay_sweep_hit(writer, id, &cached);
-        }
-    }
-    // A memoized key whose entry was evicted (or is still computing)
-    // validates now; validation is deterministic, so it yields the same key.
-    let (levels, validated) = match parts {
-        Some(parts) => parts,
-        None => {
-            let (_, levels, validated) = validate()?;
-            (levels, validated)
-        }
+    let outcome = keyed_step(shared, mode, key, validate, fresh)?;
+    let ((levels, validated), response_key) = match outcome {
+        Keyed::Hit(cached) => return replay_sweep_hit(writer, id, &cached),
+        Keyed::Miss(valid, response_key) => (valid, response_key),
     };
 
     // Miss (or bypass): stream items as they complete, then assemble the
@@ -895,26 +770,19 @@ fn handle_sweep<T: WireScalar>(
     let mut rendered: Vec<Option<Arc<str>>> = vec![None; levels.len()];
     let mut first_error: Option<(usize, WireError)> = None;
     let mut aggregate = privmech_core::PivotStats::default();
-    {
-        let rendered = &mut rendered;
-        let first_error = &mut first_error;
-        let aggregate = &mut aggregate;
-        engine
-            .sweep_with(&levels, &validated, |index, solve| match solve {
-                Ok(solve) => {
-                    *aggregate += &solve.stats;
-                    let item: Arc<str> = render_solve(&solve).into();
-                    let _ = writer.send(&sweep_item_frame(id, index, Json::Raw(Arc::clone(&item))));
-                    rendered[index] = Some(item);
-                }
-                Err(e) => {
-                    if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
-                        *first_error = Some((index, WireError::from(e)));
-                    }
-                }
-            })
-            .map_err(|e| ComputeError::from(WireError::from(e)))?;
-    }
+    engine.sweep_with(&levels, &validated, |index, solve| match solve {
+        Ok(solve) => {
+            aggregate += &solve.stats;
+            let item: Arc<str> = render_solve(&solve).into();
+            let _ = writer.send(&sweep_item_frame(id, index, Json::Raw(Arc::clone(&item))));
+            rendered[index] = Some(item);
+        }
+        Err(e) => {
+            if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
+                first_error = Some((index, WireError::from(e)));
+            }
+        }
+    });
     if let Some((index, error)) = first_error {
         // Partial streams are closed by a terminal error frame (matched by
         // id); already-emitted items remain valid solves of their levels.
@@ -923,21 +791,13 @@ fn handle_sweep<T: WireScalar>(
             format!("sweep failed at level index {index}: {}", error.message),
         )));
     }
-    let monolithic = crate::proto::assemble_solves(
+    let monolithic = assemble_solves(
         rendered
             .iter()
             .map(|item| item.as_deref().expect("every sweep slot is filled")),
     );
-    let disposition = if mode == CacheMode::Use {
-        shared.cache.insert(&key, monolithic.into());
-        CacheDisposition::Miss
-    } else {
-        CacheDisposition::Bypass
-    };
-    let result = Json::obj()
-        .with("count", Json::num_u64(levels.len() as u64))
-        .with("stats", stats_to_wire(&aggregate));
-    Ok(sweep_done_frame(id, disposition, result))
+    let disposition = record(shared, response_key, monolithic.into());
+    Ok(sweep_done_frame(id, disposition, levels.len(), &aggregate))
 }
 
 /// Replay a cached monolithic sweep as a stream. The cached entry is
@@ -951,7 +811,7 @@ fn replay_sweep_hit(
     id: &Json,
     cached: &Arc<str>,
 ) -> Result<Json, ComputeError> {
-    let items = crate::proto::split_solves(cached)
+    let items = split_solves(cached)
         .ok_or_else(|| ComputeError::from(WireError::new("internal", "malformed cached sweep")))?;
     let mut aggregate = privmech_core::PivotStats::default();
     for (index, item) in items.iter().enumerate() {
@@ -960,10 +820,12 @@ fn replay_sweep_hit(
         }
         let _ = writer.send(&sweep_item_frame(id, index, Json::Raw(Arc::from(*item))));
     }
-    let result = Json::obj()
-        .with("count", Json::num_u64(items.len() as u64))
-        .with("stats", stats_to_wire(&aggregate));
-    Ok(sweep_done_frame(id, CacheDisposition::Hit, result))
+    Ok(sweep_done_frame(
+        id,
+        CacheDisposition::Hit,
+        items.len(),
+        &aggregate,
+    ))
 }
 
 /// Parse just the trailing `"stats":{...}` object out of one cached solve
@@ -973,12 +835,4 @@ fn item_stats(item: &str) -> Option<privmech_core::PivotStats> {
     let at = item.rfind("\"stats\":")? + "\"stats\":".len();
     let parsed = json::parse(item.get(at..item.len().checked_sub(1)?)?).ok()?;
     stats_from_wire(&parsed)
-}
-
-fn scalar_field<T: WireScalar>(request: &Json, field: &str) -> Result<T, WireError> {
-    let value = request
-        .get(field)
-        .ok_or_else(|| WireError::bad_request(format!("request needs \"{field}\"")))?;
-    T::from_wire(value)
-        .ok_or_else(|| WireError::bad_request(format!("unparsable scalar in \"{field}\"")))
 }

@@ -8,7 +8,10 @@ use std::sync::Arc;
 use privmech_numerics::{rat, Rational};
 use privmech_serve::cache::ShardedCache;
 use privmech_serve::client::Client;
-use privmech_serve::proto::{CacheDisposition, CacheMode, ConsumerSpec, LossSpec};
+use privmech_serve::json::{self, Json};
+use privmech_serve::proto::{
+    routing_key, CacheDisposition, CacheMode, ConsumerSpec, LossSpec, WireScalar,
+};
 use privmech_serve::server::{self, ServerConfig};
 
 #[test]
@@ -173,5 +176,85 @@ fn a_memoized_sweep_after_eviction_counts_one_miss() {
         stats.misses, 3,
         "one lookup per cache-using request: {stats:?}"
     );
+    handle.shutdown();
+}
+
+/// Every compute op goes through the key memo: a repeated `interact` or
+/// `zoo_table` request finds its response-cache key there, so it hits
+/// without re-validating and without probing the negative cache.
+#[test]
+fn memoized_interact_and_zoo_repeats_skip_the_negative_cache() {
+    let handle = server::spawn(ServerConfig::default()).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut neg_misses = Vec::new();
+    for expected in ["miss", "hit"] {
+        for request in [
+            r#"{"op":"interact","n":2,"loss":"absolute","mechanism":[["1","0","0"],["0","1","0"],["0","0","1"]]}"#,
+            r#"{"op":"zoo_table","query":{"kind":"count","n":2},"alpha":"1/2","consumers":[{"loss":"absolute"}]}"#,
+        ] {
+            let reply = client
+                .call(json::parse(request).expect("JSON"))
+                .expect("reply");
+            assert_eq!(reply.get("cache").and_then(Json::as_str), Some(expected));
+        }
+        neg_misses.push(client.cache_stats().expect("stats").neg_misses);
+    }
+    assert_eq!(client.cache_stats().expect("stats").hits, 2);
+    assert_eq!(
+        neg_misses[1], neg_misses[0],
+        "memoized repeats make no negative-cache probe"
+    );
+    handle.shutdown();
+}
+
+/// A repeat whose key-memo entry survived but whose response was evicted
+/// recomputes with one response-cache miss and no negative-cache probe: its
+/// spelling validated before. The memo is keyed by the routing key, so the
+/// test can place the entries: single-entry shards, and a solve whose
+/// response shares the sweep's response shard while its memo entry does
+/// not. (Three shards: with two, FNV-1a's low bit is the parity of the
+/// key's odd bytes, which ties the two placements together.)
+#[test]
+fn a_memoized_repeat_after_eviction_recomputes_without_a_negative_probe() {
+    let spec = ConsumerSpec::<Rational>::minimax(2, LossSpec::Absolute);
+    let alphas = [rat(1, 4), rat(1, 2)];
+    let memo_shard = |op: &str, field: &str, payload: Json| {
+        let request = spec.encode_onto(Json::obj().with("op", Json::str(op)));
+        let key = routing_key(&request.with(field, payload)).expect("compute key");
+        ShardedCache::<()>::new(3, 3).shard_index(&key)
+    };
+    let response_shard = |op: &str, alpha: &Rational, levels: &str| {
+        let validated = spec.to_request(alpha.clone()).expect("valid request");
+        let fingerprint = validated.fingerprint();
+        let key = format!("{op}|rational|{}{levels}", fingerprint.canonical());
+        ShardedCache::<()>::new(3, 3).shard_index(&key)
+    };
+    let sweep_alphas = Json::Arr(alphas.iter().map(WireScalar::to_wire).collect());
+    let sweep_memo = memo_shard("sweep", "alphas", sweep_alphas);
+    let sweep_response = response_shard("sweep", &alphas[0], "|levels=[\"1/4\",\"1/2\"]");
+    let alpha = (3..200)
+        .map(|k| rat(1, k))
+        .find(|alpha| {
+            memo_shard("solve", "alpha", alpha.to_wire()) != sweep_memo
+                && response_shard("solve", alpha, "") == sweep_response
+        })
+        .expect("some level places its entries as needed");
+
+    let config = ServerConfig {
+        cache_capacity: 3,
+        cache_shards: 3,
+        ..ServerConfig::default()
+    };
+    let handle = server::spawn(config).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let first = client.sweep(&spec, &alphas, CacheMode::Use).expect("sweep");
+    client.solve(&spec, &alpha, CacheMode::Use).expect("solve");
+    let before = client.cache_stats().expect("stats");
+    assert_eq!(before.evictions, 1, "the solve evicted the sweep");
+    let again = client.sweep(&spec, &alphas, CacheMode::Use).expect("sweep");
+    assert_eq!(again.raw, first.raw);
+    let stats = client.cache_stats().expect("stats");
+    assert_eq!((stats.hits, stats.misses), (0, 3), "{stats:?}");
+    assert_eq!(stats.neg_misses, before.neg_misses, "{stats:?}");
     handle.shutdown();
 }

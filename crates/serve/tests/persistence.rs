@@ -12,7 +12,7 @@
 
 use privmech_numerics::{rat, Rational};
 use privmech_serve::client::{Client, ClientError};
-use privmech_serve::json::Json;
+use privmech_serve::json::{self, Json};
 use privmech_serve::proto::{CacheDisposition, CacheMode, ConsumerSpec, LossSpec};
 use privmech_serve::server::{self, ServerConfig};
 
@@ -211,4 +211,76 @@ fn metrics_op_reports_per_op_latency_histograms() {
         "solves take measurable time"
     );
     handle.shutdown();
+}
+
+/// One valid and one invalid request per compute op (two invalid ones for
+/// `interact`: a bad mechanism and a bad consumer), then the dump's result
+/// and error keys, compared byte for byte with the keys an earlier build
+/// wrote for the same requests.
+#[test]
+fn persisted_cache_keys_are_pinned() {
+    let path = tmp_cache_file("pinned-keys");
+    let _ = std::fs::remove_file(&path);
+    let config = ServerConfig {
+        cache_file: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = server::spawn(config).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for request in [
+        r#"{"op":"solve","n":2,"loss":"absolute","alpha":"1/2"}"#,
+        r#"{"op":"solve","n":2,"loss":"absolute","alpha":"3/2"}"#,
+        r#"{"op":"solve","scalar":"f64","n":2,"loss":"absolute","alpha":0.25}"#,
+        r#"{"op":"sweep","n":2,"loss":"absolute","alphas":["1/4","1/2"]}"#,
+        r#"{"op":"sweep","n":2,"loss":"absolute","alphas":["1/4","3/2"]}"#,
+        r#"{"op":"interact","n":2,"loss":"absolute","mechanism":[["1","0","0"],["0","1","0"],["0","0","1"]]}"#,
+        r#"{"op":"interact","n":2,"loss":"absolute","mechanism":[["1","1","0"],["0","1","0"],["0","0","1"]]}"#,
+        r#"{"op":"interact","n":2,"support":[9],"loss":"absolute","mechanism":[["1","0","0"],["0","1","0"],["0","0","1"]]}"#,
+        r#"{"op":"zoo_table","query":{"kind":"count","n":2},"alpha":"1/2","consumers":[{"loss":"absolute"}]}"#,
+        r#"{"op":"zoo_table","query":{"kind":"count","n":2},"alpha":"3/2","consumers":[{"loss":"absolute"}]}"#,
+        r#"{"op":"zoo_eval","scenario":"ldp","protocol":"randomized_response","users":2,"alpha":"1/2","loss":"absolute"}"#,
+        r#"{"op":"zoo_eval","scenario":"ldp","protocol":"randomized_response","users":2,"alpha":"3/2","loss":"absolute"}"#,
+    ] {
+        // Valid requests leave a result key, invalid ones an error key.
+        let _ = client.call(json::parse(request).expect("JSON"));
+    }
+    handle.shutdown();
+
+    let dump = std::fs::read_to_string(&path).expect("dump written");
+    let _ = std::fs::remove_file(&path);
+    let mut keys: Vec<String> = dump
+        .lines()
+        .map(|line| {
+            let entry = json::parse(line).expect("JSON line");
+            let field = |name| {
+                entry
+                    .get(name)
+                    .and_then(Json::as_str)
+                    .expect(name)
+                    .to_string()
+            };
+            format!("{} {}", field("kind"), field("key"))
+        })
+        .collect();
+    keys.sort();
+    let expected = [
+        r#"error neg|interact|rational|{"kind":"minimax","n":2,"loss":"absolute","strategy":"factorization"}|[["1","1","0"],["0","1","0"],["0","0","1"]]"#,
+        r#"error neg|interact|rational|{"kind":"minimax","n":2,"support":[9],"loss":"absolute","strategy":"factorization"}|consumer"#,
+        r#"error neg|solve|rational|{"kind":"minimax","n":2,"loss":"absolute","strategy":"factorization"}|"3/2""#,
+        r#"error neg|sweep|rational|{"kind":"minimax","n":2,"loss":"absolute","strategy":"factorization"}|["1/4","3/2"]"#,
+        r#"error neg|zoo_eval|rational|ldp;protocol=randomized_response;users=2;alpha="3/2";loss="absolute"|-"#,
+        r#"error neg|zoo_table|rational|table;count;n=2;alpha="3/2";consumers=[{"loss":"absolute"}]|-"#,
+        r#"result interact|rational|fp-v1;exact=true;n=2;alpha=0;strategy=factorization;pricing=dantzig-bland;streak=8;kind=minimax;S=0,1,2;loss=0,1,2|1,0,1|2,1,0|mech=[["1","0","0"],["0","1","0"],["0","0","1"]]"#,
+        r#"result solve|f64|fp-v1;exact=false;n=2;alpha=0.25;strategy=factorization;pricing=dantzig-bland;streak=8;kind=minimax;S=0,1,2;loss=0,1,2|1,0,1|2,1,0"#,
+        r#"result solve|rational|fp-v1;exact=true;n=2;alpha=1/2;strategy=factorization;pricing=dantzig-bland;streak=8;kind=minimax;S=0,1,2;loss=0,1,2|1,0,1|2,1,0"#,
+        r#"result sweep|rational|fp-v1;exact=true;n=2;alpha=1/4;strategy=factorization;pricing=dantzig-bland;streak=8;kind=minimax;S=0,1,2;loss=0,1,2|1,0,1|2,1,0|levels=["1/4","1/2"]"#,
+        r#"result zoo_eval|rational|zoo-v1;ldp;protocol=randomized_response;users=2;alpha="1/2";loss="absolute""#,
+        r#"result zoo_table|rational|zoo-v1;table;count;n=2;alpha="1/2";consumers=[{"loss":"absolute"}]"#,
+    ];
+    assert_eq!(
+        keys,
+        expected,
+        "persisted keys changed:\n{}",
+        keys.join("\n")
+    );
 }
