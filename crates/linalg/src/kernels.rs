@@ -5,6 +5,8 @@
 //! work on plain slices so both [`crate::Matrix`] rows and the LP solver's
 //! raw tableau rows can use them, and they lean on the by-reference
 //! [`Scalar`] operations so that `Rational` updates never clone operands.
+//! The tableau's pivot elimination itself is [`Scalar::sub_mul_row`], the
+//! one row kernel a scalar type overrides.
 
 use crate::scalar::Scalar;
 
@@ -18,20 +20,6 @@ pub fn sub_scaled<T: Scalar>(dst: &mut [T], factor: &T, src: &[T]) {
         if !s.is_exactly_zero() {
             d.sub_mul_assign(factor, s);
         }
-    }
-}
-
-/// `dst[j] -= factor * src[j]` only at the positions in `active`.
-///
-/// The simplex pivot precomputes the nonzero support of the pivot row once
-/// and then updates every other row only at those columns; with sparse
-/// tableaus this skips the large untouched majority of each row.
-///
-/// # Panics
-/// Panics if any index in `active` is out of bounds for either slice.
-pub fn sub_scaled_at<T: Scalar>(dst: &mut [T], factor: &T, src: &[T], active: &[usize]) {
-    for &j in active {
-        dst[j].sub_mul_assign(factor, &src[j]);
     }
 }
 
@@ -91,14 +79,6 @@ mod tests {
         let mut dst = vec![rat(1, 1), rat(2, 1), rat(3, 1)];
         sub_scaled(&mut dst, &rat(2, 1), &src);
         assert_eq!(dst, vec![Rational::zero(), rat(2, 1), rat(9, 2)]);
-    }
-
-    #[test]
-    fn sub_scaled_at_touches_only_active_columns() {
-        let src = vec![rat(1, 1), rat(7, 1), rat(1, 1)];
-        let mut dst = vec![rat(5, 1), rat(5, 1), rat(5, 1)];
-        sub_scaled_at(&mut dst, &rat(1, 1), &src, &[0, 2]);
-        assert_eq!(dst, vec![rat(4, 1), rat(5, 1), rat(4, 1)]);
     }
 
     #[test]

@@ -138,6 +138,19 @@ pub trait Scalar:
     fn add_mul_assign(&mut self, factor: &Self, x: &Self) {
         *self = self.add_ref(&factor.mul_ref(x));
     }
+    /// Row elimination `dst[j] -= factor * src[j]` at every `j` where
+    /// `src[j]` is not exactly zero, leaving the other entries untouched.
+    /// `support` lists exactly those positions, in any order: the default
+    /// updates only there, so a sparse row costs its support. `f64`
+    /// overrides this with one branch-free pass over the whole row.
+    ///
+    /// # Panics
+    /// Panics if an index in `support` is out of bounds for either slice.
+    fn sub_mul_row(dst: &mut [Self], factor: &Self, src: &[Self], support: &[usize]) {
+        for &j in support {
+            dst[j].sub_mul_assign(factor, &src[j]);
+        }
+    }
     /// In-place negation.
     fn neg_assign(&mut self) {
         *self = -self.clone();
@@ -218,6 +231,20 @@ impl Scalar for f64 {
     }
     fn from_rational(r: Rational) -> Self {
         r.to_f64()
+    }
+
+    // A select instead of an index gather, so the loop vectorizes. The mask
+    // is the default's: `s != 0.0` is false exactly on ±0 (so NaN and
+    // infinities update, as they are in the support), and an unselected
+    // entry keeps its bits, signed zeros included. Separate multiply and
+    // subtract, never a fused multiply-add, so every result rounds as the
+    // default's `sub_mul_assign` does.
+    fn sub_mul_row(dst: &mut [f64], factor: &f64, src: &[f64], _support: &[usize]) {
+        assert_eq!(dst.len(), src.len(), "row length mismatch in sub_mul_row");
+        let f = *factor;
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = if s != 0.0 { *d - f * s } else { *d };
+        }
     }
 }
 
@@ -338,6 +365,34 @@ mod tests {
         assert!(rat(1, 3).approx_le(&rat(1, 2)));
         assert_eq!(rat(2, 6).as_rational(), Some(&rat(1, 3)));
         assert_eq!(<Rational as Scalar>::from_rational(rat(-3, 9)), rat(-1, 3));
+    }
+
+    #[test]
+    fn sub_mul_row_touches_only_the_support() {
+        let src = vec![rat(1, 1), Rational::zero(), rat(1, 1)];
+        let mut dst = vec![rat(5, 1), rat(5, 1), rat(5, 1)];
+        Scalar::sub_mul_row(&mut dst, &rat(2, 1), &src, &[0, 2]);
+        assert_eq!(dst, vec![rat(3, 1), rat(5, 1), rat(3, 1)]);
+    }
+
+    #[test]
+    fn f64_sub_mul_row_matches_the_support_gather_bit_for_bit() {
+        // Every entry kind the mask has to get right: signed zeros on both
+        // sides, non-finite values, and a product that rounds.
+        let src = [0.1, 0.0, -0.0, f64::NAN, f64::INFINITY, -3.0, 1e-300, 0.0];
+        let dst = [0.3, -0.0, 0.0, 1.0, 2.0, -0.0, 1e-300, 7.0];
+        for factor in [0.7, -1.0, 0.0, -0.0, 1e300] {
+            let mut support = Vec::new();
+            crate::kernels::nonzero_support_into(&src, &mut support);
+            let mut gathered = dst;
+            for &j in &support {
+                gathered[j].sub_mul_assign(&factor, &src[j]);
+            }
+            let mut kernel = dst;
+            Scalar::sub_mul_row(&mut kernel, &factor, &src, &support);
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&kernel), bits(&gathered), "factor {factor}");
+        }
     }
 
     #[test]

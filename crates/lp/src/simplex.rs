@@ -11,9 +11,15 @@
 //!
 //! # Solver forms
 //!
-//! * **Dense tableau** ([`SolverForm::Dense`]): every pivot rewrites the full
-//!   `rows × cols` tableau (support-masked). Simple, battle-tested, and the
-//!   only form the `f64` backend runs (see below).
+//! * **Dense tableau** ([`SolverForm::Dense`]): every pivot eliminates the
+//!   entering column from every stored row with one row kernel,
+//!   [`Scalar::sub_mul_row`]: over the pivot row's nonzero support for
+//!   exact scalars, one branch-free pass over the row for `f64`. A `>=`
+//!   row's artificial is not stored when a column equals its negation (the
+//!   row's surplus); it reads as that column negated, which is exact, so
+//!   the pivots are those of the full tableau bit for bit (`SOLVER.md` §5).
+//!   Simple, battle-tested, and the only form the `f64` backend runs (see
+//!   below).
 //! * **Revised simplex** (what [`SolverForm::Auto`], the default, runs for
 //!   exact scalars): the basis is kept as sparse LU factors with
 //!   Forrest–Tomlin updates (`crate::lu`), entering columns are FTRAN'd
@@ -233,17 +239,43 @@ pub(crate) fn record(
     }
 }
 
-/// A full simplex tableau: `rows x (cols + 1)` with the right-hand side in the
-/// last column, plus a reduced-cost row.
+/// Where the dense tableau keeps a logical column (see [`solve_dense`]).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Index of the column in the stored rows.
+    stored: usize,
+    /// The logical column reads as the negation of the stored one: a `>=`
+    /// row's artificial `e_i`, stored as its twin column `−e_i`.
+    negated: bool,
+}
+
+impl Slot {
+    fn plain(stored: usize) -> Self {
+        Slot {
+            stored,
+            negated: false,
+        }
+    }
+}
+
+/// A simplex tableau over `cols` logical columns plus the right-hand side,
+/// and a reduced-cost row. The rows store only the columns that are not the
+/// exact negation of another ([`Slot`]), the right-hand side last.
 struct Tableau<'a, T: Scalar> {
     body: Vec<Vec<T>>,
-    /// Reduced costs for the current phase objective, length `cols + 1`
-    /// (last entry is minus the current objective value).
+    /// Reduced costs for the current phase objective over the logical
+    /// columns, length `cols + 1` (last entry is minus the current objective
+    /// value).
     obj: Vec<T>,
     basis: Vec<usize>,
     cols: usize,
+    /// Storage of each logical column, the right-hand side's at `cols`.
+    slots: Vec<Slot>,
     /// Columns the entering rule must skip (artificials during phase 2).
     banned: Vec<bool>,
+    /// The entering column's logical entries, one per row, loaded by
+    /// [`Tableau::load_column`] before the ratio test and the pivot.
+    column: Vec<T>,
     /// Scratch buffer for the pivot row's nonzero support, reused across
     /// pivots so the hot loop performs no per-pivot allocation.
     support: Vec<usize>,
@@ -253,14 +285,28 @@ struct Tableau<'a, T: Scalar> {
 
 impl<T: Scalar> Tableau<'_, T> {
     fn rhs(&self, row: usize) -> &T {
-        &self.body[row][self.cols]
+        &self.body[row][self.slots[self.cols].stored]
     }
 
-    /// One simplex pivot on (`row`, `col`).
+    /// Fill [`Tableau::column`] with logical column `col`.
+    fn load_column(&mut self, col: usize) {
+        let Slot { stored, negated } = self.slots[col];
+        self.column.clear();
+        self.column.extend(self.body.iter().map(|row| {
+            if negated {
+                -row[stored].clone()
+            } else {
+                row[stored].clone()
+            }
+        }));
+    }
+
+    /// One simplex pivot on (`row`, `col`), with `col` loaded
+    /// ([`Tableau::load_column`]).
     fn pivot(&mut self, row: usize, col: usize) {
-        // Normalize the pivot row, then record its nonzero support once; all
-        // remaining updates touch only those columns.
-        let pivot_value = self.body[row][col].clone();
+        // Normalize the pivot row, then record its nonzero support once for
+        // the row kernel.
+        let pivot_value = self.column[row].clone();
         kernels::div_all(&mut self.body[row], &pivot_value);
         let mut support = std::mem::take(&mut self.support);
         kernels::nonzero_support_into(&self.body[row], &mut support);
@@ -268,23 +314,20 @@ impl<T: Scalar> Tableau<'_, T> {
         // Eliminate the pivot column from all other rows and the objective
         // row. The pivot row is temporarily moved out so the borrow checker
         // allows in-place updates of its siblings.
+        let stored = self.slots[col].stored;
         let pivot_row = std::mem::take(&mut self.body[row]);
-        for (r, body_row) in self.body.iter_mut().enumerate() {
-            if r == row {
+        for (r, (body_row, factor)) in self.body.iter_mut().zip(&self.column).enumerate() {
+            if r == row || factor.is_zero_approx() {
                 continue;
             }
-            let factor = body_row[col].clone();
-            if factor.is_zero_approx() {
-                continue;
-            }
-            kernels::sub_scaled_at(body_row, &factor, &pivot_row, &support);
+            T::sub_mul_row(body_row, factor, &pivot_row, &support);
             // Exact cancellation: make the pivot column exactly zero so no
             // residue survives in the f64 backend either.
-            body_row[col] = T::zero();
+            body_row[stored] = T::zero();
         }
         let factor = self.obj[col].clone();
         if !factor.is_zero_approx() {
-            kernels::sub_scaled_at(&mut self.obj, &factor, &pivot_row, &support);
+            sub_mul_logical(&mut self.obj, &factor, &pivot_row, &self.slots);
             self.obj[col] = T::zero();
         }
         self.body[row] = pivot_row;
@@ -306,11 +349,12 @@ impl<T: Scalar> Tableau<'_, T> {
             let Some(col) = pricing.select(self.obj.as_slice(), &self.banned, self.cols) else {
                 return Ok(());
             };
+            self.load_column(col);
             let Some((row, degenerate)) = choose_leaving(
                 self.body.len(),
                 &self.basis,
                 pricing.bland_mode(),
-                |r| &self.body[r][col],
+                |r| &self.column[r],
                 |r| self.rhs(r),
             ) else {
                 return Err(LpError::Unbounded);
@@ -432,7 +476,35 @@ impl<T: Scalar> ColumnSolution<T> {
     }
 }
 
+/// `obj[j] -= factor · row_j` over the logical columns `j` of the stored row
+/// `row` (the right-hand side included), skipping exactly-zero entries. A
+/// negated slot adds `factor · row[stored]`, which is the same value:
+/// negation is exact, and rounding to nearest is symmetric in sign.
+fn sub_mul_logical<T: Scalar>(obj: &mut [T], factor: &T, row: &[T], slots: &[Slot]) {
+    for (o, slot) in obj.iter_mut().zip(slots) {
+        let v = &row[slot.stored];
+        if v.is_exactly_zero() {
+            continue;
+        }
+        if slot.negated {
+            o.add_mul_assign(factor, v);
+        } else {
+            o.sub_mul_assign(factor, v);
+        }
+    }
+}
+
 /// The dense-tableau solve (two phases + artificial-variable cleanup).
+///
+/// Row `i` without a slack seed gets the artificial column `e_i`. When some
+/// standard-form column equals `−e_i` (the surplus of a `>=` row), the
+/// artificial is not stored: its logical column reads as that twin's exact
+/// negation. Every pivot applies the same row operations to both columns,
+/// and `f64` negation is exact with round-to-nearest symmetric in sign, so
+/// the twin's negation equals the column a stored artificial would hold in
+/// every entry, except that an exactly-zero entry may carry the other
+/// sign, which no test reads. Column indices, the pivot rules, the basis,
+/// traces and the iteration cap all stay over the logical columns.
 fn solve_dense<T: Scalar>(
     sf: StandardForm<T>,
     options: &SolverOptions,
@@ -441,47 +513,69 @@ fn solve_dense<T: Scalar>(
 ) -> Result<ColumnSolution<T>, LpError> {
     let num_rows = sf.num_rows();
 
-    // Build the initial tableau, adding artificial columns where no slack can
-    // seed the basis.
-    let mut artificial_cols: Vec<usize> = Vec::new();
+    // Seed the basis, adding an artificial column where no slack can, and
+    // store an artificial only where no column is its negated twin.
+    let mut col_nnz = vec![0usize; sf.num_cols];
+    for i in 0..num_rows {
+        for (j, _) in sf.matrix.row(i).iter() {
+            col_nnz[j] += 1;
+        }
+    }
+    let minus_one = -T::one();
+    let mut slots: Vec<Slot> = (0..sf.num_cols).map(Slot::plain).collect();
+    let mut stored_cols = sf.num_cols;
     let mut basis = vec![usize::MAX; num_rows];
-    let mut total_cols = sf.num_cols;
     for (i, seed) in sf.slack_basis.iter().enumerate() {
         match seed {
             Some(col) => basis[i] = *col,
             None => {
-                let col = total_cols;
-                total_cols += 1;
-                artificial_cols.push(col);
-                basis[i] = col;
+                basis[i] = slots.len();
+                let twin = sf
+                    .matrix
+                    .row(i)
+                    .iter()
+                    .find(|&(j, v)| col_nnz[j] == 1 && *v == minus_one);
+                slots.push(match twin {
+                    Some((j, _)) => Slot {
+                        stored: j,
+                        negated: true,
+                    },
+                    None => {
+                        stored_cols += 1;
+                        Slot::plain(stored_cols - 1)
+                    }
+                });
             }
         }
     }
+    let total_cols = slots.len();
+    slots.push(Slot::plain(stored_cols));
 
     // Scatter each CSR row into a dense tableau row — the one place the
     // dense oracle materializes zeros, by design.
     let mut body: Vec<Vec<T>> = Vec::with_capacity(num_rows);
     for (i, &bcol) in basis.iter().enumerate() {
-        let mut full = vec![T::zero(); total_cols + 1];
+        let mut full = vec![T::zero(); stored_cols + 1];
         for (j, v) in sf.matrix.row(i).iter() {
             full[j] = v.clone();
         }
-        if artificial_cols.contains(&bcol) {
-            full[bcol] = T::one();
+        let slot = slots[bcol];
+        if bcol >= sf.num_cols && !slot.negated {
+            full[slot.stored] = T::one();
         }
-        full[total_cols] = sf.rhs[i].clone();
+        full[stored_cols] = sf.rhs[i].clone();
         body.push(full);
     }
 
     let is_artificial: Vec<bool> = (0..total_cols).map(|j| j >= sf.num_cols).collect();
 
     // -------------------------- Phase 1 --------------------------
-    if !artificial_cols.is_empty() {
+    if total_cols > sf.num_cols {
         // Phase-1 objective: minimize the sum of artificial variables.
         // Reduced costs: c1_j - sum_i c1_{B(i)} * a_ij, where c1 is 1 on
         // artificials and 0 elsewhere. Start from c1 and subtract each
-        // artificially-seeded row in one kernel sweep (the rhs entry folds in
-        // minus the phase-1 objective value for free).
+        // artificially-seeded row (the rhs entry folds in minus the phase-1
+        // objective value for free).
         let mut obj = vec![T::zero(); total_cols + 1];
         for (j, flag) in is_artificial.iter().enumerate() {
             if *flag {
@@ -490,7 +584,7 @@ fn solve_dense<T: Scalar>(
         }
         for (i, row) in body.iter().enumerate() {
             if is_artificial[basis[i]] {
-                kernels::sub_scaled(&mut obj, &T::one(), row);
+                sub_mul_logical(&mut obj, &T::one(), row, &slots);
             }
         }
 
@@ -499,8 +593,10 @@ fn solve_dense<T: Scalar>(
             obj,
             basis,
             cols: total_cols,
+            slots,
             banned: vec![false; total_cols],
-            support: Vec::with_capacity(total_cols + 1),
+            column: Vec::with_capacity(num_rows),
+            support: Vec::with_capacity(stored_cols + 1),
             options,
             stats,
         };
@@ -519,6 +615,7 @@ fn solve_dense<T: Scalar>(
             // Find a non-artificial column with a nonzero coefficient.
             let replacement = (0..sf.num_cols).find(|&j| !tableau.body[row][j].is_zero_approx());
             if let Some(col) = replacement {
+                tableau.load_column(col);
                 tableau.pivot(row, col);
                 record(trace, TracePhase::DriveOut, col, row);
             }
@@ -530,6 +627,7 @@ fn solve_dense<T: Scalar>(
 
         body = tableau.body;
         basis = tableau.basis;
+        slots = tableau.slots;
     }
 
     // -------------------------- Phase 2 --------------------------
@@ -544,7 +642,7 @@ fn solve_dense<T: Scalar>(
         if cb.is_zero_approx() {
             continue;
         }
-        kernels::sub_scaled(&mut obj, cb, row);
+        sub_mul_logical(&mut obj, cb, row, &slots);
     }
     // The kernel sweep also touched the basic columns themselves; their
     // reduced costs are zero by construction, so restore exactness for f64.
@@ -557,8 +655,10 @@ fn solve_dense<T: Scalar>(
         obj,
         basis,
         cols: total_cols,
+        slots,
         banned: is_artificial,
-        support: Vec::with_capacity(total_cols + 1),
+        column: Vec::with_capacity(num_rows),
+        support: Vec::with_capacity(stored_cols + 1),
         options,
         stats,
     };

@@ -29,7 +29,7 @@ use crate::frame::{read_frame, write_frame};
 use crate::json::{self, Json};
 use crate::proto::{
     intern_code, rows_from_wire, stats_from_wire, CacheDisposition, CacheMode, ConsumerSpec,
-    LossSpec, WireError, WireScalar, PROTOCOL_VERSION,
+    LossSpec, StatsReply, WireError, WireScalar, PROTOCOL_VERSION,
 };
 use crate::zoo::{query_to_wire, ZooAgentSpec, ZooConsumerSpec};
 
@@ -351,29 +351,9 @@ impl Client {
     pub fn cache_stats(&mut self) -> Result<CacheStatsReply, ClientError> {
         let response = self.call(Json::obj().with("op", Json::str("stats")))?;
         let result = result_of(&response)?;
-        let field = |name: &str| {
-            result
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Protocol(format!("stats reply lacks \"{name}\"")))
-        };
-        // The neg_* fields default to 0 against pre-v2 servers.
-        let opt = |name: &str| result.get(name).and_then(Json::as_u64).unwrap_or(0);
-        Ok(CacheStatsReply {
-            hits: field("hits")?,
-            misses: field("misses")?,
-            evictions: field("evictions")?,
-            entries: field("entries")?,
-            capacity: field("capacity")?,
-            shards: field("shards")?,
-            neg_hits: opt("neg_hits"),
-            neg_misses: opt("neg_misses"),
-            neg_evictions: opt("neg_evictions"),
-            neg_entries: opt("neg_entries"),
-            neg_capacity: opt("neg_capacity"),
-            max_inflight: opt("max_inflight"),
-            inflight_peak: opt("inflight_peak"),
-        })
+        let stats = StatsReply::from_wire(result)
+            .map_err(|name| ClientError::Protocol(format!("stats reply lacks \"{name}\"")))?;
+        Ok(stats.into())
     }
 
     /// Fetch the server's per-op latency histograms (the `metrics` op) as

@@ -39,6 +39,7 @@ use privmech_linalg::{Matrix, Scalar};
 use privmech_numerics::Rational;
 
 use crate::cache::CacheStats;
+use crate::client::CacheStatsReply;
 use crate::json::{self, Json};
 use crate::zoo::ZooRequest;
 
@@ -876,6 +877,41 @@ impl StatsReply {
         fields.fold(Json::obj(), |obj, (name, value)| {
             obj.with(name, Json::num_u64(value))
         })
+    }
+
+    /// Read a `stats` result object, every field required; the error names
+    /// the first missing one.
+    pub(crate) fn from_wire(result: &Json) -> Result<Self, &'static str> {
+        let mut reply = StatsReply::default();
+        for (slot, name) in reply.0.iter_mut().zip(STATS_FIELDS) {
+            *slot = result.get(name).and_then(Json::as_u64).ok_or(name)?;
+        }
+        Ok(reply)
+    }
+}
+
+/// The typed client's view of the same fields. The pattern lists
+/// [`STATS_FIELDS`] in order, so a field added there fails to compile here
+/// until the client carries it too.
+impl From<StatsReply> for CacheStatsReply {
+    fn from(StatsReply(fields): StatsReply) -> Self {
+        let [hits, misses, evictions, entries, capacity, shards, neg_hits, neg_misses, neg_evictions, neg_entries, neg_capacity, max_inflight, inflight_peak] =
+            fields;
+        CacheStatsReply {
+            hits,
+            misses,
+            evictions,
+            entries,
+            capacity,
+            shards,
+            neg_hits,
+            neg_misses,
+            neg_evictions,
+            neg_entries,
+            neg_capacity,
+            max_inflight,
+            inflight_peak,
+        }
     }
 }
 

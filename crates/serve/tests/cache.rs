@@ -140,13 +140,15 @@ fn concurrent_eviction_pressure_keeps_values_keyed() {
     assert!(stats.evictions >= 4_000 - 8, "almost every insert evicted");
 }
 
-/// A memoized sweep whose response was evicted counts one miss, not two:
-/// `hits + misses` equals the number of cache-using requests.
+/// A sweep repeated after another request evicted both its response and
+/// its key-memo entry counts one miss, not two: `hits + misses` equals the
+/// number of cache-using requests.
 #[test]
-fn a_memoized_sweep_after_eviction_counts_one_miss() {
-    // One single-entry shard: the interact evicts the sweep's response but
-    // writes no key-memo entry, so the repeated sweep finds its memoized key
-    // and an empty cache.
+fn a_sweep_repeated_after_memo_eviction_counts_one_miss() {
+    // One single-entry shard, for the response cache and the key memo
+    // alike: the interact's response and memo entry evict the sweep's, so
+    // the repeated sweep takes the memo-miss path (validate, then one
+    // response-cache lookup) and finds an empty cache.
     let handle = server::spawn(ServerConfig {
         cache_capacity: 1,
         cache_shards: 1,
@@ -176,6 +178,54 @@ fn a_memoized_sweep_after_eviction_counts_one_miss() {
         stats.misses, 3,
         "one lookup per cache-using request: {stats:?}"
     );
+    handle.shutdown();
+}
+
+/// Every field of a live server's `stats` result reaches the typed client's
+/// `CacheStatsReply` under its own name. The reply's `Debug` form lists the
+/// struct's fields, so the comparison needs no third copy of the list.
+#[test]
+fn every_stats_field_reaches_the_typed_client() {
+    let handle = server::spawn(ServerConfig {
+        cache_capacity: 2,
+        cache_shards: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    // Traffic that sets the counters apart: misses, evictions, a hit, and
+    // one rejected request three times (a negative miss, then two hits).
+    let solve =
+        |alpha: &str| format!(r#"{{"op":"solve","n":2,"loss":"absolute","alpha":"{alpha}"}}"#);
+    for alpha in ["1/2", "1/3", "1/4", "1/2", "1/4", "3/2", "3/2", "3/2"] {
+        // The rejected request's error reply is part of the traffic.
+        let _ = client.call(json::parse(&solve(alpha)).expect("JSON"));
+    }
+    let reply = client
+        .call(Json::obj().with("op", Json::str("stats")))
+        .expect("stats");
+    let Some(Json::Obj(wire)) = reply.get("result") else {
+        panic!("stats result is not an object: {reply:?}");
+    };
+    let mut wire: Vec<(String, u64)> = wire
+        .iter()
+        .map(|(name, value)| (name.clone(), value.as_u64().expect("counter")))
+        .collect();
+    let typed = format!("{:?}", client.cache_stats().expect("stats"));
+    let fields = typed
+        .strip_prefix("CacheStatsReply { ")
+        .and_then(|rest| rest.strip_suffix(" }"))
+        .expect("derived Debug form");
+    let mut typed: Vec<(String, u64)> = fields
+        .split(", ")
+        .map(|field| {
+            let (name, value) = field.split_once(": ").expect("name: value");
+            (name.to_string(), value.parse().expect("counter"))
+        })
+        .collect();
+    wire.sort();
+    typed.sort();
+    assert_eq!(typed, wire);
     handle.shutdown();
 }
 
