@@ -36,6 +36,7 @@ use privmech_load::{ramp_search, run, RunConfig, Schedule};
 use privmech_load::{Population, WorkloadConfig, WorkloadKind};
 use privmech_serve::client::Client;
 use privmech_serve::json::{self, Json};
+use privmech_serve::metrics::MetricsReply;
 use privmech_serve::server::{self, ServerConfig};
 
 struct Args {
@@ -337,42 +338,12 @@ fn print_report(rate: f64, report: &privmech_load::RunReport) {
     }
 }
 
-/// Fetch the server's per-op histograms and compress each to
-/// `{count, mean_ns, p99_le_ns}` (`p99_le_ns` is the upper bound of the
-/// first histogram bucket covering the 99th percentile; 0 = overflow
-/// bucket, i.e. beyond the largest bounded bucket).
+/// Fetch the server's per-op histograms and compress each to its
+/// `{count, total_ns, mean_ns, p99_le_ns}` summary (see `LOAD.md`).
 fn fetch_server_ops(addr: &str) -> Option<Json> {
     let mut client = Client::connect(addr).ok()?;
     let metrics = client.metrics().ok()?;
-    let ops = metrics.get("ops")?;
-    let Json::Obj(entries) = ops else { return None };
-    let mut out = Json::obj();
-    for (op, histogram) in entries {
-        let count = histogram.get("count").and_then(Json::as_u64)?;
-        let total_ns = histogram.get("total_ns").and_then(Json::as_u64)?;
-        let buckets = histogram.get("buckets").and_then(Json::as_arr)?;
-        let threshold = (count as f64 * 0.99).ceil() as u64;
-        let mut cumulative = 0;
-        let mut p99_le_ns = 0;
-        for bucket in buckets {
-            cumulative += bucket.get("count").and_then(Json::as_u64).unwrap_or(0);
-            if cumulative >= threshold {
-                p99_le_ns = bucket.get("le_ns").and_then(Json::as_u64).unwrap_or(0);
-                break;
-            }
-        }
-        out = out.with(
-            op,
-            Json::obj()
-                .with("count", Json::num_u64(count))
-                .with(
-                    "mean_ns",
-                    Json::num_u64(total_ns.checked_div(count).unwrap_or(0)),
-                )
-                .with("p99_le_ns", Json::num_u64(p99_le_ns)),
-        );
-    }
-    Some(out)
+    Some(MetricsReply::from_wire(&metrics)?.summaries())
 }
 
 fn parse_args() -> Args {

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! privmech-router --shard HOST:PORT [--shard HOST:PORT ...]
-//!                 [--addr HOST:PORT] [--vnodes N] [--max-inflight N]
+//!                 [--addr HOST:PORT] [--max-inflight N]
 //! ```
 
 use privmech_serve::router::{self, RouterConfig};
@@ -27,7 +27,6 @@ fn main() {
         match arg.as_str() {
             "--addr" => config.addr = value("--addr"),
             "--shard" => shards.push(value("--shard")),
-            "--vnodes" => config.vnodes = parse(&value("--vnodes"), "--vnodes"),
             "--max-inflight" => {
                 config.max_inflight_per_conn = parse(&value("--max-inflight"), "--max-inflight")
             }
@@ -35,7 +34,7 @@ fn main() {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: privmech-router --shard HOST:PORT [--shard HOST:PORT ...] \
-                     [--addr HOST:PORT] [--vnodes N] [--max-inflight N]"
+                     [--addr HOST:PORT] [--max-inflight N]"
                 );
                 std::process::exit(2);
             }

@@ -9,8 +9,7 @@
 //! ```text
 //! privmech-serve [--addr HOST:PORT] [--threads N] [--cache-capacity N]
 //!                [--cache-shards N] [--neg-cache-capacity N]
-//!                [--sweep-threads N] [--cache-file PATH] [--verify-hits]
-//!                [--max-inflight N]
+//!                [--cache-file PATH] [--verify-hits] [--max-inflight N]
 //! ```
 
 use privmech_serve::server::{self, ServerConfig};
@@ -38,9 +37,6 @@ fn main() {
                 config.neg_cache_capacity =
                     parse(&value("--neg-cache-capacity"), "--neg-cache-capacity")
             }
-            "--sweep-threads" => {
-                config.sweep_threads = parse(&value("--sweep-threads"), "--sweep-threads")
-            }
             "--cache-file" => config.cache_file = Some(value("--cache-file").into()),
             "--verify-hits" => config.verify_hits = true,
             "--max-inflight" => {
@@ -51,8 +47,7 @@ fn main() {
                 eprintln!(
                     "usage: privmech-serve [--addr HOST:PORT] [--threads N] \
                      [--cache-capacity N] [--cache-shards N] [--neg-cache-capacity N] \
-                     [--sweep-threads N] [--cache-file PATH] [--verify-hits] \
-                     [--max-inflight N]"
+                     [--cache-file PATH] [--verify-hits] [--max-inflight N]"
                 );
                 std::process::exit(2);
             }

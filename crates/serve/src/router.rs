@@ -57,7 +57,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::json::{self, Json};
-use crate::metrics::TRACKED_OPS;
+use crate::metrics::MetricsReply;
 use crate::proto::{
     decode_request, error_response, ok_response, routing_key, scan_reply, wire_error_json,
     StatsReply, WireError,
@@ -65,7 +65,7 @@ use crate::proto::{
 use crate::readiness::{
     ConnWriter, Doorbell, FrameReader, Handler, Outbox, Reactor, FIRST_HANDLER_TOKEN,
 };
-use crate::ring::{ShardRing, DEFAULT_VNODES};
+use crate::ring::ShardRing;
 use crate::sys::{Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 
 /// Configuration of a router instance.
@@ -77,8 +77,6 @@ pub struct RouterConfig {
     /// Shard addresses, one per shard index. Ring ownership hashes the
     /// *index*, so the order given here is the fleet's stable identity.
     pub shards: Vec<String>,
-    /// Virtual nodes per shard on the ring.
-    pub vnodes: usize,
     /// Per-client-connection bound on forwarded requests awaiting replies;
     /// enforced by readiness gating exactly like the server's cap. 0
     /// disables the bound.
@@ -92,7 +90,6 @@ impl RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             shards,
-            vnodes: DEFAULT_VNODES,
             max_inflight_per_conn: 256,
         }
     }
@@ -176,7 +173,7 @@ pub fn spawn(config: RouterConfig) -> io::Result<RouterHandle> {
     let mut router = Router {
         addrs: Arc::clone(&addrs),
         bell: Arc::clone(&bell),
-        ring: ShardRing::new(nshards, config.vnodes.max(1)),
+        ring: ShardRing::with_default_vnodes(nshards),
         shards: (0..nshards)
             .map(|_| ShardState::Down {
                 until: Instant::now(),
@@ -233,24 +230,48 @@ struct Agg {
 
 enum AggAcc {
     Stats(StatsReply),
-    Metrics(MetricsAcc),
+    /// Each answering shard's reply keyed by shard index, so the fleet reply
+    /// can expose per-shard latency skew next to the fleet sum.
+    Metrics(Vec<(usize, MetricsReply)>),
 }
 
-/// Merged per-op latency histograms: counts and totals sum; sparse buckets
-/// merge by their `le_ns` bound. Each member's contribution is also kept
-/// keyed by shard index, so the fleet reply can expose per-shard latency
-/// skew (`shards: [{shard, ops: {...}}]`) from the one endpoint.
-#[derive(Default)]
-struct MetricsAcc {
-    ops: HashMap<String, OpAcc>,
-    per_shard: Vec<(usize, HashMap<String, OpAcc>)>,
-}
+impl AggAcc {
+    /// Fold one member's `result` in. A `metrics` result without `ops`
+    /// contributes nothing, not even a `shards` entry.
+    fn merge(&mut self, shard: usize, result: &Json) {
+        match self {
+            AggAcc::Stats(acc) => acc.merge(result),
+            AggAcc::Metrics(shards) => {
+                if let Some(reply) = MetricsReply::from_wire(result) {
+                    shards.push((shard, reply));
+                }
+            }
+        }
+    }
 
-#[derive(Default)]
-struct OpAcc {
-    count: u64,
-    total_ns: u64,
-    buckets: HashMap<u64, u64>,
+    /// The merged `result`. A fleet `metrics` result renders the summed
+    /// `ops` in the server's shape, then a router-only `shards` section: each
+    /// answering shard's per-op summaries (`{count, total_ns, mean_ns,
+    /// p99_le_ns}`) in ascending shard order.
+    fn into_wire(self) -> Json {
+        match self {
+            AggAcc::Stats(acc) => acc.to_wire(),
+            AggAcc::Metrics(mut shards) => {
+                shards.sort_unstable_by_key(|(shard, _)| *shard);
+                let mut fleet = MetricsReply::default();
+                let mut members = Vec::with_capacity(shards.len());
+                for (shard, reply) in &shards {
+                    fleet += reply;
+                    members.push(
+                        Json::obj()
+                            .with("shard", Json::num_u64(*shard as u64))
+                            .with("ops", reply.summaries()),
+                    );
+                }
+                fleet.to_wire().with("shards", Json::Arr(members))
+            }
+        }
+    }
 }
 
 /// The router's reactor handler: shard connections, tickets and fan-outs.
@@ -598,7 +619,7 @@ impl Router {
                 acc: if op == "stats" {
                     AggAcc::Stats(StatsReply::default())
                 } else {
-                    AggAcc::Metrics(MetricsAcc::default())
+                    AggAcc::Metrics(Vec::new())
                 },
             },
         );
@@ -626,10 +647,7 @@ impl Router {
         if let Some(reply) = reply {
             if reply.get("ok").and_then(Json::as_bool) == Some(true) {
                 if let Some(result) = reply.get("result") {
-                    match &mut agg.acc {
-                        AggAcc::Stats(acc) => acc.merge(result),
-                        AggAcc::Metrics(acc) => merge_metrics(acc, shard, result),
-                    }
+                    agg.acc.merge(shard, result);
                     agg.successes += 1;
                 }
             }
@@ -650,11 +668,7 @@ impl Router {
                 None,
             )
         } else {
-            let result = match agg.acc {
-                AggAcc::Stats(acc) => acc.to_wire(),
-                AggAcc::Metrics(acc) => render_metrics(&acc),
-            };
-            ok_response(id, None, result)
+            ok_response(id, None, agg.acc.into_wire())
         };
         reply_local(&agg.client, &frame);
     }
@@ -741,112 +755,28 @@ fn resolve(addr: &str) -> Option<SocketAddr> {
     addr.to_socket_addrs().ok()?.next()
 }
 
-fn merge_metrics(acc: &mut MetricsAcc, shard: usize, result: &Json) {
-    let Some(Json::Obj(ops)) = result.get("ops") else {
-        return;
-    };
-    let mut mine: HashMap<String, OpAcc> = HashMap::new();
-    for (op, entry) in ops {
-        let count = entry.get("count").and_then(Json::as_u64).unwrap_or(0);
-        let total_ns = entry.get("total_ns").and_then(Json::as_u64).unwrap_or(0);
-        let slot = acc.ops.entry(op.clone()).or_default();
-        slot.count += count;
-        slot.total_ns += total_ns;
-        let local = mine.entry(op.clone()).or_default();
-        local.count += count;
-        local.total_ns += total_ns;
-        for bucket in entry.get("buckets").and_then(Json::as_arr).unwrap_or(&[]) {
-            let le_ns = bucket.get("le_ns").and_then(Json::as_u64).unwrap_or(0);
-            let count = bucket.get("count").and_then(Json::as_u64).unwrap_or(0);
-            *slot.buckets.entry(le_ns).or_default() += count;
-            *local.buckets.entry(le_ns).or_default() += count;
-        }
-    }
-    acc.per_shard.push((shard, mine));
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Render merged fleet metrics in the server's shape: tracked-op order,
-/// sparse buckets ascending by bound with the unbounded (`le_ns: 0`) bucket
-/// last. A fleet-only `shards` section follows the merged `ops`, giving the
-/// per-shard latency skew ([`render_shard_ops`]) in ascending shard order.
-fn render_metrics(acc: &MetricsAcc) -> Json {
-    let mut ops = Json::obj();
-    for &op in TRACKED_OPS {
-        let Some(entry) = acc.ops.get(op) else {
-            continue;
-        };
-        if entry.count == 0 {
-            continue;
-        }
-        let mut bounds: Vec<u64> = entry.buckets.keys().copied().collect();
-        bounds.sort_unstable_by_key(|&le_ns| if le_ns == 0 { u64::MAX } else { le_ns });
-        let buckets = bounds
-            .into_iter()
-            .map(|le_ns| {
-                Json::obj()
-                    .with("le_ns", Json::num_u64(le_ns))
-                    .with("count", Json::num_u64(entry.buckets[&le_ns]))
-            })
-            .collect();
-        ops = ops.with(
-            op,
-            Json::obj()
-                .with("count", Json::num_u64(entry.count))
-                .with("total_ns", Json::num_u64(entry.total_ns))
-                .with("buckets", Json::Arr(buckets)),
-        );
-    }
-    let mut members: Vec<&(usize, HashMap<String, OpAcc>)> = acc.per_shard.iter().collect();
-    members.sort_unstable_by_key(|(shard, _)| *shard);
-    let shards = members
-        .into_iter()
-        .map(|(shard, ops)| {
-            Json::obj()
-                .with("shard", Json::num_u64(*shard as u64))
-                .with("ops", render_shard_ops(ops))
-        })
-        .collect();
-    Json::obj()
-        .with("ops", ops)
-        .with("shards", Json::Arr(shards))
-}
-
-/// One shard's per-op latency summary inside the fleet `metrics` reply:
-/// `{count, total_ns, mean_ns, p99_le_ns}` per recorded op, in tracked-op
-/// order. `mean_ns` is the integer mean; `p99_le_ns` is the upper bound of
-/// the histogram bucket containing the 99th-percentile observation (`0`
-/// meaning it fell in the unbounded overflow bucket). Comparing these
-/// across entries is how an operator reads shard latency skew without
-/// connecting to each shard.
-fn render_shard_ops(ops: &HashMap<String, OpAcc>) -> Json {
-    let mut rendered = Json::obj();
-    for &op in TRACKED_OPS {
-        let Some(entry) = ops.get(op) else {
-            continue;
-        };
-        if entry.count == 0 {
-            continue;
-        }
-        let mut bounds: Vec<u64> = entry.buckets.keys().copied().collect();
-        bounds.sort_unstable_by_key(|&le_ns| if le_ns == 0 { u64::MAX } else { le_ns });
-        let target = entry.count - entry.count / 100;
-        let mut seen = 0u64;
-        let mut p99_le_ns = 0u64;
-        for le_ns in bounds {
-            seen += entry.buckets[&le_ns];
-            if seen >= target {
-                p99_le_ns = le_ns;
-                break;
+    /// The fixture holds four members' `metrics` results as `<shard>
+    /// <result>` lines, out of shard order: two overlapping shards (shared
+    /// ops and buckets, overflow buckets, an op only one reports, an
+    /// untracked op), a member without `ops`, and a member reporting only an
+    /// untracked op. Its `= <reply>` line pins the fleet reply's bytes, as
+    /// the router's earlier hand-written merge rendered them.
+    #[test]
+    fn fleet_metrics_reply_bytes_are_pinned() {
+        let fixture = include_str!("../tests/fixtures/fleet_metrics.txt");
+        let mut acc = AggAcc::Metrics(Vec::new());
+        let mut expected = "";
+        for line in fixture.lines() {
+            let (tag, text) = line.split_once(' ').unwrap();
+            match tag {
+                "=" => expected = text,
+                shard => acc.merge(shard.parse().unwrap(), &json::parse(text).unwrap()),
             }
         }
-        rendered = rendered.with(
-            op,
-            Json::obj()
-                .with("count", Json::num_u64(entry.count))
-                .with("total_ns", Json::num_u64(entry.total_ns))
-                .with("mean_ns", Json::num_u64(entry.total_ns / entry.count))
-                .with("p99_le_ns", Json::num_u64(p99_le_ns)),
-        );
+        assert_eq!(json::to_string(&acc.into_wire()), expected);
     }
-    rendered
 }

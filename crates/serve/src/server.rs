@@ -96,9 +96,6 @@ pub struct ServerConfig {
     /// into a full solve — for correctness harnesses, not production
     /// throughput.
     pub verify_hits: bool,
-    /// Worker-thread budget of the per-request engine for `sweep` operations
-    /// (request-level parallelism comes from `worker_threads`).
-    pub sweep_threads: usize,
     /// Persist both caches to this JSON Lines file: loaded on startup,
     /// dumped on shutdown, so a restarted server keeps its hot set (entries
     /// are portable by the bit-identity contract).
@@ -121,7 +118,6 @@ impl Default for ServerConfig {
             cache_shards: 8,
             neg_cache_capacity: 1024,
             verify_hits: false,
-            sweep_threads: 1,
             cache_file: None,
             max_inflight_per_conn: 256,
         }
@@ -148,7 +144,6 @@ struct Shared {
     /// Per-op latency histograms (the `metrics` op).
     metrics: Metrics,
     verify_hits: bool,
-    sweep_threads: usize,
     addr: SocketAddr,
     /// Wakes and stops the reactor; also keeps the in-flight high-water
     /// mark the `stats` op reports.
@@ -264,9 +259,8 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
         neg_cache: ShardedCache::new(config.neg_cache_capacity, config.cache_shards),
         key_memo: ShardedCache::new(config.cache_capacity, config.cache_shards),
-        metrics: Metrics::new(),
+        metrics: Metrics::default(),
         verify_hits: config.verify_hits,
-        sweep_threads: config.sweep_threads.max(1),
         addr: reactor.local_addr()?,
         bell: Arc::clone(reactor.doorbell()),
         cache_file: config.cache_file.clone(),
@@ -640,6 +634,7 @@ fn handle_compute<T: WireScalar>(
         return Ok(sweep_done_frame(id, disposition, 0, &Default::default()));
     }
     let key = compute.key();
+    // One thread per sweep: request-level parallelism is the worker pool's.
     let engine = PrivacyEngine::with_threads(1);
     match compute {
         ComputeRequest::Solve { spec, alpha } => serve_result(
@@ -730,7 +725,8 @@ fn handle_sweep<T: WireScalar>(
     spec: &ConsumerSpec<T>,
     alphas: &[Json],
 ) -> Result<Json, ComputeError> {
-    let engine = PrivacyEngine::with_threads(shared.sweep_threads);
+    // One thread per sweep: request-level parallelism is the worker pool's.
+    let engine = PrivacyEngine::with_threads(1);
     // Levels and the consumer validate together: a bad α at any position,
     // or a bad spec, is one deterministic rejection.
     let validate = |gate: &Gate<'_>| {

@@ -52,8 +52,8 @@
 //!   (deploy `G_{n,α}`, solve the small interaction LP); strategy
 //!   [`SolveStrategy::DirectLp`] solves the Section 2.5 LP directly and
 //!   reproduces the seed's `optimal_mechanism` formulation bit for
-//!   bit. Exact LPs run on a revised simplex with a product-form basis
-//!   factorization ([`SolverForm`], PR 4) that is
+//!   bit. Exact LPs run on a revised simplex over a sparse LU
+//!   factorization with Forrest–Tomlin updates ([`SolverForm`]) that is
 //!   contractually pivot-sequence-identical to the dense tableau — design
 //!   and contract in `crates/lp/SOLVER.md`.
 //! * **Sweep α in batch.**
