@@ -20,7 +20,25 @@
 //! exactly-nonzero pivot is sound — so the ordering is free to chase
 //! sparsity alone, with deterministic tie-breaks (smaller column count,
 //! then smaller row/column index) so repeated factorizations are
-//! reproducible.
+//! reproducible: each step takes the minimum of the key
+//! `(score, col_count, row, slot)` over every active nonzero.
+//!
+//! The search finds that minimum without scanning every active nonzero at
+//! every step (Suhl & Suhl, ORSA J. Comput. 2, 1990). A column singleton
+//! has key `(0, 1, r, c)`, below every other key, so singletons come first
+//! from a queue ordered by `(r, c)`; an elimination pushes every column it
+//! leaves with one entry, and stale queue entries are skipped when popped.
+//! Most of a simplex basis is unit slack and surplus columns, and their
+//! eliminations cost one queue operation each and create no fill. When no
+//! singleton is left, the nucleus is searched through live rows and columns
+//! bucketed by count: for `k = 1, 2, …` it examines every entry of the
+//! columns and rows with count `k`. Every entry not yet examined then has
+//! both counts above `k`, hence score at least `k²`, and column count
+//! `k + 1` if it ties, so the search stops as soon as the best key so far
+//! is below `(k², k + 1)`. That is the same minimum the full scan finds,
+//! so the elimination sequence, `L`, `U` and `R` below do not depend on
+//! the search. The row occupancy lists, the buckets, the queue and the
+//! merge buffer live across refactorizations and keep their allocations.
 //!
 //! **Update** ([`LuFactors::push_pivot`]): replacing the basis column at
 //! position `p` turns column `p` of `U` into the *spike* `w = L⁻¹·a`.
@@ -44,7 +62,10 @@
 //! `(R + 2·S) / k` per pivot. The factors are rebuilt as soon as
 //! `2·nnz·k > R + 2·S` — the classic minimum-average-cost reinversion rule,
 //! which needs no tuning constant. Fill-free updates never fire it; the
-//! pivot-count interval caps the cycle length regardless.
+//! pivot-count interval caps the cycle length regardless. `R` counts
+//! arithmetic only, not the pivot search: charging the search to it makes
+//! refactorizations rarer and FTRAN/BTRAN dearer, which costs more than
+//! it saves (`SOLVER.md` §7).
 //!
 //! **Why bit-identity with the dense tableau holds:**
 //! FTRAN and BTRAN compute the mathematically exact entries of `B⁻¹a` /
@@ -54,13 +75,19 @@
 //! cannot change any pivot choice; the contract is property-tested across
 //! refactorization frequencies in `tests/properties.rs`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use privmech_linalg::sparse::{self, SparseVec};
 use privmech_linalg::Scalar;
 
 use crate::model::LpError;
 
+/// "No item" in the index-linked structures below.
+const NIL: usize = usize::MAX;
+
 /// One elementary elimination of the `L` factor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum LOp<T: Scalar> {
     /// Column elimination from factorization: forward
     /// `work[i] -= v·work[pivot]`, transposed `work[pivot] -= Σ v·work[i]`.
@@ -133,6 +160,11 @@ pub(crate) struct LuFactors<T: Scalar> {
     /// Whether `spike` belongs to the current factors (set by FTRAN,
     /// cleared by an update or a refactorization).
     spike_armed: bool,
+    /// Row → index of its multiplier in the update being built, or `NIL`;
+    /// all `NIL` between updates.
+    multiplier_at: Vec<usize>,
+    /// Refactorization workspace, kept for the next refactorization.
+    work: Elimination<T>,
 }
 
 impl<T: Scalar> LuFactors<T> {
@@ -153,6 +185,8 @@ impl<T: Scalar> LuFactors<T> {
             update_nnz_sum: 0,
             spike: vec![T::zero(); m],
             spike_armed: false,
+            multiplier_at: vec![NIL; m],
+            work: Elimination::new(m),
         }
     }
 
@@ -280,17 +314,13 @@ impl<T: Scalar> LuFactors<T> {
                     stored = Some(k);
                 } else if *i == r_j {
                     diag_idx = Some(k);
-                } else {
-                    for (mr, mv) in &multipliers {
-                        if mr == i {
-                            numerator.sub_mul_assign(mv, v);
-                            break;
-                        }
-                    }
+                } else if let Some((_, mv)) = multipliers.get(self.multiplier_at[*i]) {
+                    numerator.sub_mul_assign(mv, v);
                 }
             }
             if !numerator.is_exactly_zero() {
                 let k = diag_idx.expect("upper-triangular column missing its diagonal entry");
+                self.multiplier_at[r_j] = multipliers.len();
                 multipliers.push((r_j, numerator.div_ref(&col[k].1)));
             }
             if let Some(k) = stored {
@@ -304,6 +334,7 @@ impl<T: Scalar> LuFactors<T> {
         let mut d = std::mem::replace(&mut self.spike[r_p], T::zero());
         for (r_j, lambda) in &multipliers {
             d.sub_mul_assign(lambda, &self.spike[*r_j]);
+            self.multiplier_at[*r_j] = NIL;
         }
         assert!(
             !d.is_exactly_zero(),
@@ -348,160 +379,39 @@ impl<T: Scalar> LuFactors<T> {
 
     /// Factorize the basis whose position `c` holds the sparse column
     /// `columns(c)` from scratch: right-looking Markowitz elimination (see
-    /// the module docs).
+    /// the module docs). Each column must list its entries in increasing
+    /// row order, as CSR transpose rows and unit columns do.
     ///
     /// Fails with [`LpError::Internal`] only if the basis is singular, which
     /// would indicate a solver bug — the simplex invariant keeps every basis
-    /// nonsingular.
+    /// nonsingular. The factors are left as they were on failure.
     pub(crate) fn refactorize<'a, F>(&mut self, columns: F) -> Result<(), LpError>
     where
         F: Fn(usize) -> SparseVec<'a, T>,
         T: 'a,
     {
         let m = self.dim();
-
-        // Working copy: active entries per column slot (slot = basis
-        // position of the column), kept sorted by row for deterministic
-        // scans and merge updates.
-        let mut active: Vec<Vec<(usize, T)>> = (0..m)
-            .map(|c| {
-                let mut col = columns(c).to_pairs();
-                col.sort_by_key(|&(r, _)| r);
-                col
-            })
-            .collect();
-        // Entries frozen into U as their row is eliminated.
-        let mut frozen: Vec<Vec<(usize, T)>> = vec![Vec::new(); m];
-        // Row occupancy (may hold stale slots; validated before use) and
-        // active-column counts per row for the Markowitz score.
-        let mut row_occ: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut row_cnt = vec![0usize; m];
-        for (c, col) in active.iter().enumerate() {
-            for (r, _) in col {
-                row_occ[*r].push(c);
-                row_cnt[*r] += 1;
-            }
-        }
-        let mut col_alive = vec![true; m];
-        let mut row_alive = vec![true; m];
+        let work = &mut self.work;
+        work.load(columns);
 
         let mut ops: Vec<LOp<T>> = Vec::new();
         let mut nnz = 0usize;
         // Multiplier divisions plus elimination multiply-subtracts, plus `m`.
         let mut work_ops = m;
-        let mut rpos = vec![usize::MAX; m];
-        let mut cpos = vec![usize::MAX; m];
+        let mut rpos = vec![NIL; m];
+        let mut cpos = vec![NIL; m];
 
         for step in 0..m {
-            // Markowitz selection: minimize (row_cnt − 1)·(col_cnt − 1)
-            // over all active nonzeros, deterministic tie-breaks.
-            let mut best: Option<(usize, usize, usize, usize)> = None; // (score, cnt, r, c)
-            for (c, col) in active.iter().enumerate() {
-                if !col_alive[c] || col.is_empty() {
-                    continue;
-                }
-                let cnt = col.len();
-                for (r, _) in col {
-                    let score = (row_cnt[*r] - 1) * (cnt - 1);
-                    let key = (score, cnt, *r, c);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-            }
-            let Some((_, _, r, c)) = best else {
+            let Some((r, c)) = work.select() else {
                 return Err(LpError::Internal(
                     "singular basis during refactorization".to_string(),
                 ));
             };
-
-            // Freeze column c: diagonal at (r, pivot_value), multipliers
-            // from the remaining active entries.
-            let col = std::mem::take(&mut active[c]);
-            col_alive[c] = false;
-            row_alive[r] = false;
             rpos[step] = r;
             cpos[step] = c;
-            let mut pivot_value = T::zero();
-            let mut multipliers: Vec<(usize, T)> = Vec::new();
-            for (i, v) in &col {
-                if *i == r {
-                    pivot_value = v.clone();
-                } else {
-                    row_cnt[*i] -= 1;
-                }
-            }
-            debug_assert!(!pivot_value.is_exactly_zero());
-            for (i, v) in &col {
-                if *i != r {
-                    multipliers.push((*i, v.div_ref(&pivot_value)));
-                }
-            }
-            work_ops += multipliers.len();
-            let mut ucol = std::mem::take(&mut frozen[c]);
-            ucol.push((r, pivot_value));
-            nnz += ucol.len();
-            frozen[c] = ucol;
-
-            // Update every other active column containing row r:
-            // col' ← col' − u·l (merge of two row-sorted lists), freezing
-            // the (r, u) entry into U.
-            let mut targets = std::mem::take(&mut row_occ[r]);
-            targets.sort_unstable();
-            targets.dedup();
-            for c_t in targets {
-                if !col_alive[c_t] || c_t == c {
-                    continue;
-                }
-                let Some(k) = active[c_t].iter().position(|(i, _)| *i == r) else {
-                    continue; // stale occupancy entry
-                };
-                let u = active[c_t].remove(k);
-                row_cnt[r] = row_cnt[r].saturating_sub(1);
-                let factor = u.1.clone();
-                frozen[c_t].push(u);
-                work_ops += multipliers.len();
-                // Merge: subtract factor·multipliers from the sorted column.
-                let old = std::mem::take(&mut active[c_t]);
-                let mut merged = Vec::with_capacity(old.len() + multipliers.len());
-                let mut oi = old.into_iter().peekable();
-                let mut mi = multipliers.iter().peekable();
-                loop {
-                    match (oi.peek(), mi.peek()) {
-                        (Some((ri, _)), Some((rm, _))) if ri == rm => {
-                            let (ri, mut val) = oi.next().expect("peeked");
-                            let (_, l) = mi.next().expect("peeked");
-                            val.sub_mul_assign(&factor, l);
-                            if val.is_exactly_zero() {
-                                // Exact cancellation: drop the entry.
-                                row_cnt[ri] -= 1;
-                            } else {
-                                merged.push((ri, val));
-                            }
-                        }
-                        (Some((ri, _)), Some((rm, _))) if ri < rm => {
-                            merged.push(oi.next().expect("peeked"));
-                        }
-                        (Some(_), None) => {
-                            merged.push(oi.next().expect("peeked"));
-                        }
-                        (_, Some(_)) => {
-                            // Fill-in from the multiplier side.
-                            let (rm, l) = mi.next().expect("peeked");
-                            let mut val = T::zero();
-                            val.sub_mul_assign(&factor, l);
-                            if !val.is_exactly_zero() {
-                                row_occ[*rm].push(c_t);
-                                row_cnt[*rm] += 1;
-                                merged.push((*rm, val));
-                            }
-                        }
-                        (None, None) => break,
-                    }
-                }
-                active[c_t] = merged;
-            }
-
+            let (ucol_len, multipliers, elim_ops) = work.eliminate(r, c);
+            nnz += ucol_len;
+            work_ops += elim_ops;
             if !multipliers.is_empty() {
                 nnz += multipliers.len();
                 ops.push(LOp::Col {
@@ -510,13 +420,9 @@ impl<T: Scalar> LuFactors<T> {
                 });
             }
         }
-        debug_assert!(row_alive.iter().all(|a| !a));
 
         self.ops = ops;
-        self.ucols = frozen;
-        self.cinv = vec![0; m];
-        self.slot_row = vec![0; m];
-        self.rinv = vec![0; m];
+        self.ucols = std::mem::take(&mut work.frozen);
         for j in 0..m {
             self.cinv[cpos[j]] = j;
             self.slot_row[cpos[j]] = rpos[j];
@@ -530,6 +436,306 @@ impl<T: Scalar> LuFactors<T> {
         self.update_nnz_sum = 0;
         self.spike_armed = false;
         Ok(())
+    }
+}
+
+/// The refactorization workspace: the active submatrix of the elimination
+/// and the structures that find its next Markowitz pivot (module docs).
+struct Elimination<T: Scalar> {
+    /// Active entries per column slot (slot = basis position of the
+    /// column), sorted by row. A pivoted column is left empty.
+    ///
+    /// Column buffers are not kept across refactorizations, here or in
+    /// `frozen`: on the zoo's largest exact solves that raised peak memory
+    /// by about half a megabyte and saved about 3% of their time.
+    active: Vec<Vec<(usize, T)>>,
+    /// Entries frozen into `U` as their row is eliminated, pivot last;
+    /// moved into the factors' `ucols` when the elimination completes.
+    frozen: Vec<Vec<(usize, T)>>,
+    /// Per row, every slot that has held an entry in it: a superset of the
+    /// row's active entries (cancellations leave stale slots, checked
+    /// before use).
+    row_occ: Vec<Vec<usize>>,
+    /// Live column slots bucketed by active entry count.
+    cols: CountLists,
+    /// Live rows bucketed by active entry count.
+    rows: CountLists,
+    /// Column singletons `(row, slot)`, least first. An entry goes stale
+    /// when its column is pivoted or changes; stale entries are skipped.
+    singletons: BinaryHeap<Reverse<(usize, usize)>>,
+    /// Scratch for merging an updated column.
+    merged: Vec<(usize, T)>,
+}
+
+impl<T: Scalar> Elimination<T> {
+    fn new(m: usize) -> Self {
+        Elimination {
+            active: vec![Vec::new(); m],
+            frozen: vec![Vec::new(); m],
+            row_occ: vec![Vec::new(); m],
+            cols: CountLists::default(),
+            rows: CountLists::default(),
+            singletons: BinaryHeap::new(),
+            merged: Vec::new(),
+        }
+    }
+
+    /// Start an elimination of the basis `columns(0..m)`.
+    fn load<'a, F>(&mut self, columns: F)
+    where
+        F: Fn(usize) -> SparseVec<'a, T>,
+        T: 'a,
+    {
+        let m = self.active.len();
+        for occ in &mut self.row_occ {
+            occ.clear();
+        }
+        self.frozen.clear();
+        self.frozen.resize_with(m, Vec::new);
+        self.cols.reset(m);
+        self.rows.reset(m);
+        self.singletons.clear();
+        for (c, col) in self.active.iter_mut().enumerate() {
+            let entries = columns(c);
+            debug_assert!(
+                entries.indices().windows(2).all(|w| w[0] < w[1]),
+                "basis column {c} is not in increasing row order"
+            );
+            col.clear();
+            col.extend(entries.iter().map(|(r, v)| (r, v.clone())));
+            for &r in entries.indices() {
+                self.row_occ[r].push(c);
+            }
+            self.cols.insert(c, col.len());
+            if let [(r, _)] = col.as_slice() {
+                self.singletons.push(Reverse((*r, c)));
+            }
+        }
+        for (r, occ) in self.row_occ.iter().enumerate() {
+            self.rows.insert(r, occ.len());
+        }
+    }
+
+    /// The active nonzero minimizing `(score, col_count, row, slot)`, with
+    /// `score = (row_count − 1)·(col_count − 1)`, or `None` if no live
+    /// column has an entry left (the basis is singular).
+    fn select(&mut self) -> Option<(usize, usize)> {
+        while let Some(Reverse((r, c))) = self.singletons.pop() {
+            if self.cols.is_live(c) && self.active[c].len() == 1 && self.active[c][0].0 == r {
+                return Some((r, c));
+            }
+        }
+        let m = self.active.len();
+        let mut best: Option<PivotKey> = None;
+        for k in 1..=m {
+            // Every entry of a column or row with count below `k` has been
+            // examined; the rest score at least (k − 1)², and tie only with
+            // column count k.
+            if best.is_some_and(|(score, cnt, _, _)| (score, cnt) < ((k - 1) * (k - 1), k)) {
+                break;
+            }
+            for c in self.cols.iter(k) {
+                for &(r, _) in &self.active[c] {
+                    keep_min(&mut best, ((self.rows.count(r) - 1) * (k - 1), k, r, c));
+                }
+            }
+            for r in self.rows.iter(k) {
+                for &c in &self.row_occ[r] {
+                    let col = &self.active[c];
+                    if self.cols.is_live(c) && col.binary_search_by_key(&r, |e| e.0).is_ok() {
+                        keep_min(&mut best, ((k - 1) * (col.len() - 1), col.len(), r, c));
+                    }
+                }
+            }
+        }
+        best.map(|(_, _, r, c)| (r, c))
+    }
+
+    /// Eliminate pivot `(r, c)`: freeze column `c` into `U` and subtract
+    /// its multiples from every other live column with an entry in row `r`.
+    /// Returns the length of `U`'s finished column `c`, the multipliers
+    /// (the `L` column, in row order) and the arithmetic operations spent.
+    fn eliminate(&mut self, r: usize, c: usize) -> (usize, Vec<(usize, T)>, usize) {
+        let Elimination {
+            active,
+            frozen,
+            row_occ,
+            cols,
+            rows,
+            singletons,
+            merged,
+        } = self;
+        cols.remove(c);
+        rows.remove(r);
+        let mut col = std::mem::take(&mut active[c]);
+        let k = col
+            .binary_search_by_key(&r, |e| e.0)
+            .expect("the pivot is an active entry");
+        let (_, pivot_value) = col.remove(k);
+        debug_assert!(!pivot_value.is_exactly_zero());
+        let multipliers: Vec<(usize, T)> = col
+            .iter()
+            .map(|(i, v)| {
+                rows.shift(*i, false);
+                (*i, v.div_ref(&pivot_value))
+            })
+            .collect();
+        let mut elim_ops = multipliers.len();
+        frozen[c].push((r, pivot_value));
+        let ucol_len = frozen[c].len();
+
+        // col' ← col' − u·l over the row-sorted lists, freezing the (r, u)
+        // entry into U.
+        let mut targets = std::mem::take(&mut row_occ[r]);
+        for &c_t in &targets {
+            if !cols.is_live(c_t) {
+                continue;
+            }
+            let Ok(k) = active[c_t].binary_search_by_key(&r, |e| e.0) else {
+                continue; // stale occupancy entry
+            };
+            let (_, u) = active[c_t].remove(k);
+            elim_ops += multipliers.len();
+            if !multipliers.is_empty() {
+                merged.clear();
+                let mut fill = multipliers.iter().peekable();
+                for (ri, mut val) in active[c_t].drain(..) {
+                    while let Some((rm, l)) = fill.next_if(|(rm, _)| *rm < ri) {
+                        push_fill(merged, row_occ, rows, c_t, *rm, &u, l);
+                    }
+                    if let Some((_, l)) = fill.next_if(|(rm, _)| *rm == ri) {
+                        val.sub_mul_assign(&u, l);
+                        if val.is_exactly_zero() {
+                            // Exact cancellation: drop the entry.
+                            rows.shift(ri, false);
+                            continue;
+                        }
+                    }
+                    merged.push((ri, val));
+                }
+                for (rm, l) in fill {
+                    push_fill(merged, row_occ, rows, c_t, *rm, &u, l);
+                }
+                std::mem::swap(&mut active[c_t], merged);
+            }
+            frozen[c_t].push((r, u));
+            let updated = &active[c_t];
+            cols.set(c_t, updated.len());
+            if let [(i, _)] = updated.as_slice() {
+                singletons.push(Reverse((*i, c_t)));
+            }
+        }
+        targets.clear();
+        row_occ[r] = targets;
+        (ucol_len, multipliers, elim_ops)
+    }
+}
+
+/// A Markowitz pivot candidate `(score, col_count, row, slot)`; the least
+/// key wins.
+type PivotKey = (usize, usize, usize, usize);
+
+fn keep_min(best: &mut Option<PivotKey>, key: PivotKey) {
+    if best.is_none_or(|b| key < b) {
+        *best = Some(key);
+    }
+}
+
+/// Append the fill entry `−u·l` at row `rm` of the column `c_t` being
+/// merged, unless it is exactly zero.
+fn push_fill<T: Scalar>(
+    merged: &mut Vec<(usize, T)>,
+    row_occ: &mut [Vec<usize>],
+    rows: &mut CountLists,
+    c_t: usize,
+    rm: usize,
+    u: &T,
+    l: &T,
+) {
+    let mut val = T::zero();
+    val.sub_mul_assign(u, l);
+    if !val.is_exactly_zero() {
+        row_occ[rm].push(c_t);
+        rows.shift(rm, true);
+        merged.push((rm, val));
+    }
+}
+
+/// Items `0..n` (rows or column slots) in doubly linked lists, one per
+/// entry count, so the pivot search can visit the items of a given count.
+#[derive(Default)]
+struct CountLists {
+    /// Item → its count, or `NIL` once removed.
+    count: Vec<usize>,
+    /// Count → first item with that count.
+    head: Vec<usize>,
+    next: Vec<usize>,
+    prev: Vec<usize>,
+}
+
+impl CountLists {
+    /// Empty lists for items `0..n` with counts `0..=n`.
+    fn reset(&mut self, n: usize) {
+        for list in [&mut self.count, &mut self.next, &mut self.prev] {
+            list.clear();
+            list.resize(n, NIL);
+        }
+        self.head.clear();
+        self.head.resize(n + 1, NIL);
+    }
+
+    fn is_live(&self, item: usize) -> bool {
+        self.count[item] != NIL
+    }
+
+    fn count(&self, item: usize) -> usize {
+        self.count[item]
+    }
+
+    fn insert(&mut self, item: usize, count: usize) {
+        let first = self.head[count];
+        self.count[item] = count;
+        self.prev[item] = NIL;
+        self.next[item] = first;
+        if first != NIL {
+            self.prev[first] = item;
+        }
+        self.head[count] = item;
+    }
+
+    fn remove(&mut self, item: usize) {
+        let (prev, next) = (self.prev[item], self.next[item]);
+        if prev == NIL {
+            self.head[self.count[item]] = next;
+        } else {
+            self.next[prev] = next;
+        }
+        if next != NIL {
+            self.prev[next] = prev;
+        }
+        self.count[item] = NIL;
+    }
+
+    /// Move a live item to the list of `count`.
+    fn set(&mut self, item: usize, count: usize) {
+        if self.count[item] != count {
+            self.remove(item);
+            self.insert(item, count);
+        }
+    }
+
+    /// Move a live item's count one up or one down.
+    fn shift(&mut self, item: usize, up: bool) {
+        let count = self.count[item];
+        self.set(item, if up { count + 1 } else { count - 1 });
+    }
+
+    /// The items with `count`.
+    fn iter(&self, count: usize) -> impl Iterator<Item = usize> + '_ {
+        let live = |item: &usize| *item != NIL;
+        std::iter::successors(Some(self.head[count]).filter(live), move |&item| {
+            Some(self.next[item]).filter(live)
+        })
     }
 }
 
@@ -751,5 +957,296 @@ mod tests {
             }
         }
         assert_eq!(ftran_dense(&mut lu, &rhs), vec![rat(1, 1); m]);
+    }
+
+    /// What a refactorization produced: the elimination sequence
+    /// `(row, slot)` per step, `L`, `U`, `nnz` and `R`.
+    #[derive(Debug, PartialEq)]
+    struct Factored {
+        sequence: Vec<(usize, usize)>,
+        ops: Vec<LOp<Rational>>,
+        ucols: Vec<Vec<(usize, Rational)>>,
+        nnz: usize,
+        refactor_ops: usize,
+    }
+
+    fn factored(lu: &LuFactors<Rational>) -> Factored {
+        Factored {
+            sequence: lu
+                .rpos
+                .iter()
+                .copied()
+                .zip(lu.cpos.iter().copied())
+                .collect(),
+            ops: lu.ops.clone(),
+            ucols: lu.ucols.clone(),
+            nnz: lu.nnz,
+            refactor_ops: lu.refactor_ops,
+        }
+    }
+
+    /// The full-scan Markowitz elimination the bucketed search replaced,
+    /// kept as written: every step scans every active nonzero for the least
+    /// `(score, col_count, row, slot)`. Columns arrive in row order.
+    fn reference_factorization(cols: &[Col]) -> Result<Factored, LpError> {
+        let m = cols.len();
+        let mut active: Vec<Vec<(usize, Rational)>> =
+            cols.iter().map(|c| sv(c).to_pairs()).collect();
+        let mut frozen: Vec<Vec<(usize, Rational)>> = vec![Vec::new(); m];
+        let mut row_occ: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut row_cnt = vec![0usize; m];
+        for (c, col) in active.iter().enumerate() {
+            for (r, _) in col {
+                row_occ[*r].push(c);
+                row_cnt[*r] += 1;
+            }
+        }
+        let mut col_alive = vec![true; m];
+        let mut ops = Vec::new();
+        let mut nnz = 0usize;
+        let mut work_ops = m;
+        let mut sequence = Vec::with_capacity(m);
+        for _ in 0..m {
+            let mut best: Option<PivotKey> = None;
+            for (c, col) in active.iter().enumerate() {
+                if !col_alive[c] || col.is_empty() {
+                    continue;
+                }
+                let cnt = col.len();
+                for (r, _) in col {
+                    let key = ((row_cnt[*r] - 1) * (cnt - 1), cnt, *r, c);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+            }
+            let Some((_, _, r, c)) = best else {
+                return Err(LpError::Internal("singular".to_string()));
+            };
+            sequence.push((r, c));
+            let col = std::mem::take(&mut active[c]);
+            col_alive[c] = false;
+            let pivot_value = col.iter().find(|(i, _)| *i == r).expect("pivot").1.clone();
+            let mut multipliers: Vec<(usize, Rational)> = Vec::new();
+            for (i, v) in &col {
+                if *i != r {
+                    row_cnt[*i] -= 1;
+                    multipliers.push((*i, v.div_ref(&pivot_value)));
+                }
+            }
+            work_ops += multipliers.len();
+            frozen[c].push((r, pivot_value));
+            nnz += frozen[c].len();
+            let mut targets = std::mem::take(&mut row_occ[r]);
+            targets.sort_unstable();
+            targets.dedup();
+            for c_t in targets {
+                if !col_alive[c_t] {
+                    continue;
+                }
+                let Some(k) = active[c_t].iter().position(|(i, _)| *i == r) else {
+                    continue;
+                };
+                let u = active[c_t].remove(k);
+                row_cnt[r] = row_cnt[r].saturating_sub(1);
+                let factor = u.1.clone();
+                frozen[c_t].push(u);
+                work_ops += multipliers.len();
+                // Merge: subtract factor·multipliers from the sorted column.
+                let old = std::mem::take(&mut active[c_t]);
+                let mut merged = Vec::with_capacity(old.len() + multipliers.len());
+                let mut oi = old.into_iter().peekable();
+                let mut mi = multipliers.iter().peekable();
+                loop {
+                    match (oi.peek(), mi.peek()) {
+                        (Some((ri, _)), Some((rm, _))) if ri == rm => {
+                            let (ri, mut val) = oi.next().expect("peeked");
+                            let (_, l) = mi.next().expect("peeked");
+                            val.sub_mul_assign(&factor, l);
+                            if val.is_exactly_zero() {
+                                row_cnt[ri] -= 1;
+                            } else {
+                                merged.push((ri, val));
+                            }
+                        }
+                        (Some((ri, _)), Some((rm, _))) if ri < rm => {
+                            merged.push(oi.next().expect("peeked"));
+                        }
+                        (Some(_), None) => {
+                            merged.push(oi.next().expect("peeked"));
+                        }
+                        (_, Some(_)) => {
+                            let (rm, l) = mi.next().expect("peeked");
+                            let mut val = Rational::zero();
+                            val.sub_mul_assign(&factor, l);
+                            if !val.is_exactly_zero() {
+                                row_occ[*rm].push(c_t);
+                                row_cnt[*rm] += 1;
+                                merged.push((*rm, val));
+                            }
+                        }
+                        (None, None) => break,
+                    }
+                }
+                active[c_t] = merged;
+            }
+            if !multipliers.is_empty() {
+                nnz += multipliers.len();
+                ops.push(LOp::Col {
+                    pivot: r,
+                    entries: multipliers,
+                });
+            }
+        }
+        Ok(Factored {
+            sequence,
+            ops,
+            ucols: frozen,
+            nnz,
+            refactor_ops: work_ops,
+        })
+    }
+
+    /// Refactorize `lu` over `cols` and check it against the reference;
+    /// returns whether the basis was nonsingular.
+    fn matches_reference(lu: &mut LuFactors<Rational>, cols: &[Col]) -> bool {
+        let expected = reference_factorization(cols);
+        match lu.refactorize(|c| sv(&cols[c])) {
+            Ok(()) => {
+                let expected = expected.expect("the reference factorizes what the search does");
+                assert_eq!(factored(lu), expected, "the search changed the elimination");
+                true
+            }
+            Err(LpError::Internal(_)) => {
+                assert!(
+                    expected.is_err(),
+                    "the search failed on a nonsingular basis"
+                );
+                false
+            }
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+
+    /// A column from `(row, value)` pairs in any order.
+    fn column(mut entries: Vec<(usize, i64)>) -> Col {
+        entries.sort_unstable();
+        entries.dedup_by_key(|e| e.0);
+        entries.into_iter().map(|(r, v)| (r, rat(v, 1))).unzip()
+    }
+
+    #[test]
+    fn search_matches_the_full_scan_on_random_sparse_bases() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut nonsingular = 0;
+        let mut trials = 0;
+        for m in 1..=24usize {
+            // One set of factors per size: every basis after the first runs
+            // on the previous refactorization's workspace.
+            let mut lu: LuFactors<Rational> = LuFactors::identity(m);
+            for _ in 0..12 {
+                let density = rng.gen_range(1..=4usize);
+                let cols: Vec<Col> = (0..m)
+                    .map(|c| {
+                        // A diagonal entry keeps most bases nonsingular;
+                        // entries in {−2, −1, 1, 2} make exact cancellations
+                        // and count ties common.
+                        let mut entries = vec![(c, rng.gen_range(1..=2i64))];
+                        for _ in 0..rng.gen_range(0..=density) {
+                            let v = rng.gen_range(1..=2i64);
+                            let v = if rng.gen_bool(0.5) { -v } else { v };
+                            entries.push((rng.gen_range(0..m), v));
+                        }
+                        column(entries)
+                    })
+                    .collect();
+                trials += 1;
+                nonsingular += usize::from(matches_reference(&mut lu, &cols));
+            }
+        }
+        assert!(
+            nonsingular * 10 >= trials * 8,
+            "{nonsingular} of {trials} nonsingular"
+        );
+    }
+
+    #[test]
+    fn search_matches_the_full_scan_on_slack_heavy_bases() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Shaped like the tailored LP's bases: mostly slack and surplus
+        // unit columns, plus a structural nucleus whose own rows form a
+        // diagonally dominant block, so every basis is nonsingular.
+        let mut rng = StdRng::seed_from_u64(2026);
+        for (m, structural) in [(224usize, 40usize), (240, 24), (210, 70)] {
+            let mut lu: LuFactors<Rational> = LuFactors::identity(m);
+            for _ in 0..3 {
+                let mut rows: Vec<usize> = (0..m).collect();
+                for i in (1..m).rev() {
+                    rows.swap(i, rng.gen_range(0..=i));
+                }
+                let (nucleus, slack) = rows.split_at(structural);
+                let mut cols: Vec<Col> = Vec::with_capacity(m);
+                for &r in slack {
+                    cols.push(column(vec![(r, if rng.gen_bool(0.5) { 1 } else { -1 })]));
+                }
+                for &d in nucleus {
+                    let mut entries = Vec::new();
+                    for _ in 0..rng.gen_range(1..=4) {
+                        entries.push((nucleus[rng.gen_range(0..structural)], -1));
+                    }
+                    for _ in 0..rng.gen_range(0..=3) {
+                        entries.push((slack[rng.gen_range(0..slack.len())], 1));
+                    }
+                    entries.retain(|e| e.0 != d);
+                    entries.push((d, 8));
+                    cols.push(column(entries));
+                }
+                // Mix the slots so structural and unit columns interleave.
+                for i in (1..m).rev() {
+                    cols.swap(i, rng.gen_range(0..=i));
+                }
+                assert!(matches_reference(&mut lu, &cols), "constructed nonsingular");
+            }
+        }
+    }
+
+    #[test]
+    fn singular_bases_fail_and_leave_the_factors_usable() {
+        let cols = columns();
+        let mut lu: LuFactors<Rational> = LuFactors::identity(3);
+        lu.refactorize(|c| sv(&cols[c])).unwrap();
+        let before = factored(&lu);
+        let rhs: Col = (vec![0, 1, 2], vec![rat(3, 1), rat(2, 1), rat(3, 1)]);
+        // A repeated column, a column that cancels to zero, an empty column.
+        let singular: [Vec<Col>; 3] = [
+            vec![cols[0].clone(), cols[0].clone(), cols[2].clone()],
+            vec![
+                column(vec![(0, 1), (1, 1)]),
+                column(vec![(0, 2), (1, 2)]),
+                column(vec![(2, 1)]),
+            ],
+            vec![cols[0].clone(), (Vec::new(), Vec::new()), cols[2].clone()],
+        ];
+        for basis in &singular {
+            assert!(!matches_reference(&mut lu, basis));
+            assert!(matches!(
+                lu.refactorize(|c| sv(&basis[c])),
+                Err(LpError::Internal(_))
+            ));
+            assert_eq!(
+                factored(&lu),
+                before,
+                "a failed refactorization kept the factors"
+            );
+            assert_eq!(
+                ftran_dense(&mut lu, &rhs),
+                vec![rat(1, 1), rat(1, 1), rat(1, 1)]
+            );
+        }
+        // The workspace a failure left behind serves the next basis.
+        assert!(matches_reference(&mut lu, &cols));
     }
 }

@@ -332,12 +332,37 @@ impl ConnWriter {
 
     /// Queue one already-rendered frame payload.
     pub(crate) fn send_bytes(&self, payload: &[u8]) -> io::Result<()> {
+        self.check_alive()?;
+        let result = self.queue(payload);
+        self.bell.ring(self.token);
+        result
+    }
+
+    /// Render and queue a request's terminal frame, then return its
+    /// in-flight slot: [`ConnWriter::send`] followed by
+    /// [`ConnWriter::release`], with one ring of the doorbell for both.
+    pub(crate) fn send_terminal(&self, frame: &Json) -> io::Result<()> {
+        let result = self
+            .check_alive()
+            .and_then(|()| self.queue(json::to_string(frame).as_bytes()));
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.bell.ring(self.token);
+        result
+    }
+
+    fn check_alive(&self) -> io::Result<()> {
         if self.is_dead() {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "connection writer is dead",
             ));
         }
+        Ok(())
+    }
+
+    /// Push one frame into the outbox without ringing; an overflow marks
+    /// the writer dead.
+    fn queue(&self, payload: &[u8]) -> io::Result<()> {
         let result = self
             .outbox
             .lock()
@@ -346,7 +371,6 @@ impl ConnWriter {
         if result.is_err() {
             self.dead.store(true, Ordering::Relaxed);
         }
-        self.bell.ring(self.token);
         result
     }
 }
@@ -354,8 +378,8 @@ impl ConnWriter {
 /// What a server or router does on top of the [`Reactor`].
 pub(crate) trait Handler {
     /// One decoded client frame. It holds one in-flight slot on `writer`
-    /// until the handler calls [`ConnWriter::release`] after the request's
-    /// terminal frame. Returns `false` if the frame could not be taken; the
+    /// until the handler sends the request's terminal frame with
+    /// [`ConnWriter::send_terminal`] or calls [`ConnWriter::release`]. Returns `false` if the frame could not be taken; the
     /// connection then closes once it has flushed.
     fn on_frame(&mut self, poller: &Poller, writer: &Arc<ConnWriter>, payload: Vec<u8>) -> bool;
 
@@ -716,5 +740,33 @@ mod tests {
         reader.extend(&sink);
         assert_eq!(reader.next_frame().unwrap().unwrap(), b"hello");
         assert_eq!(reader.next_frame().unwrap().unwrap(), b"world");
+    }
+
+    #[test]
+    fn a_terminal_reply_rings_the_doorbell_once() {
+        let bell = Arc::new(Doorbell::new().unwrap());
+        let writer = Arc::new(ConnWriter {
+            outbox: Mutex::new(Outbox::new()),
+            dead: AtomicBool::new(false),
+            inflight: AtomicUsize::new(0),
+            token: 7,
+            bell: Arc::clone(&bell),
+        });
+        writer.acquire();
+        let worker = Arc::clone(&writer);
+        thread::spawn(move || worker.send_terminal(&Json::str("done")).unwrap())
+            .join()
+            .unwrap();
+        assert_eq!(
+            bell.take(),
+            vec![7],
+            "one dirty-list entry per terminal reply"
+        );
+        assert_eq!(writer.inflight(), 0);
+        let mut sink = Vec::new();
+        assert!(writer.outbox.lock().unwrap().pump(&mut sink).unwrap());
+        let mut reader = FrameReader::new();
+        reader.extend(&sink);
+        assert_eq!(reader.next_frame().unwrap().unwrap(), b"\"done\"");
     }
 }

@@ -311,8 +311,7 @@ impl Handler for Router {
 
 /// Answer a frame locally: its terminal reply, and its in-flight slot back.
 fn reply_local(writer: &ConnWriter, frame: &Json) {
-    let _ = writer.send(frame);
-    writer.release();
+    let _ = writer.send_terminal(frame);
 }
 
 impl Router {

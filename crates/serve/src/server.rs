@@ -358,8 +358,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> bool {
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         shared.metrics.record(op, ns);
     }
-    let _ = job.writer.send(&terminal);
-    job.writer.release();
+    let _ = job.writer.send_terminal(&terminal);
     stop
 }
 

@@ -245,6 +245,25 @@ mod tests {
     }
 
     #[test]
+    fn sum_tail_template_table_is_pinned() {
+        // The table behind perfbench's `zoo` tail template: sum(rows = 2,
+        // per_row = 3) at α = 1/3 for one full-support absolute consumer.
+        let level = PrivacyLevel::new(rat(1, 3)).unwrap();
+        let class = QueryClass::Sum {
+            rows: 2,
+            per_row: 3,
+        };
+        let abs = minimax("abs", Arc::new(AbsoluteError), SideInformation::full(6));
+        let table = regret_table(&class, &level, &[abs]).unwrap();
+        assert_eq!(
+            table.candidate_names,
+            ["tailored:abs", "randomized_response"]
+        );
+        assert_eq!(table.opt, [rat(297, 221)]);
+        assert_eq!(table.losses, [[rat(297, 221)], [rat(7, 3)]]);
+    }
+
+    #[test]
     fn median_table_has_a_non_dominated_pair() {
         // Brenner–Nissim for medians: under the complete adjacency graph,
         // tailoring matters — no single mechanism serves both the absolute

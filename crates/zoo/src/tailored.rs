@@ -192,6 +192,33 @@ mod tests {
     }
 
     #[test]
+    fn sum_tail_template_answer_is_pinned() {
+        // The exact `zoo_table` LP perfbench's `zoo` tail reads: sum(rows =
+        // 2, per_row = 3), one full-support absolute-loss consumer, α = 1/3.
+        // The pivot counts pin the whole simplex path, so a change to the
+        // LU factorization that moved any pivot would show here.
+        let level = PrivacyLevel::new(rat(1, 3)).unwrap();
+        let class = QueryClass::Sum {
+            rows: 2,
+            per_row: 3,
+        };
+        let zoo = tailored_optimum(&class, &consumer(6), &level).unwrap();
+        assert_eq!(zoo.loss, rat(297, 221));
+        assert_eq!(
+            zoo.stats,
+            PivotStats {
+                phase1_pivots: 137,
+                phase2_pivots: 72,
+                degenerate_pivots: 166,
+                dantzig_pivots: 105,
+                bland_pivots: 104,
+                fallback_activations: 1,
+            }
+        );
+        assert!(is_private_for_class(&zoo.mechanism, &class, &level));
+    }
+
+    #[test]
     fn median_optimum_is_private_under_the_complete_graph() {
         let level = PrivacyLevel::new(rat(1, 3)).unwrap();
         let class = QueryClass::Median { rows: 3, domain: 3 };
