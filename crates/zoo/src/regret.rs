@@ -64,7 +64,9 @@ fn is_positive<T: Scalar>(value: &T) -> bool {
 /// generalized classes go through the zoo's [`tailored_optimum`] LP, which
 /// reproduces the engine's answer exactly on counts (pinned in
 /// `crate::tailored`'s tests). Every evaluation is an exact interaction-LP
-/// solve, so the whole table is deterministic.
+/// solve, so the whole table is deterministic. On counts that solve already
+/// is the geometric mechanism's interaction with each consumer, so the
+/// geometric row reuses it.
 pub fn regret_table<T: Scalar + Send + Sync>(
     class: &QueryClass,
     level: &PrivacyLevel<T>,
@@ -90,6 +92,10 @@ pub fn regret_table<T: Scalar + Send + Sync>(
         opt.push(loss);
         candidates.push((format!("tailored:{}", consumer.name()), mechanism));
     }
+    // On counts the engine's solve above deployed `G_{n,α}` and solved each
+    // consumer's interaction LP with it (the Theorem 1 route), so the
+    // geometric row is `opt` itself: that LP is not solved a second time.
+    let geometric_row = is_count.then_some(candidates.len());
     if is_count {
         candidates.push(("geometric".into(), engine.geometric(bound, level)?));
     }
@@ -103,7 +109,12 @@ pub fn regret_table<T: Scalar + Send + Sync>(
     // Evaluate every candidate for every consumer via the interaction LP.
     let mut losses = Vec::with_capacity(candidates.len());
     let mut regrets = Vec::with_capacity(candidates.len());
-    for (_, mechanism) in &candidates {
+    for (row, (_, mechanism)) in candidates.iter().enumerate() {
+        if Some(row) == geometric_row {
+            losses.push(opt.clone());
+            regrets.push(opt.iter().map(|loss| loss.clone() - loss.clone()).collect());
+            continue;
+        }
         let mut row_losses = Vec::with_capacity(consumers.len());
         let mut row_regrets = Vec::with_capacity(consumers.len());
         for (col, consumer) in consumers.iter().enumerate() {
@@ -206,6 +217,17 @@ mod tests {
         assert!(table.dominant.contains(&g));
         // And the paper's pinned optimum anchors the first column.
         assert_eq!(table.opt[0], rat(168, 415));
+        // The geometric row reuses the engine's Theorem 1 solve, so check it
+        // against the tailored LP solved directly, which never deploys the
+        // geometric mechanism.
+        for (col, consumer) in panel(3).iter().enumerate() {
+            let direct = tailored_optimum(&QueryClass::Count { n: 3 }, consumer, &level).unwrap();
+            assert_eq!(
+                table.losses[g][col], direct.loss,
+                "geometric loss is not the direct optimum for {}",
+                table.consumer_names[col]
+            );
+        }
     }
 
     #[test]
